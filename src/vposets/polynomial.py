@@ -13,11 +13,28 @@ The canonical text form sorts terms by descending y-exponent, breaking ties
 by descending x-exponent; a unit coefficient is omitted, an exponent of one
 is written bare, and factors are joined with ``*``.  The zero polynomial
 prints as ``"0"``.
+
+Tree and V-poset polynomials come from one recursion, which `build_poly`
+evaluates over a flat post-order list of build nodes: a node is the product
+of its children, optionally followed by adding an extreme element (x for an
+empty product, else the product plus ``y**size``).  It works on packed
+rows, one Python integer per x-degree with the y-coefficients in fixed
+w-bit fields (Kronecker substitution in y), so a row product is a single
+big-integer multiplication.  Every coefficient is nonnegative, and every
+partial product of a node is bounded by m(node) = prod m(children), plus 1
+when the node adds an element to a nonempty product.  That O(n) integer
+recursion gives P(1,1) at the root, so fields of w >= bit_length(m(root))
+bits never carry into each other.  w is rounded up to 8, 16, 32 or 64 bits,
+or beyond that to whole bytes, so most rows unpack through machine-word views
+of their bytes; they are unpacked once, at the end.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import struct
+import sys
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 
 class BivariatePoly:
@@ -37,6 +54,15 @@ class BivariatePoly:
                     clean[(i, j)] = c
         self._terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[int, int], int]) -> BivariatePoly:
+        """Wrap a dict already known to hold valid exponents and nonzero
+        integer coefficients; the dict is taken over, not copied."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        poly._hash = None
+        return poly
 
     # ------------------------------------------------------------------
     # constructors
@@ -63,7 +89,7 @@ class BivariatePoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return BivariatePoly(out)
+        return _nonzero(out)
 
     def __sub__(self, other: BivariatePoly) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
@@ -71,14 +97,14 @@ class BivariatePoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) - c
-        return BivariatePoly(out)
+        return _nonzero(out)
 
     def __neg__(self) -> BivariatePoly:
-        return BivariatePoly({key: -c for key, c in self._terms.items()})
+        return BivariatePoly._trusted({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other: BivariatePoly | int) -> BivariatePoly:
         if isinstance(other, int):
-            return BivariatePoly({key: c * other for key, c in self._terms.items()})
+            return _nonzero({key: c * other for key, c in self._terms.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
@@ -86,7 +112,7 @@ class BivariatePoly:
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return BivariatePoly(out)
+        return _nonzero(out)
 
     def __rmul__(self, other: int) -> BivariatePoly:
         if isinstance(other, int):
@@ -105,8 +131,22 @@ class BivariatePoly:
     # evaluation and substitution
 
     def evaluate(self, x0: int, y0: int) -> int:
-        """Exact value of the polynomial at the integer point (x0, y0)."""
-        return sum(c * x0**i * y0**j for (i, j), c in self._terms.items())
+        """Exact value of the polynomial at the integer point (x0, y0).
+
+        A base of 0 keeps only the terms whose exponent for it is 0, and a
+        base of 0 or 1 then contributes no factor, so the counting points
+        need no powers at all.
+        """
+        terms = self._terms
+        if x0 == 0 or y0 == 0:
+            terms = {k: c for k, c in terms.items() if (x0 or not k[0]) and (y0 or not k[1])}
+        if x0 == 0 or x0 == 1:
+            if y0 == 0 or y0 == 1:
+                return sum(terms.values())
+            return sum(c * y0**j for (_, j), c in terms.items())
+        if y0 == 0 or y0 == 1:
+            return sum(c * x0**i for (i, _), c in terms.items())
+        return sum(c * x0**i * y0**j for (i, j), c in terms.items())
 
     def specialize(self, x: int | None = None, y: int | None = None) -> BivariatePoly:
         """Substitute integers for one or both variables, collapsing terms."""
@@ -116,9 +156,10 @@ class BivariatePoly:
                 c, i = c * x**i, 0
             if y is not None:
                 c, j = c * y**j, 0
-            key = (i, j)
-            out[key] = out.get(key, 0) + c
-        return BivariatePoly(out)
+            if c:
+                key = (i, j)
+                out[key] = out.get(key, 0) + c
+        return _nonzero(out)
 
     # ------------------------------------------------------------------
     # inspection and formatting
@@ -129,8 +170,14 @@ class BivariatePoly:
 
     def canonical_triples(self) -> list[tuple[int, int, int]]:
         """Terms as [coeff, x_exp, y_exp] triples in canonical print order."""
-        items = sorted(self._terms.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
-        return [(c, i, j) for (i, j), c in items]
+        return [(c, i, j) for j, i, c in self._descending()]
+
+    def _descending(self) -> list[tuple[int, int, int]]:
+        # (y_exp, x_exp, coeff) in canonical order; exponent pairs are unique,
+        # so the sort never compares coefficients.
+        terms = self._terms
+        ys, xs = map(itemgetter(1), terms), map(itemgetter(0), terms)
+        return sorted(zip(ys, xs, terms.values()), reverse=True)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -149,23 +196,17 @@ class BivariatePoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for coeff, i, j in self.canonical_triples():
-            factors: list[str] = []
-            if i == 1:
-                factors.append("x")
-            elif i:
-                factors.append(f"x^{i}")
-            if j == 1:
-                factors.append("y")
-            elif j:
-                factors.append(f"y^{j}")
+        for j, i, coeff in self._descending():
+            x = "x" if i == 1 else f"x^{i}" if i else ""
+            y = "y" if j == 1 else f"y^{j}" if j else ""
+            factors = f"{x}*{y}" if x and y else x or y
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = "*".join([str(mag)] + factors)
+                body = f"{mag}*{factors}"
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
             else:
@@ -176,18 +217,104 @@ class BivariatePoly:
         return f"BivariatePoly({str(self)!r})"
 
 
-def poly_sum(polys: Iterable[BivariatePoly]) -> BivariatePoly:
-    total = BivariatePoly.zero()
-    for p in polys:
-        total = total + p
-    return total
+def _nonzero(terms: dict[tuple[int, int], int]) -> BivariatePoly:
+    return BivariatePoly._trusted({key: c for key, c in terms.items() if c})
 
 
-def poly_product(polys: Iterable[BivariatePoly]) -> BivariatePoly:
-    total = BivariatePoly.one()
-    for p in polys:
-        total = total * p
-    return total
+# ----------------------------------------------------------------------
+# the build-node evaluator
+
+def build_poly(nodes: Sequence[tuple[int, Sequence[int], bool]]) -> BivariatePoly:
+    """Polynomial of the object a flat post-order build list describes.
+
+    Node ``(points, kids, extreme)`` stands for the disjoint union of
+    ``points`` single elements and the earlier nodes listed in ``kids``
+    (indices may repeat, and a node may be the kid of several nodes); with
+    ``extreme`` set, a greatest or least element is then added on top.  Its
+    polynomial is Q = x**points * prod(P(kid)); with ``extreme`` set it is x
+    when the union is empty, else Q + y**|union|.  The last node is the root.
+    """
+    count = len(nodes)
+    size = [0] * count
+    bound = [1] * count
+    uses = [0] * count
+    for v, (points, kids, extreme) in enumerate(nodes):
+        s, m = points, 1
+        for k in kids:
+            s += size[k]
+            m *= bound[k]
+            uses[k] += 1
+        if extreme:
+            if s:
+                m += 1
+            s += 1
+        size[v], bound[v] = s, m
+    width = _field_bytes(bound[-1]) * 8
+    rows_of: list[list[int] | None] = [None] * count
+    for v, (points, kids, extreme) in enumerate(nodes):
+        rows = None
+        for k in kids:
+            rows = list(rows_of[k]) if rows is None else _mul_rows(rows, rows_of[k])
+            uses[k] -= 1
+            if not uses[k]:
+                rows_of[k] = None
+        if rows is None:
+            rows = [1]
+        if points:
+            rows = [0] * points + rows
+        if extreme:
+            below = size[v] - 1
+            if below:
+                rows[0] += 1 << (width * below)
+            else:
+                rows = [0, 1]
+        rows_of[v] = rows
+    return _unpack_rows(rows_of[-1], width // 8)
+
+
+def _mul_rows(a: list[int], b: list[int]) -> list[int]:
+    # Row k of the product is sum(a[i] * b[k - i]); no field can carry.
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, rb) for j, rb in enumerate(b) if rb]
+    for i, ra in enumerate(a):
+        if ra:
+            for j, rb in nonzero_b:
+                out[i + j] += ra * rb
+    return out
+
+
+# Machine-word formats that unpack a row's bytes into fields in C, and the
+# field size in bytes to use for coefficients of up to 0..8 bytes.
+_WORD_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
+_FIELD_BYTES = [min(b for b in _WORD_FORMATS if b >= need) for need in range(9)]
+
+
+def _field_bytes(bound: int) -> int:
+    """Bytes per field for coefficients up to ``bound``: the smallest machine
+    word that holds them, else as many bytes as they need."""
+    need = (bound.bit_length() + 7) // 8
+    return _FIELD_BYTES[need] if need <= 8 else need
+
+
+def _unpack_rows(rows: list[int], field_bytes: int) -> BivariatePoly:
+    terms: dict[tuple[int, int], int] = {}
+    fmt = _WORD_FORMATS.get(field_bytes)
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        fields = -(-row.bit_length() // (8 * field_bytes))
+        data = row.to_bytes(fields * field_bytes, sys.byteorder)
+        if fmt is not None:
+            coeffs = data if field_bytes == 1 else memoryview(data).cast(fmt)
+        else:
+            coeffs = [
+                int.from_bytes(data[k : k + field_bytes], sys.byteorder)
+                for k in range(0, len(data), field_bytes)
+            ]
+        for j, c in enumerate(coeffs):
+            if c:
+                terms[(i, j)] = c
+    return BivariatePoly._trusted(terms)
 
 
 X = BivariatePoly.monomial(1, 1, 0)

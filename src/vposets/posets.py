@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bruteforce
 from .errors import NotVPosetError, OracleBoundError, ParseError
-from .polynomial import BivariatePoly, X, poly_product
+from .polynomial import BivariatePoly, build_poly
 from .trees import RootedTree, tree_layout
 
 ISOMORPHISM_BOUND = 8
@@ -552,14 +552,44 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
 
 
 def _trace_poly(trace: BuildTrace) -> BivariatePoly:
-    if isinstance(trace, Empty):
-        return BivariatePoly.one()
-    if isinstance(trace, DisjointUnion):
-        return poly_product(_trace_poly(part) for part in trace.parts)
-    inner = trace.inner
-    if isinstance(inner, Empty):
-        return X
-    return _trace_poly(inner) + BivariatePoly.monomial(1, 0, inner.size)
+    # Post-order build list: a union is a product node and an add step a node
+    # with an extreme element.  Single elements become x factors of their
+    # parent and empty parts are dropped.  Nodes are keyed by identity, so a
+    # shared sub-trace is evaluated once.
+    index: dict[int, int] = {}
+    nodes: list[tuple[int, list[int], bool]] = []
+    stack = [(trace, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if key in index:
+            continue
+        if isinstance(node, DisjointUnion):
+            parts, extreme = node.parts, False
+        elif isinstance(node, (AddGreatest, AddLeast)):
+            parts, extreme = (node.inner,), True
+        elif isinstance(node, Empty):
+            parts, extreme = (), False
+        else:
+            raise TypeError(f"not a trace node: {node!r}")
+        if ready:
+            kids = [index[id(q)] for q in parts if _is_step(q)]
+            points = sum(1 for q in parts if _is_point(q))
+            index[key] = len(nodes)
+            nodes.append((points, kids, extreme))
+        else:
+            stack.append((node, True))
+            stack.extend([(q, False) for q in parts if _is_step(q)])
+    return build_poly(nodes)
+
+
+def _is_point(trace: BuildTrace) -> bool:
+    return isinstance(trace, (AddGreatest, AddLeast)) and isinstance(trace.inner, Empty)
+
+
+def _is_step(trace: BuildTrace) -> bool:
+    """Whether a sub-trace gets its own build node (not empty, not a point)."""
+    return not (isinstance(trace, Empty) or _is_point(trace))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:

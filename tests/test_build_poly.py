@@ -1,0 +1,239 @@
+"""The packed-row evaluator behind `tree_poly` and `poset_poly`.
+
+Every check compares against a plain dict recursion kept here as the
+reference, or against closed forms and counts that need no polynomial.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vposets import (
+    AddGreatest,
+    AddLeast,
+    BivariatePoly,
+    DisjointUnion,
+    Empty,
+    RootedTree,
+    enumerate_rooted_trees,
+    path,
+    tree_poly,
+)
+from vposets.posets import _trace_poly
+
+
+def dict_poly(parents):
+    """x for a leaf, else the product of the branches plus y**(size - 1).
+
+    ``parents[v] < v`` for every v > 0, so one sweep from the last vertex
+    down finishes every branch before its parent; no recursion is needed.
+    """
+    n = len(parents)
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parents[v]].append(v)
+    size = [1] * n
+    poly = [None] * n
+    for v in range(n - 1, -1, -1):
+        if not kids[v]:
+            poly[v] = {(1, 0): 1}
+            continue
+        product = {(0, 0): 1}
+        for c in kids[v]:
+            size[v] += size[c]
+            out = {}
+            for (i1, j1), c1 in product.items():
+                for (i2, j2), c2 in poly[c].items():
+                    out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+            product = out
+        top = (0, size[v] - 1)
+        product[top] = product.get(top, 0) + 1
+        poly[v] = product
+    return poly[0]
+
+
+def tree_of(parents):
+    kids = [[] for _ in parents]
+    for v in range(len(parents) - 1, 0, -1):
+        kids[parents[v]].append(v)
+    node = [None] * len(parents)
+    for v in range(len(parents) - 1, -1, -1):
+        node[v] = RootedTree(node[c] for c in kids[v])
+    return node[0]
+
+
+def parents_of(t):
+    parents = [-1]
+    stack = [(t, 0)]
+    while stack:
+        node, v = stack.pop()
+        for c in node.children:
+            parents.append(v)
+            stack.append((c, len(parents) - 1))
+    return parents
+
+
+@st.composite
+def parent_arrays(draw, max_size=80):
+    n = draw(st.integers(1, max_size))
+    return [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+
+
+def counts(parents):
+    """P(1,1), P(0,1), P(2,1) and P(1,2) by the O(n) tree recursions:
+    maximal antichains, leaf-free ones, antichains and cutsets."""
+    n = len(parents)
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[parents[v]].append(v)
+    size = [1] * n
+    table = [None] * n
+    for v in range(n - 1, -1, -1):
+        if not kids[v]:
+            table[v] = (1, 0, 2, 1)
+            continue
+        m = lf = a = c = 1
+        for k in kids[v]:
+            size[v] += size[k]
+            m, lf, a, c = m * table[k][0], lf * table[k][1], a * table[k][2], c * table[k][3]
+        table[v] = (m + 1, lf + 1, a + 1, c + 2 ** (size[v] - 1))
+    return dict(zip(((1, 1), (0, 1), (2, 1), (1, 2)), table[0]))
+
+
+class TestAgainstDictRecursion:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_tree(self, n):
+        for t in enumerate_rooted_trees(n):
+            assert tree_poly(t).term_map == dict_poly(parents_of(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(parent_arrays())
+    def test_random_trees(self, parents):
+        assert tree_poly(tree_of(parents)).term_map == dict_poly(parents)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 17, 32, 33, 64, 65, 80])
+    def test_field_width_edges(self, k):
+        # m(T) = P(1,1) is the coefficient bound that sets the field width.
+        # low(k) has P(1,1) = 2**k - 1, the largest value k bits hold, and
+        # one more vertex on top gives 2**k, the smallest that needs k + 1.
+        cherry = RootedTree([RootedTree(), RootedTree()])
+        low = RootedTree()
+        for _ in range(k - 1):
+            low = RootedTree([cherry, low])
+        high = RootedTree([low])
+        for t, bound in ((low, 2**k - 1), (high, 2**k)):
+            poly = tree_poly(t)
+            assert poly.evaluate(1, 1) == bound
+            assert poly.term_map == dict_poly(parents_of(t))
+
+
+class TestTallTrees:
+    def test_path_2000(self):
+        n = 2000
+        poly = tree_poly(path(n))
+        assert poly.term_map == {(1, 0): 1, **{(0, k): 1 for k in range(1, n)}}
+        assert poly.evaluate(1, 1) == n
+        assert poly.evaluate(0, 1) == n - 1
+        assert poly.evaluate(2, 1) == n + 1
+        assert poly.evaluate(1, 2) == 2**n - 1
+        assert poly.evaluate(2, 2) == 2**n
+
+    def test_caterpillar_600(self):
+        height = 600
+        parents = [-1]
+        spine = 0
+        for _ in range(height):
+            parents.append(spine)           # a leg
+            parents.append(spine)           # the next spine vertex
+            spine = len(parents) - 1
+        t = tree_of(parents)
+        poly = tree_poly(t)
+        assert poly.term_map == dict_poly(parents)
+        for point, value in counts(parents).items():
+            assert poly.evaluate(*point) == value
+        assert poly.evaluate(2, 2) == 2 ** len(parents)
+        assert poly.specialize(y=0) == BivariatePoly.monomial(1, t.leaf_count, 0)
+
+
+class TestTraces:
+    def test_deep_chain(self):
+        n = 3000
+        trace = Empty()
+        for k in range(n):
+            trace = AddGreatest(trace) if k % 3 else AddLeast(trace)
+        poly = _trace_poly(trace)
+        assert poly.term_map == {(1, 0): 1, **{(0, k): 1 for k in range(1, n)}}
+
+    def test_shared_parts_and_empty_parts(self):
+        point = AddGreatest(Empty())
+        pair = AddLeast(DisjointUnion((point, point)))
+        trace = AddGreatest(DisjointUnion((pair, Empty(), pair, point)))
+        # pair is x^2 + y^2 on 3 elements; the union has 7.
+        expected = {(5, 0): 1, (3, 2): 2, (1, 4): 1, (0, 7): 1}
+        assert _trace_poly(trace).term_map == expected
+
+    @pytest.mark.parametrize("k", [10, 11, 20, 33, 40, 70, 72])
+    def test_large_coefficients(self, k):
+        # A greatest element over k two-element chains: (x + y)**k + y**(2k).
+        # The middle binomial coefficients come within a few bits of the
+        # field width, and past 64 bits for k = 70 and 72.
+        chain = AddGreatest(AddGreatest(Empty()))
+        poly = _trace_poly(AddGreatest(DisjointUnion((chain,) * k)))
+        expected = {(i, k - i): math.comb(k, i) for i in range(k + 1)}
+        expected[(0, 2 * k)] = 1
+        assert poly.term_map == expected
+
+    def test_empty_and_single(self):
+        assert _trace_poly(Empty()) == BivariatePoly.one()
+        assert _trace_poly(DisjointUnion(())) == BivariatePoly.one()
+        assert _trace_poly(AddLeast(Empty())).term_map == {(1, 0): 1}
+        assert _trace_poly(AddGreatest(DisjointUnion(()))).term_map == {(1, 0): 1}
+
+
+def term_format(poly):
+    """The canonical text form, one term at a time."""
+    parts = []
+    items = sorted(poly.term_map.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+    for (i, j), coeff in items:
+        factors = [f for f in ("x" if i == 1 else f"x^{i}" if i else "",
+                               "y" if j == 1 else f"y^{j}" if j else "") if f]
+        mag = abs(coeff)
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts) or "0"
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-50, 50),
+    max_size=12,
+).map(BivariatePoly)
+
+
+class TestEvaluationAndFormat:
+    @given(polys, st.integers(-3, 3), st.integers(-3, 3))
+    def test_evaluate_term_by_term(self, p, x0, y0):
+        expected = sum(c * x0**i * y0**j for (i, j), c in p.term_map.items())
+        assert p.evaluate(x0, y0) == expected
+
+    @given(polys, st.one_of(st.none(), st.integers(-3, 3)), st.one_of(st.none(), st.integers(-3, 3)))
+    def test_specialize_term_by_term(self, p, x, y):
+        expected = BivariatePoly.zero()
+        for (i, j), c in p.term_map.items():
+            xi, xc = (i, 1) if x is None else (0, x**i)
+            yj, yc = (j, 1) if y is None else (0, y**j)
+            expected = expected + BivariatePoly.monomial(c * xc * yc, xi, yj)
+        assert p.specialize(x=x, y=y) == expected
+
+    @given(polys)
+    def test_format_term_by_term(self, p):
+        assert str(p) == term_format(p)
+
+    def test_format_tree_polynomials(self):
+        for t in enumerate_rooted_trees(9):
+            poly = tree_poly(t)
+            assert str(poly) == term_format(poly)

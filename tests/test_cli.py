@@ -52,6 +52,15 @@ class TestTreePoly:
             main(["tree-poly", str(f), "--dc"])
             assert capsys.readouterr().out == default
 
+    def test_tall_path_both_routes(self, tmp_path, capsys):
+        f = tmp_path / "path.tree"
+        f.write_text("(" * 700 + ")" * 700)
+        assert main(["tree-poly", str(f)]) == 0
+        default = capsys.readouterr().out
+        assert default == " + ".join([f"y^{k}" for k in range(699, 1, -1)] + ["y", "x"]) + "\n"
+        assert main(["tree-poly", str(f), "--dc"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_eval(self, tree_file, capsys):
         assert main(["tree-poly", tree_file, "--eval", "2", "2"]) == 0
         out = capsys.readouterr().out

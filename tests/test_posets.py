@@ -341,7 +341,7 @@ class TestTreeToPoset:
         with pytest.raises(ValueError):
             tree_to_poset(star(3), "sideways")
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_polynomial_bridge(self, n):
         for t in enumerate_rooted_trees(n):
             for orientation in ("greatest", "least"):
