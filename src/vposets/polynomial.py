@@ -133,9 +133,9 @@ class BivariatePoly:
     def evaluate(self, x0: int, y0: int) -> int:
         """Exact value of the polynomial at the integer point (x0, y0).
 
-        A base of 0 keeps only the terms whose exponent for it is 0, and a
-        base of 0 or 1 then contributes no factor, so the counting points
-        need no powers at all.
+        A coordinate of 0 keeps only the terms where its exponent is 0, and
+        a coordinate of 0 or 1 then contributes no factor, so no powers are
+        taken for it.
         """
         terms = self._terms
         if x0 == 0 or y0 == 0:
