@@ -1,15 +1,15 @@
-"""Subset-enumeration oracles shared by the tree and poset counting code.
+"""The exhaustive oracle engine shared by every brute-force count.
 
-Everything here inspects all 2**n subsets of an n-element ground set, so the
-routines refuse inputs above SUBSET_BOUND.  The enumeration is vectorised
-with numpy but remains a plain exhaustive sweep, independent of the
-recursive polynomial definitions it is used to cross-check.
+Everything here inspects all subsets of an n-element ground set, so the
+routines refuse inputs above SUBSET_BOUND.  `antichain_sweep` builds the
+antichains by doubling over elements, and `hitting_flags` tests all 2**n
+subset codes against chain bitmasks.  Both stay plain exhaustive sweeps,
+vectorised with numpy and independent of the recursive polynomial
+definitions they are used to cross-check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,79 +19,42 @@ from .errors import OracleBoundError
 SUBSET_BOUND = 20
 
 
-def check_subset_bound(n: int, what: str = "input", bound: int | None = None) -> None:
-    limit = SUBSET_BOUND if bound is None else bound
-    if n > limit:
+def check_subset_bound(n: int, what: str = "input") -> None:
+    if n > SUBSET_BOUND:
         raise OracleBoundError(
-            f"{what} has {n} elements; the subset oracle bound is {limit}"
+            f"{what} has {n} elements; the subset oracle bound is {SUBSET_BOUND}"
         )
 
 
-@lru_cache(maxsize=2)
-def subset_bits(n: int) -> np.ndarray:
-    """Boolean membership table of shape (2**n, n); row S lists the bits of S."""
+def antichain_sweep(
+    comp_rows: Sequence[int], weights: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every antichain of a comparability relation, in one doubling sweep.
+
+    ``comp_rows[k]`` is the bitmask of the elements comparable to k.  The
+    antichains that contain k are the earlier ones avoiding ``comp_rows[k]``,
+    each with k added, so each element doubles part of the table.  The union
+    of the members' closed neighbourhoods and the members' weight sums double
+    alongside.  Returns the antichains as increasing int64 subset codes, a
+    flag per antichain that is set when it is maximal (its neighbourhood
+    covers every element), and one array of sums per weight vector.
+    """
+    n = len(comp_rows)
+    codes = np.zeros(1, dtype=np.int64)
+    cover = np.zeros(1, dtype=np.int64)
+    sums = [np.zeros(1, dtype=np.int64) for _ in weights]
+    for k, row in enumerate(comp_rows):
+        keep = (codes & row) == 0
+        codes = np.concatenate((codes, codes[keep] | (1 << k)))
+        cover = np.concatenate((cover, cover[keep] | (row | (1 << k))))
+        sums = [np.concatenate((s, s[keep] + w[k])) for s, w in zip(sums, weights)]
+    return codes, cover == (1 << n) - 1, sums
+
+
+def hitting_flags(n: int, masks: Iterable[int]) -> np.ndarray:
+    """Flag per subset code 0..2**n-1: meets every one of the given bitmasks."""
     codes = np.arange(1 << n, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
-    bits.setflags(write=False)
-    return bits
-
-
-def antichain_flags(n: int, conflict_pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Flag per subset: contains no conflicting (comparable) pair."""
-    bits = subset_bits(n)
-    bad = np.zeros(1 << n, dtype=bool)
-    for u, v in conflict_pairs:
-        bad |= bits[:, u] & bits[:, v]
-    return ~bad
-
-
-def maximal_antichain_flags(
-    n: int, conflict_pairs: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Flag per subset: conflict-free and not extendable by any outside element."""
-    bits = subset_bits(n)
-    anti = antichain_flags(n, conflict_pairs)
-    partners: list[list[int]] = [[] for _ in range(n)]
-    for u, v in conflict_pairs:
-        partners[u].append(v)
-        partners[v].append(u)
-    extendable = np.zeros(1 << n, dtype=bool)
-    for v in range(n):
-        if partners[v]:
-            conflict = bits[:, partners[v]].any(axis=1)
-            extendable |= ~bits[:, v] & ~conflict
-        else:
-            extendable |= ~bits[:, v]
-    return anti & ~extendable
-
-
-def hitting_flags(n: int, groups: Iterable[Sequence[int]]) -> np.ndarray:
-    """Flag per subset: intersects every one of the given element groups."""
-    bits = subset_bits(n)
     flags = np.ones(1 << n, dtype=bool)
-    for group in groups:
-        flags &= bits[:, list(group)].any(axis=1)
+    for mask in masks:
+        flags &= (codes & mask) != 0
     return flags
-
-
-def member_flags(n: int, elements: Sequence[int]) -> np.ndarray:
-    """Flag per subset: contains at least one of the given elements."""
-    if not elements:
-        return np.zeros(1 << n, dtype=bool)
-    bits = subset_bits(n)
-    return bits[:, list(elements)].any(axis=1)
-
-
-def weighted_pair_counts(
-    n: int, flags: np.ndarray, w1: Sequence[int], w2: Sequence[int]
-) -> Counter:
-    """Count flagged subsets by the pair (sum of w1, sum of w2) over members."""
-    chosen = subset_bits(n)[flags]
-    a = chosen @ np.asarray(w1, dtype=np.int64)
-    b = chosen @ np.asarray(w2, dtype=np.int64)
-    return Counter(zip(a.tolist(), b.tolist()))
-
-
-def flagged_subsets(flags: np.ndarray) -> list[int]:
-    """Subset codes (as ints) whose flag is set, in increasing order."""
-    return [int(code) for code in np.nonzero(flags)[0]]

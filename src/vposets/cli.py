@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bruteforce
-from .enumeration import asymptotic_constant, census, q_series, v_series
+from .enumeration import CENSUS_BOUND, asymptotic_constant, census, q_series, v_series
 from .errors import NotVPosetError, OracleBoundError, ParseError
 from .polynomial import BivariatePoly
 from .posets import (
@@ -152,12 +152,12 @@ def _cmd_counts(args) -> int:
 def _cmd_census(args) -> int:
     series = v_series(args.max)
     connected = q_series(args.max) if args.connected else None
-    counts = census(min(args.max, 8))
+    counts = census(min(args.max, CENSUS_BOUND))
     for n in range(1, args.max + 1):
         cells = [str(n), str(series[n])]
         if connected is not None:
             cells.append(str(connected[n]))
-        if n <= 8:
+        if n <= CENSUS_BOUND:
             cells.append(str(counts[n - 1]))
         print("\t".join(cells))
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import OracleBoundError
 from .posets import Poset, _element_signatures, poset_isomorphic
@@ -35,6 +35,8 @@ CENSUS_BOUND = 8
 # Tail terms of the inner sum are dropped once x**m falls below this; the
 # sum converges geometrically because x**2 stays well inside the radius.
 _INNER_CUTOFF = 1e-18
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -119,20 +121,27 @@ def _dedup_classes(candidates: list[Poset]) -> list[Poset]:
     return out
 
 
-def _component_multisets(
-    total: int, size_cap: int, index_cap: int | None
-) -> Iterator[tuple[Poset, ...]]:
-    # Multisets of connected classes, nonincreasing in (size, class index),
-    # so every unlabeled poset arises from exactly one multiset.
+def multisets(
+    pool: Callable[[int], Sequence[T]],
+    total: int,
+    size_cap: int | None = None,
+    index_cap: int | None = None,
+) -> Iterator[tuple[T, ...]]:
+    """Multisets of pool items whose sizes sum to ``total``, each once.
+
+    ``pool(s)`` lists the items of size s.  A multiset is emitted as the
+    sequence nonincreasing in (size, index in the pool), so each unlabeled
+    forest of trees or of connected posets arises exactly once.
+    """
     if total == 0:
         yield ()
         return
-    for s in range(min(total, size_cap), 0, -1):
-        pool = connected_vposets(s)
-        start = index_cap if (s == size_cap and index_cap is not None) else len(pool) - 1
+    for s in range(total if size_cap is None else min(total, size_cap), 0, -1):
+        items = pool(s)
+        start = index_cap if (s == size_cap and index_cap is not None) else len(items) - 1
         for i in range(start, -1, -1):
-            for rest in _component_multisets(total - s, s, i):
-                yield (pool[i],) + rest
+            for rest in multisets(pool, total - s, s, i):
+                yield (items[i],) + rest
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +153,7 @@ def all_vposets(n: int) -> tuple[Poset, ...]:
         return (Poset.empty(),)
     return tuple(
         Poset.disjoint_union(parts)
-        for parts in _component_multisets(n, n, None)
+        for parts in multisets(connected_vposets, n)
     )
 
 

@@ -13,19 +13,23 @@ Conventions:
     transitivity, so each instance is a genuine poset.
   - Instances are immutable; equality and hashing are by labeled relation.
     Use `poset_isomorphic` for equality up to relabeling.
+  - Build traces are walked on an explicit stack; only `decompose` recurses.
+  - Each antichain oracle makes one `bruteforce.antichain_sweep`, and the
+    tree oracles in `trees` run these oracles on the tree as a V-poset.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from . import bruteforce
 from .errors import NotVPosetError, OracleBoundError, ParseError
 from .polynomial import BivariatePoly, build_poly
-from .trees import RootedTree, tree_layout
 
 ISOMORPHISM_BOUND = 8
 LABELED_BOUND = 5
@@ -34,6 +38,8 @@ BASIC = "basic"
 UPPER = "upper"
 LOWER = "lower"
 OTHER = "other"
+
+T = TypeVar("T")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -126,10 +132,6 @@ class Poset:
     @property
     def relation_count(self) -> int:
         return sum(r.bit_count() for r in self._up)
-
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        """All (u, v) with u < v, each comparable pair exactly once."""
-        return [(u, v) for u in range(self.n) for v in _bits(self._up[u])]
 
     def covers(self) -> list[tuple[int, int]]:
         """All (u, v) where v covers u (u < v with nothing in between)."""
@@ -256,75 +258,106 @@ def parse_poset(text: str) -> Poset:
 # construction certificates
 
 class BuildTrace:
-    """Recipe that rebuilds a poset: union / add-greatest / add-least steps."""
+    """Recipe that rebuilds a poset: union / add-greatest / add-least steps.
+
+    ``parts`` are the sub-traces a step works on.  Every walk over a trace is
+    iterative, so traces thousands of steps deep are fine.
+    """
 
     __slots__ = ()
+    parts: tuple[BuildTrace, ...]
 
     @property
     def size(self) -> int:
-        raise NotImplementedError
+        return _fold(self, lambda node, sizes: sum(sizes) + _adds(node))
 
     def to_sexpr(self) -> str:
-        raise NotImplementedError
+        return _fold(
+            self,
+            lambda node, texts: "empty" if isinstance(node, Empty)
+            else f"({node.TAG} {' '.join(texts)})",
+        )
 
 
 @dataclass(frozen=True)
 class Empty(BuildTrace):
-    @property
-    def size(self) -> int:
-        return 0
-
-    def to_sexpr(self) -> str:
-        return "empty"
+    parts = ()
 
 
 @dataclass(frozen=True)
 class AddGreatest(BuildTrace):
     inner: BuildTrace
+    TAG = "g"
 
     @property
-    def size(self) -> int:
-        return self.inner.size + 1
-
-    def to_sexpr(self) -> str:
-        return f"(g {self.inner.to_sexpr()})"
+    def parts(self) -> tuple[BuildTrace, ...]:
+        return (self.inner,)
 
 
 @dataclass(frozen=True)
 class AddLeast(BuildTrace):
     inner: BuildTrace
+    TAG = "l"
 
     @property
-    def size(self) -> int:
-        return self.inner.size + 1
-
-    def to_sexpr(self) -> str:
-        return f"(l {self.inner.to_sexpr()})"
+    def parts(self) -> tuple[BuildTrace, ...]:
+        return (self.inner,)
 
 
 @dataclass(frozen=True)
 class DisjointUnion(BuildTrace):
     parts: tuple[BuildTrace, ...]
+    TAG = "union"
 
-    @property
-    def size(self) -> int:
-        return sum(p.size for p in self.parts)
 
-    def to_sexpr(self) -> str:
-        return "(union " + " ".join(p.to_sexpr() for p in self.parts) + ")"
+def _adds(node: BuildTrace) -> bool:
+    return isinstance(node, (AddGreatest, AddLeast))
+
+
+def _fold(trace: BuildTrace, step: Callable[[BuildTrace, list], T]) -> T:
+    """Apply ``step(node, values of its parts)`` to every node, parts first.
+
+    The post-order walk runs on an explicit stack and returns the value of
+    the root; a sub-trace that occurs twice is visited twice.
+    """
+    stack: list[tuple[BuildTrace, int]] = [(trace, -1)]  # -1: parts not yet pushed
+    done: list[T] = []
+    while stack:
+        node, k = stack.pop()
+        if k >= 0:
+            value = step(node, done[len(done) - k:])
+            del done[len(done) - k:]
+            done.append(value)
+        elif isinstance(node, BuildTrace):
+            parts = node.parts
+            stack.append((node, len(parts)))
+            stack.extend((q, -1) for q in reversed(parts))
+        else:
+            raise TypeError(f"not a trace node: {node!r}")
+    return done[0]
 
 
 def replay_trace(trace: BuildTrace) -> Poset:
-    """Rebuild the poset a trace describes; new elements get the next index."""
-    if isinstance(trace, Empty):
-        return Poset.empty()
-    if isinstance(trace, AddGreatest):
-        return replay_trace(trace.inner).add_greatest()
-    if isinstance(trace, AddLeast):
-        return replay_trace(trace.inner).add_least()
-    if isinstance(trace, DisjointUnion):
-        return Poset.disjoint_union(replay_trace(p) for p in trace.parts)
-    raise TypeError(f"not a trace node: {trace!r}")
+    """Rebuild the poset a trace describes; new elements get the next index.
+
+    Indices follow the post-order walk, so the elements of every sub-trace
+    form one index range, which an added extreme element is related to.
+    """
+    rows: list[int] = []
+
+    def step(node: BuildTrace, starts: list[int]) -> int:
+        start = starts[0] if starts else len(rows)
+        top = len(rows)
+        if isinstance(node, AddGreatest):
+            for u in range(start, top):
+                rows[u] |= 1 << top
+            rows.append(0)
+        elif isinstance(node, AddLeast):
+            rows.append((1 << top) - (1 << start))
+        return start
+
+    _fold(trace, step)
+    return Poset(len(rows), rows)
 
 
 @dataclass(frozen=True)
@@ -500,11 +533,15 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
 # ----------------------------------------------------------------------
 # antichains, cutsets, and the polynomial
 
+def _sweep(p: Poset, weights: Sequence[Sequence[int]] = ()):
+    bruteforce.check_subset_bound(p.n, "poset")
+    return bruteforce.antichain_sweep(p._comp, weights)
+
+
 def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     """All maximal antichains, each once, by subset enumeration."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    flags = bruteforce.maximal_antichain_flags(p.n, p.relation_pairs())
-    return [frozenset(_bits(code)) for code in bruteforce.flagged_subsets(flags)]
+    codes, maximal, _ = _sweep(p)
+    return [frozenset(_bits(code)) for code in codes[maximal].tolist()]
 
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
@@ -546,50 +583,30 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     regions = _region_sets(p, status)
     basic_vec = [1 if st == BASIC else 0 for st in status]
     weight_vec = [len(r) if r is not None else 0 for r in regions]
-    flags = bruteforce.maximal_antichain_flags(p.n, p.relation_pairs())
-    counts = bruteforce.weighted_pair_counts(p.n, flags, basic_vec, weight_vec)
-    return BivariatePoly({(int(b), int(s)): int(c) for (b, s), c in counts.items()})
+    _, maximal, (basics, weights) = _sweep(p, (basic_vec, weight_vec))
+    return BivariatePoly(Counter(zip(basics[maximal].tolist(), weights[maximal].tolist())))
+
+
+_POINT = -1
 
 
 def _trace_poly(trace: BuildTrace) -> BivariatePoly:
     # Post-order build list: a union is a product node and an add step a node
-    # with an extreme element.  Single elements become x factors of their
-    # parent and empty parts are dropped.  Nodes are keyed by identity, so a
-    # shared sub-trace is evaluated once.
-    index: dict[int, int] = {}
+    # with an extreme element.  Below the root, an empty part is dropped
+    # (None) and a single element is an x factor of its parent (_POINT).
     nodes: list[tuple[int, list[int], bool]] = []
-    stack = [(trace, False)]
-    while stack:
-        node, ready = stack.pop()
-        key = id(node)
-        if key in index:
-            continue
-        if isinstance(node, DisjointUnion):
-            parts, extreme = node.parts, False
-        elif isinstance(node, (AddGreatest, AddLeast)):
-            parts, extreme = (node.inner,), True
-        elif isinstance(node, Empty):
-            parts, extreme = (), False
-        else:
-            raise TypeError(f"not a trace node: {node!r}")
-        if ready:
-            kids = [index[id(q)] for q in parts if _is_step(q)]
-            points = sum(1 for q in parts if _is_point(q))
-            index[key] = len(nodes)
-            nodes.append((points, kids, extreme))
-        else:
-            stack.append((node, True))
-            stack.extend([(q, False) for q in parts if _is_step(q)])
+
+    def step(node: BuildTrace, kids: list[int | None]) -> int | None:
+        if node is not trace and isinstance(node, Empty):
+            return None
+        if node is not trace and _adds(node) and kids == [None]:
+            return _POINT
+        steps = [k for k in kids if k is not None and k != _POINT]
+        nodes.append((kids.count(_POINT), steps, _adds(node)))
+        return len(nodes) - 1
+
+    _fold(trace, step)
     return build_poly(nodes)
-
-
-def _is_point(trace: BuildTrace) -> bool:
-    return isinstance(trace, (AddGreatest, AddLeast)) and isinstance(trace.inner, Empty)
-
-
-def _is_step(trace: BuildTrace) -> bool:
-    """Whether a sub-trace gets its own build node (not empty, not a point)."""
-    return not (isinstance(trace, Empty) or _is_point(trace))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:
@@ -606,56 +623,40 @@ def poset_poly(p: Poset) -> BivariatePoly:
 
 def count_antichains_poset(p: Poset) -> int:
     """Number of antichains including the empty one, by subset enumeration."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    return int(bruteforce.antichain_flags(p.n, p.relation_pairs()).sum())
+    return len(_sweep(p)[0])
 
 
 def count_maximal_antichains_poset(p: Poset) -> int:
-    bruteforce.check_subset_bound(p.n, "poset")
-    return int(bruteforce.maximal_antichain_flags(p.n, p.relation_pairs()).sum())
+    return int(_sweep(p)[1].sum())
 
 
 def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
     bruteforce.check_subset_bound(p.n, "poset")
-    status = element_status(p)
-    basics = [v for v in range(p.n) if status[v] == BASIC]
-    flags = bruteforce.maximal_antichain_flags(p.n, p.relation_pairs())
-    flags = flags & ~bruteforce.member_flags(p.n, basics)
-    return int(flags.sum())
+    basic_vec = [1 if st == BASIC else 0 for st in element_status(p)]
+    _, maximal, (basics,) = _sweep(p, (basic_vec,))
+    return int((maximal & (basics == 0)).sum())
+
+
+def _cutset_flags(p: Poset):
+    bruteforce.check_subset_bound(p.n, "poset")
+    chains = [sum(1 << v for v in chain) for chain in maximal_chains(p)]
+    return bruteforce.hitting_flags(p.n, chains)
 
 
 def count_cutsets_poset(p: Poset) -> int:
     """Number of element sets meeting every maximal chain."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    return int(bruteforce.hitting_flags(p.n, maximal_chains(p)).sum())
+    return int(_cutset_flags(p).sum())
 
 
 def minimal_cutsets(p: Poset) -> list[frozenset[int]]:
     """All inclusion-minimal cutsets, by brute force over subsets."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    flags = bruteforce.hitting_flags(p.n, maximal_chains(p))
+    flags = _cutset_flags(p)
     out = []
-    for code in bruteforce.flagged_subsets(flags):
+    for code in np.flatnonzero(flags).tolist():
         if all(not flags[code ^ (1 << v)] for v in _bits(code)):
             out.append(frozenset(_bits(code)))
     return out
-
-
-# ----------------------------------------------------------------------
-# trees as posets
-
-def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
-    """Poset whose cover graph is the tree; the root becomes the greatest
-    element (orientation "greatest") or the least one ("least")."""
-    lay = tree_layout(t)
-    if orientation == "greatest":
-        covers = [(v, lay.parent[v]) for v in range(1, t.size)]
-    elif orientation == "least":
-        covers = [(lay.parent[v], v) for v in range(1, t.size)]
-    else:
-        raise ValueError("orientation must be 'greatest' or 'least'")
-    return Poset.from_covers(t.size, covers)
 
 
 # ----------------------------------------------------------------------
@@ -720,8 +721,6 @@ def all_labeled_posets(n: int) -> list[Poset]:
         raise OracleBoundError(
             f"labeled-poset generation is bounded at {LABELED_BOUND} elements"
         )
-    import numpy as np
-
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     index = {pair: k for k, pair in enumerate(pairs)}
     m = len(pairs)

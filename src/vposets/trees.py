@@ -9,6 +9,9 @@ Two independent routes compute the same polynomial: `tree_poly` uses the
 branch-product recursion (with `tree_poly_dc` as a deletion-contraction
 variant), while `antichain_expansion_tree` sums one monomial per maximal
 antichain found by exhaustive subset enumeration.
+
+A tree is a V-poset (its root is a greatest element over the branches), so
+each brute-force tree oracle is the poset oracle on `tree_to_poset`.
 """
 
 from __future__ import annotations
@@ -18,11 +21,23 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from . import bruteforce
+from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
 from .polynomial import BivariatePoly, X, build_poly
+from .posets import (
+    Poset,
+    antichain_expansion_poset,
+    count_antichains_poset,
+    count_cutsets_poset,
+    count_maximal_antichains_no_basic,
+    count_maximal_antichains_poset,
+    maximal_antichains_poset,
+)
 
 GENERATION_BOUND = 12
 # The oracles on one tree run back to back, so a few recent layouts suffice.
@@ -191,18 +206,14 @@ class TreeLayout:
     """Per-vertex tables in canonical preorder; index 0 is the root."""
 
     parent: tuple[int, ...]              # -1 for the root
-    subtree_size: tuple[int, ...]
     is_leaf: tuple[bool, ...]
     ancestor_mask: tuple[int, ...]       # strict ancestors as a bitmask
-    comparable_pairs: tuple[tuple[int, int], ...]
-    leaf_paths: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=TREE_LAYOUT_CACHE)
 def tree_layout(t: RootedTree) -> TreeLayout:
     n = t.size
     parent = [-1] * n
-    size = [1] * n
     leaf = [False] * n
     anc = [0] * n
     stack: list[tuple[RootedTree, int]] = [(t, -1)]
@@ -212,37 +223,38 @@ def tree_layout(t: RootedTree) -> TreeLayout:
         v = idx
         idx += 1
         parent[v] = par
-        size[v] = node.size
         leaf[v] = node.size == 1
         anc[v] = 0 if par < 0 else anc[par] | (1 << par)
         for child in reversed(node.children):
             stack.append((child, v))
-    pairs = []
-    for v in range(n):
-        mask = anc[v]
-        while mask:
-            low = mask & -mask
-            pairs.append((low.bit_length() - 1, v))
-            mask ^= low
-    paths = []
-    for v in range(n):
-        if leaf[v]:
-            chain = [v]
-            while parent[chain[-1]] >= 0:
-                chain.append(parent[chain[-1]])
-            paths.append(tuple(reversed(chain)))
     return TreeLayout(
         parent=tuple(parent),
-        subtree_size=tuple(size),
         is_leaf=tuple(leaf),
         ancestor_mask=tuple(anc),
-        comparable_pairs=tuple(pairs),
-        leaf_paths=tuple(paths),
     )
 
 
+def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
+    """Poset whose cover graph is the tree; the root becomes the greatest
+    element (orientation "greatest") or the least one ("least").
+
+    Elements are the canonical preorder indices of `tree_layout`, and the
+    strict ancestors of a vertex are the elements above it.
+    """
+    if orientation not in ("greatest", "least"):
+        raise ValueError("orientation must be 'greatest' or 'least'")
+    p = Poset(t.size, tree_layout(t).ancestor_mask)
+    return p if orientation == "greatest" else p.dual()
+
+
 # ----------------------------------------------------------------------
-# maximal antichains
+# brute-force oracles: the poset oracles on the tree as a V-poset
+
+def _oracle_poset(t: RootedTree) -> Poset:
+    # Refuse before building the poset, so a huge tree costs nothing.
+    bruteforce.check_subset_bound(t.size, "tree")
+    return tree_to_poset(t)
+
 
 @dataclass(frozen=True)
 class TreeAntichain:
@@ -253,35 +265,21 @@ class TreeAntichain:
     below_count: int
 
 
-def _max_antichain_sets(t: RootedTree) -> list[frozenset[int]]:
-    # A maximal antichain is a union of maximal antichains, one per branch,
-    # or the root alone.
-    if t.size == 1:
-        return [frozenset({0})]
-    shifted: list[list[frozenset[int]]] = []
-    offset = 1
-    for child in t.children:
-        child_sets = _max_antichain_sets(child)
-        shifted.append([frozenset(v + offset for v in s) for s in child_sets])
-        offset += child.size
-    out = [frozenset().union(*combo) for combo in itertools.product(*shifted)]
-    out.append(frozenset({0}))
-    return out
-
-
 def maximal_antichains_tree(t: RootedTree) -> list[TreeAntichain]:
-    """All maximal antichains, each exactly once, as canonical index sets."""
-    lay = tree_layout(t)
-    result = []
-    for s in _max_antichain_sets(t):
-        result.append(
-            TreeAntichain(
-                vertices=s,
-                leaf_count=sum(1 for v in s if lay.is_leaf[v]),
-                below_count=sum(lay.subtree_size[v] - 1 for v in s),
-            )
+    """All maximal antichains, each exactly once, as canonical index sets.
+
+    They are found by subset enumeration, so a tree with more than
+    SUBSET_BOUND vertices raises OracleBoundError.
+    """
+    p = _oracle_poset(t)
+    return [
+        TreeAntichain(
+            vertices=a,
+            leaf_count=sum(not p.down_mask(v) for v in a),
+            below_count=sum(p.down_mask(v).bit_count() for v in a),
         )
-    return result
+        for a in maximal_antichains_poset(p)
+    ]
 
 
 def antichain_expansion_tree(t: RootedTree) -> BivariatePoly:
@@ -290,42 +288,24 @@ def antichain_expansion_tree(t: RootedTree) -> BivariatePoly:
     Works by exhaustive subset enumeration, independently of the recursion
     in `tree_poly`, so the two routes can be checked against each other.
     """
-    bruteforce.check_subset_bound(t.size, "tree")
-    lay = tree_layout(t)
-    flags = bruteforce.maximal_antichain_flags(t.size, lay.comparable_pairs)
-    leaves = [1 if f else 0 for f in lay.is_leaf]
-    below = [s - 1 for s in lay.subtree_size]
-    counts = bruteforce.weighted_pair_counts(t.size, flags, leaves, below)
-    terms = {(int(l), int(s)): int(c) for (l, s), c in counts.items()}
-    return BivariatePoly(terms)
+    return antichain_expansion_poset(_oracle_poset(t))
 
-
-# ----------------------------------------------------------------------
-# brute-force counting oracles
 
 def count_antichains_tree(t: RootedTree) -> int:
     """Number of antichains, including the empty one, by subset enumeration."""
-    bruteforce.check_subset_bound(t.size, "tree")
-    lay = tree_layout(t)
-    return int(bruteforce.antichain_flags(t.size, lay.comparable_pairs).sum())
+    return count_antichains_poset(_oracle_poset(t))
 
 
 def count_maximal_antichains_tree(t: RootedTree, leaf_free: bool = False) -> int:
-    """Number of maximal antichains (optionally only those avoiding leaves)."""
-    bruteforce.check_subset_bound(t.size, "tree")
-    lay = tree_layout(t)
-    flags = bruteforce.maximal_antichain_flags(t.size, lay.comparable_pairs)
-    if leaf_free:
-        leaves = [v for v in range(t.size) if lay.is_leaf[v]]
-        flags = flags & ~bruteforce.member_flags(t.size, leaves)
-    return int(flags.sum())
+    """Number of maximal antichains (optionally only those avoiding leaves,
+    which are the basic elements of the tree as a V-poset)."""
+    p = _oracle_poset(t)
+    return count_maximal_antichains_no_basic(p) if leaf_free else count_maximal_antichains_poset(p)
 
 
 def count_cutsets_tree(t: RootedTree) -> int:
     """Number of vertex sets meeting every root-to-leaf path."""
-    bruteforce.check_subset_bound(t.size, "tree")
-    lay = tree_layout(t)
-    return int(bruteforce.hitting_flags(t.size, lay.leaf_paths).sum())
+    return count_cutsets_poset(_oracle_poset(t))
 
 
 def count_root_subtrees(t: RootedTree) -> int:
@@ -333,15 +313,17 @@ def count_root_subtrees(t: RootedTree) -> int:
 
     A nonempty rooted subtree is a vertex set containing the root and closed
     under taking parents; the empty set contributes the extra 1 (it pairs
-    with the empty antichain in the antichain/subtree correspondence).
+    with the empty antichain in the antichain/subtree correspondence).  The
+    check runs over all 2**n vertex sets, independently of the antichains.
     """
     bruteforce.check_subset_bound(t.size, "tree")
-    lay = tree_layout(t)
-    bits = bruteforce.subset_bits(t.size)
-    good = bits[:, 0].copy()
+    parent = tree_layout(t).parent
+    codes = np.arange(1 << t.size, dtype=np.int64)
+    closed = (codes & 1) == 1
     for v in range(1, t.size):
-        good &= ~bits[:, v] | bits[:, lay.parent[v]]
-    return int(good.sum()) + 1
+        # v without its parent breaks closure
+        closed &= (codes & ((1 << v) | (1 << parent[v]))) != 1 << v
+    return int(closed.sum()) + 1
 
 
 # ----------------------------------------------------------------------
@@ -351,21 +333,7 @@ def count_root_subtrees(t: RootedTree) -> int:
 def _trees_of_size(n: int) -> tuple[RootedTree, ...]:
     if n == 1:
         return (RootedTree(),)
-    return tuple(RootedTree(forest) for forest in _forests(n - 1, n - 1, None))
-
-
-def _forests(total: int, size_cap: int, index_cap: int | None) -> Iterator[tuple[RootedTree, ...]]:
-    # Multisets of trees with sizes summing to `total`, emitted as sequences
-    # that are nonincreasing in (size, index); each multiset appears once.
-    if total == 0:
-        yield ()
-        return
-    for s in range(min(total, size_cap), 0, -1):
-        pool = _trees_of_size(s)
-        start = index_cap if (s == size_cap and index_cap is not None) else len(pool) - 1
-        for i in range(start, -1, -1):
-            for rest in _forests(total - s, s, i):
-                yield (pool[i],) + rest
+    return tuple(RootedTree(forest) for forest in multisets(_trees_of_size, n - 1))
 
 
 def enumerate_rooted_trees(n: int) -> list[RootedTree]:

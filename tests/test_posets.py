@@ -4,6 +4,7 @@ import pytest
 
 from vposets import (
     AddGreatest,
+    AddLeast,
     BivariatePoly,
     DisjointUnion,
     Empty,
@@ -133,6 +134,38 @@ class TestDecompose:
     def test_sexpr(self):
         assert decompose(parse_poset("2")).to_sexpr() == "(union (g empty) (g empty))"
         assert Empty().to_sexpr() == "empty"
+
+
+def _deep_chain(n):
+    trace = Empty()
+    for k in range(n):
+        trace = AddGreatest(trace) if k % 3 else AddLeast(trace)
+    return trace
+
+
+class TestDeepTraces:
+    """Trace walks past the default recursion limit."""
+
+    def test_size_and_sexpr(self):
+        trace = _deep_chain(3000)
+        assert trace.size == 3000
+        text = trace.to_sexpr()
+        assert text.startswith("(g (g (l (g (g (l ")
+        assert text.count("(") == 3000 and text.endswith(" empty" + ")" * 3000)
+
+    def test_replay_chain(self):
+        p = replay_trace(_deep_chain(1200))
+        # Element k is added above (or below) elements 0..k-1: a linear order.
+        assert p.n == 1200 and p.relation_count == 1200 * 1199 // 2
+        assert p.less(0, 1) and p.less(1, 2) and p.less(3, 0)
+
+    def test_replay_labels_in_post_order(self):
+        pair = DisjointUnion((AddGreatest(Empty()), AddLeast(Empty())))
+        p = replay_trace(AddLeast(DisjointUnion((AddGreatest(pair), Empty(), pair))))
+        assert p.n == 6
+        assert p.up_mask(2) == 0 and p.down_mask(2) == 0b100011
+        assert p.up_mask(5) == 0b11111 and p.down_mask(5) == 0
+        assert not p.comparable(3, 4) and not p.comparable(2, 3)
 
 
 class TestIsVPoset:

@@ -219,6 +219,8 @@ class TestCountingOracles:
             count_cutsets_tree(big)
         with pytest.raises(OracleBoundError):
             count_root_subtrees(big)
+        with pytest.raises(OracleBoundError):
+            maximal_antichains_tree(big)
 
 
 class TestEnumeration:
