@@ -9,11 +9,13 @@ hunts for a witness quadruple, and `is_v_poset` returns whichever applies.
 Conventions:
   - Elements are 0..n-1.  The strict order is stored as transitively closed
     bitmask rows: bit v of ``up_mask(u)`` means u < v.
-  - Every constructor validates irreflexivity, antisymmetry and
-    transitivity, so each instance is a genuine poset.
+  - `Poset(n, rows)` validates irreflexivity, antisymmetry and transitivity;
+    rows derived from valid posets skip the checks (`Poset._trusted`).
   - Instances are immutable; equality and hashing are by labeled relation.
     Use `poset_isomorphic` for equality up to relabeling.
-  - Build traces are walked on an explicit stack; only `decompose` recurses.
+  - Nothing recurses: build traces are walked on an explicit stack, and
+    recognition peels extreme elements off the components of a live-element
+    mask over the poset's own rows, so it builds no sub-poset.
   - Each antichain oracle makes one `bruteforce.antichain_sweep`, and the
     tree oracles in `trees` run these oracles on the tree as a V-poset.
 """
@@ -70,6 +72,23 @@ class Poset:
                 if up[v] & ~row:
                     raise ValueError(f"relation is not transitive at ({u}, {v})")
                 down[v] |= 1 << u
+        self._fill(n, up, down)
+
+    @classmethod
+    def _trusted(cls, n: int, up_masks: Sequence[int]) -> Poset:
+        """Wrap rows known to form a transitively closed strict order, unchecked."""
+        up = tuple(up_masks)
+        down = [0] * n
+        for u, row in enumerate(up):
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= 1 << u
+                row ^= low
+        p = object.__new__(cls)
+        p._fill(n, up, down)
+        return p
+
+    def _fill(self, n: int, up: tuple[int, ...], down: list[int]) -> None:
         self.n = n
         self._up = up
         self._down = tuple(down)
@@ -109,7 +128,7 @@ class Poset:
         for p in posets:
             rows.extend(r << offset for r in p._up)
             offset += p.n
-        return cls(offset, rows)
+        return cls._trusted(offset, rows)
 
     # ------------------------------------------------------------------
     # relation queries
@@ -143,67 +162,25 @@ class Poset:
         return out
 
     def greatest_element(self) -> int | None:
-        full = (1 << self.n) - 1
-        for u in range(self.n):
-            if self._down[u] == full ^ (1 << u):
-                return u
-        return None
+        return _extreme(self._up, self._down, (1 << self.n) - 1) if self.n else None
 
     def least_element(self) -> int | None:
-        full = (1 << self.n) - 1
-        for u in range(self.n):
-            if self._up[u] == full ^ (1 << u):
-                return u
-        return None
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components of the comparability graph, by least element."""
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if (seen >> s) & 1:
-                continue
-            comp = 0
-            frontier = 1 << s
-            while frontier:
-                comp |= frontier
-                grown = 0
-                for v in _bits(frontier):
-                    grown |= self._comp[v]
-                frontier = grown & ~comp
-            seen |= comp
-            out.append(tuple(_bits(comp)))
-        return out
+        return _extreme(self._down, self._up, (1 << self.n) - 1) if self.n else None
 
     # ------------------------------------------------------------------
     # derived posets
 
-    def induced(self, elements: Sequence[int]) -> Poset:
-        elems = tuple(elements)
-        pos = {e: i for i, e in enumerate(elems)}
-        rows = []
-        for e in elems:
-            r = 0
-            for f in _bits(self._up[e]):
-                if f in pos:
-                    r |= 1 << pos[f]
-            rows.append(r)
-        return Poset(len(elems), rows)
-
-    def delete_element(self, u: int) -> Poset:
-        return self.induced([v for v in range(self.n) if v != u])
-
     def add_greatest(self) -> Poset:
         n = self.n
-        return Poset(n + 1, [r | (1 << n) for r in self._up] + [0])
+        return Poset._trusted(n + 1, [r | (1 << n) for r in self._up] + [0])
 
     def add_least(self) -> Poset:
         n = self.n
-        return Poset(n + 1, list(self._up) + [(1 << n) - 1])
+        return Poset._trusted(n + 1, list(self._up) + [(1 << n) - 1])
 
     def dual(self) -> Poset:
         """The same ground set with the order reversed."""
-        return Poset(self.n, self._down)
+        return Poset._trusted(self.n, self._down)
 
     # ------------------------------------------------------------------
 
@@ -217,6 +194,29 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
+
+
+def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | None:
+    # The greatest element of a nonempty ``live`` over (up, down) rows, the
+    # least one over (down, up), or None: the climb reaches the only candidate.
+    u = live.bit_length() - 1
+    while ahead[u] & live:
+        u = (ahead[u] & live).bit_length() - 1
+    return u if behind[u] & live == live ^ (1 << u) else None
+
+
+def _components(comp: Sequence[int], live: int) -> Iterator[int]:
+    """Components of the comparability graph on ``live``, by least element."""
+    while live:
+        seen = frontier = live & -live
+        while frontier and seen != live:
+            grown = 0
+            for v in _bits(frontier):
+                grown |= comp[v]
+            frontier = grown & live & ~seen
+            seen |= frontier
+        yield seen
+        live ^= seen
 
 
 def parse_poset(text: str) -> Poset:
@@ -357,7 +357,7 @@ def replay_trace(trace: BuildTrace) -> Poset:
         return start
 
     _fold(trace, step)
-    return Poset(len(rows), rows)
+    return Poset._trusted(len(rows), rows)
 
 
 @dataclass(frozen=True)
@@ -376,23 +376,50 @@ class ForbiddenPattern:
 
 def find_forbidden(p: Poset) -> ForbiddenPattern | None:
     """Scan all quadruples for an induced N or bowtie; None when clean."""
-    n = p.n
-    for u in range(n):
-        du = p.down_mask(u)
-        if not du:
-            continue
-        for v in range(n):
-            if v == u or p.comparable(u, v):
-                continue
-            common = du & p.down_mask(v)
-            if not common:
-                continue
+    return _forbidden_in(p, (1 << p.n) - 1)
+
+
+def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
+    # The first quadruple inside ``live`` in (u, v, x, w) index order.
+    for u in _bits(live):
+        du = p._down[u] & live
+        for v in _bits(live & ~p._comp[u] & ~(1 << u)):
+            common = du & p._down[v]
             for x in _bits(common):
-                for w in _bits(du & ~(1 << x)):
-                    if not p.comparable(w, x):
-                        kind = "bowtie" if p.less(w, v) else "N"
-                        return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
+                loose = du & ~p._comp[x] & ~(1 << x)
+                if loose:
+                    w = (loose & -loose).bit_length() - 1
+                    kind = "bowtie" if p.less(w, v) else "N"
+                    return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
     return None
+
+
+def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
+    """The construction trace and 0, or None and a component with neither
+    a greatest nor a least element.  Post-order on an explicit stack: each
+    component of a popped live mask loses its greatest (else its least)
+    element, and a (node type, part count) entry builds from the results."""
+    todo: list = [(1 << p.n) - 1]
+    done: list[BuildTrace] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            cls, k = item
+            parts = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(cls(tuple(parts)) if cls is DisjointUnion else cls(*parts))
+            continue
+        comps = list(_components(p._comp, item))
+        if len(comps) != 1:  # a union, or with no component the empty poset
+            todo.append((DisjointUnion, len(comps)) if comps else (Empty, 0))
+        for c in reversed(comps):
+            cls, u = AddGreatest, _extreme(p._up, p._down, c)
+            if u is None:
+                cls, u = AddLeast, _extreme(p._down, p._up, c)
+                if u is None:
+                    return None, c
+            todo += [(cls, 1), c ^ (1 << u)]
+    return done[0], 0
 
 
 def decompose(p: Poset) -> BuildTrace | None:
@@ -401,39 +428,28 @@ def decompose(p: Poset) -> BuildTrace | None:
     When a component has both a greatest and a least element the greatest is
     removed first, so linear orders are always built by AddGreatest alone.
     """
-    if p.n == 0:
-        return Empty()
-    traces = []
-    for elems in p.components():
-        sub = p.induced(elems)
-        g = sub.greatest_element()
-        if g is not None:
-            inner = decompose(sub.delete_element(g))
-            if inner is None:
-                return None
-            traces.append(AddGreatest(inner))
-            continue
-        l = sub.least_element()
-        if l is None:
-            return None
-        inner = decompose(sub.delete_element(l))
-        if inner is None:
-            return None
-        traces.append(AddLeast(inner))
-    if len(traces) == 1:
-        return traces[0]
-    return DisjointUnion(tuple(traces))
+    return _peel(p)[0]
 
 
 def is_v_poset(p: Poset) -> BuildTrace | ForbiddenPattern:
-    """Exactly one certificate: a construction trace or a forbidden pattern."""
-    trace = decompose(p)
+    """Exactly one certificate: a construction trace or a forbidden pattern.
+
+    The pattern is found inside the component where peeling got stuck.
+    """
+    trace, stuck = _peel(p)
     if trace is not None:
         return trace
-    pattern = find_forbidden(p)
+    pattern = _forbidden_in(p, stuck)
     if pattern is None:
         raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
     return pattern
+
+
+def _v_trace(p: Poset) -> BuildTrace:
+    certificate = is_v_poset(p)
+    if isinstance(certificate, ForbiddenPattern):
+        raise NotVPosetError(certificate)
+    return certificate
 
 
 # ----------------------------------------------------------------------
@@ -546,38 +562,24 @@ def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
     """All maximal chains, as cover paths from a minimal to a maximal element."""
-    if p.n == 0:
-        return []
     above: list[list[int]] = [[] for _ in range(p.n)]
     for u, v in p.covers():
         above[u].append(v)
+    # Depth-first on an explicit stack of paths, first cover first.
     chains: list[tuple[int, ...]] = []
-
-    def extend(path: list[int]) -> None:
-        tip = path[-1]
-        if not above[tip]:
-            chains.append(tuple(path))
-            return
-        for nxt in above[tip]:
-            path.append(nxt)
-            extend(path)
-            path.pop()
-
-    for start in range(p.n):
-        if not p.down_mask(start):
-            extend([start])
+    stack = [(u,) for u in reversed(range(p.n)) if not p.down_mask(u)]
+    while stack:
+        path = stack.pop()
+        if above[path[-1]]:
+            stack.extend(path + (v,) for v in reversed(above[path[-1]]))
+        else:
+            chains.append(path)
     return chains
-
-
-def _require_v(p: Poset) -> None:
-    pattern = find_forbidden(p)
-    if pattern is not None:
-        raise NotVPosetError(pattern)
 
 
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     """Sum x**basic(A) * y**weight(A) over maximal antichains of a V-poset."""
-    _require_v(p)
+    _v_trace(p)
     bruteforce.check_subset_bound(p.n, "poset")
     status = element_status(p)
     regions = _region_sets(p, status)
@@ -615,10 +617,7 @@ def poset_poly(p: Poset) -> BivariatePoly:
     1 for the empty poset, x for a single element, products over disjoint
     unions, and adding a greatest or least element to P contributes y**|P|.
     """
-    trace = decompose(p)
-    if trace is None:
-        raise NotVPosetError(find_forbidden(p))
-    return _trace_poly(trace)
+    return _trace_poly(_v_trace(p))
 
 
 def count_antichains_poset(p: Poset) -> int:

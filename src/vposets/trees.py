@@ -243,7 +243,7 @@ def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
     """
     if orientation not in ("greatest", "least"):
         raise ValueError("orientation must be 'greatest' or 'least'")
-    p = Poset(t.size, tree_layout(t).ancestor_mask)
+    p = Poset._trusted(t.size, tree_layout(t).ancestor_mask)
     return p if orientation == "greatest" else p.dual()
 
 

@@ -50,6 +50,12 @@ FIGURE_POSET_MAX_ANTICHAINS = [
 N_POSET = Poset.from_covers(4, [(2, 0), (3, 0), (3, 1)])
 BOWTIE_POSET = Poset.from_covers(4, [(2, 0), (3, 0), (2, 1), (3, 1)])
 
+
+def chain_text(n: int) -> str:
+    """Poset text of the linear order 1 < 2 < ... < n."""
+    return f"{n}\n" + "".join(f"{k} {k + 1}\n" for k in range(1, n))
+
+
 # Pairs of non-isomorphic trees with matching single-variable polynomials.
 T1_TEXT = "(((())(())(())))"
 T2_TEXT = "(((()))((())()))"

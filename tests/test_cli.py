@@ -6,7 +6,7 @@ import pytest
 
 from vposets.cli import main
 
-from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT
+from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
 
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
 
@@ -109,13 +109,22 @@ class TestPosetPoly:
 class TestCheck:
     def test_v_poset(self, poset_file, capsys):
         assert main(["check", poset_file]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("VPOSET (g ")
+        out = capsys.readouterr().out.strip()
+        assert out == (
+            "VPOSET (g (union (l (union (g (union (g (g empty)) (g (g empty)))) "
+            "(g empty))) (g (g empty))))"
+        )
 
     def test_not_v_poset(self, n_poset_file, capsys):
         assert main(["check", n_poset_file]) == 1
         out = capsys.readouterr().out.strip()
         assert out == "NOT-VPOSET N 1 2 3 4"
+
+    def test_long_chain(self, tmp_path, capsys):
+        f = tmp_path / "chain.poset"
+        f.write_text(chain_text(1200))
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out == "VPOSET " + "(g " * 1200 + "empty" + ")" * 1200 + "\n"
 
     def test_union_sexpr(self, tmp_path, capsys):
         f = tmp_path / "anti.poset"

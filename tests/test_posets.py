@@ -27,6 +27,7 @@ from vposets import (
     impossibility_search,
     is_v_poset,
     maximal_antichains_poset,
+    maximal_chains,
     minimal_cutsets,
     parse_poset,
     path,
@@ -47,6 +48,7 @@ from helpers import (
     FIGURE_POSET_TEXT,
     N_POSET,
     assert_status_preserved,
+    chain_text,
 )
 
 
@@ -166,6 +168,70 @@ class TestDeepTraces:
         assert p.up_mask(2) == 0 and p.down_mask(2) == 0b100011
         assert p.up_mask(5) == 0b11111 and p.down_mask(5) == 0
         assert not p.comparable(3, 4) and not p.comparable(2, 3)
+
+
+class TestLongChain:
+    """Recognition and maximal chains past the default recursion limit."""
+
+    N = 1200
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return parse_poset(chain_text(self.N))
+
+    def test_decompose(self, chain):
+        trace = decompose(chain)
+        # Compared as text: dataclass equality on a trace this deep recurses.
+        assert trace.to_sexpr() == "(g " * self.N + "empty" + ")" * self.N
+
+    def test_is_v_poset(self, chain):
+        assert is_v_poset(chain).to_sexpr() == decompose(chain).to_sexpr()
+
+    def test_poset_poly(self, chain):
+        terms = {(1, 0): 1, **{(0, k): 1 for k in range(1, self.N)}}
+        assert poset_poly(chain) == BivariatePoly(terms)
+
+    def test_maximal_chains(self, chain):
+        assert maximal_chains(chain) == [tuple(range(self.N))]
+
+    def test_witness_in_stuck_component(self, chain):
+        p = Poset.disjoint_union([chain, N_POSET])
+        pat = is_v_poset(p)
+        assert isinstance(pat, ForbiddenPattern)
+        assert min(pat.u, pat.v, pat.w, pat.x) >= self.N
+        assert p.less(pat.w, pat.u) and p.less(pat.x, pat.u) and p.less(pat.x, pat.v)
+        assert not p.comparable(pat.u, pat.v) and not p.comparable(pat.w, pat.x)
+        assert (pat.kind == "bowtie") == p.less(pat.w, pat.v)
+        assert decompose(p) is None
+        with pytest.raises(NotVPosetError) as exc:
+            poset_poly(p)
+        assert exc.value.pattern == pat
+
+
+class TestExtremeElements:
+    @pytest.mark.parametrize("n", range(6))
+    def test_by_definition(self, n):
+        for p in all_labeled_posets(n):
+            top = [u for u in range(n) if p.down_mask(u).bit_count() == n - 1]
+            bottom = [u for u in range(n) if p.up_mask(u).bit_count() == n - 1]
+            assert p.greatest_element() == (top[0] if top else None)
+            assert p.least_element() == (bottom[0] if bottom else None)
+
+
+class TestTrustedConstructors:
+    """Posets built from rows known to be valid match validated ones."""
+
+    def test_derived_rows(self, fig):
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                for q in (p.dual(), p.add_greatest(), p.add_least(),
+                          Poset.disjoint_union([p, fig, p])):
+                    checked = Poset(q.n, [q.up_mask(u) for u in range(q.n)])
+                    assert all(
+                        q.down_mask(u) == checked.down_mask(u)
+                        and q.comp_mask(u) == checked.comp_mask(u)
+                        for u in range(q.n)
+                    )
 
 
 class TestIsVPoset:
