@@ -29,15 +29,7 @@ from .posets import (
     poset_poly,
     BASIC,
 )
-from .trees import (
-    collision_search,
-    count_antichains_tree,
-    count_cutsets_tree,
-    count_maximal_antichains_tree,
-    parse_tree,
-    tree_poly,
-    tree_poly_dc,
-)
+from .trees import collision_search, parse_tree, tree_poly, tree_poly_dc, tree_to_poset
 
 
 def _read_input(path: str) -> str:
@@ -93,60 +85,41 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _emit_rows(rows) -> bool:
-    all_ok = True
-    for point, value, name, oracle in rows:
-        if oracle is None:
-            verdict = "-"
-            oracle_text = "-"
-        else:
-            verdict = "ok" if str(value) == str(oracle) else "MISMATCH"
-            oracle_text = str(oracle)
-            all_ok = all_ok and verdict == "ok"
-        print(f"{point}\t{value}\t{name}\t{oracle_text}\t{verdict}")
-    return all_ok
-
-
 def _cmd_counts(args) -> int:
+    # A tree is a V-poset whose leaves are the basic elements, so both kinds
+    # of input are checked by the poset oracles.
     text = _read_input(args.input)
     if text.lstrip().startswith("("):
         t = parse_tree(text)
-        poly = tree_poly(t)
-        small = t.size <= bruteforce.SUBSET_BOUND
-        print(f"# tree with {t.size} vertices")
-        rows = [
-            ("P(1,1)", poly.evaluate(1, 1), "maximal antichains",
-             count_maximal_antichains_tree(t) if small else None),
-            ("P(x,0)", poly.specialize(y=0), "x^leaves",
-             BivariatePoly.monomial(1, t.leaf_count, 0)),
-            ("P(0,1)", poly.evaluate(0, 1), "leaf-free maximal antichains",
-             count_maximal_antichains_tree(t, leaf_free=True) if small else None),
-            ("P(2,1)", poly.evaluate(2, 1), "antichains",
-             count_antichains_tree(t) if small else None),
-            ("P(1,2)", poly.evaluate(1, 2), "cutsets",
-             count_cutsets_tree(t) if small else None),
-            ("P(2,2)", poly.evaluate(2, 2), "vertex subsets", 2**t.size),
-        ]
+        n, poly, basics = t.size, tree_poly(t), t.leaf_count
+        kind, units, plural, basic, ground = "tree", "vertices", "leaves", "leaf", "vertex"
+        p = tree_to_poset(t) if n <= bruteforce.SUBSET_BOUND else None
     else:
         p = parse_poset(text)
-        poly = poset_poly(p)
-        small = p.n <= bruteforce.SUBSET_BOUND
+        n, poly = p.n, poset_poly(p)
         basics = sum(1 for st in element_status(p) if st == BASIC)
-        print(f"# poset with {p.n} elements")
-        rows = [
-            ("P(1,1)", poly.evaluate(1, 1), "maximal antichains",
-             count_maximal_antichains_poset(p) if small else None),
-            ("P(x,0)", poly.specialize(y=0), "x^basics",
-             BivariatePoly.monomial(1, basics, 0)),
-            ("P(0,1)", poly.evaluate(0, 1), "basic-free maximal antichains",
-             count_maximal_antichains_no_basic(p) if small else None),
-            ("P(2,1)", poly.evaluate(2, 1), "antichains",
-             count_antichains_poset(p) if small else None),
-            ("P(1,2)", poly.evaluate(1, 2), "cutsets",
-             count_cutsets_poset(p) if small else None),
-            ("P(2,2)", poly.evaluate(2, 2), "element subsets", 2**p.n),
-        ]
-    return 0 if _emit_rows(rows) else 1
+        kind, units, plural, basic, ground = "poset", "elements", "basics", "basic", "element"
+    small = n <= bruteforce.SUBSET_BOUND
+    print(f"# {kind} with {n} {units}")
+    rows = [
+        ("P(1,1)", poly.evaluate(1, 1), "maximal antichains",
+         count_maximal_antichains_poset(p) if small else None),
+        ("P(x,0)", poly.specialize(y=0), f"x^{plural}",
+         BivariatePoly.monomial(1, basics, 0)),
+        ("P(0,1)", poly.evaluate(0, 1), f"{basic}-free maximal antichains",
+         count_maximal_antichains_no_basic(p) if small else None),
+        ("P(2,1)", poly.evaluate(2, 1), "antichains",
+         count_antichains_poset(p) if small else None),
+        ("P(1,2)", poly.evaluate(1, 2), "cutsets",
+         count_cutsets_poset(p) if small else None),
+        ("P(2,2)", poly.evaluate(2, 2), f"{ground} subsets", 2**n),
+    ]
+    all_ok = True
+    for point, value, name, oracle in rows:
+        verdict = "-" if oracle is None else "ok" if str(value) == str(oracle) else "MISMATCH"
+        all_ok = all_ok and verdict != "MISMATCH"
+        print(f"{point}\t{value}\t{name}\t{'-' if oracle is None else oracle}\t{verdict}")
+    return 0 if all_ok else 1
 
 
 def _cmd_census(args) -> int:

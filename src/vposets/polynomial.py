@@ -15,24 +15,27 @@ is written bare, and factors are joined with ``*``.  The zero polynomial
 prints as ``"0"``.
 
 Tree and V-poset polynomials come from one recursion, which `build_poly`
-evaluates over a flat post-order list of build nodes: a node is the product
-of its children, optionally followed by adding an extreme element (x for an
-empty product, else the product plus ``y**size``).  It works on packed
-rows, one Python integer per x-degree with the y-coefficients in fixed
-w-bit fields (Kronecker substitution in y), so a row product is a single
-big-integer multiplication.  Every coefficient is nonnegative, and every
-partial product of a node is bounded by m(node) = prod m(children), plus 1
-when the node adds an element to a nonempty product.  That O(n) integer
-recursion gives P(1,1) at the root, so fields of w >= bit_length(m(root))
-bits never carry into each other.  w is rounded up to 8, 16, 32 or 64 bits,
-or beyond that to whole bytes, so most rows unpack through machine-word views
-of their bytes; they are unpacked once, at the end.
+evaluates over a flat post-order list of build steps run on a stack of
+values: `EMPTY` pushes the empty poset (polynomial 1), `GREATEST` or `LEAST`
+adds an element over the top value Q (x if Q is empty, else P(Q) + y**|Q|),
+and any k >= 0 replaces the top k values by their disjoint union (the
+product).  A first pass finds the sizes and m(root) = P(1,1), where m is 1
+for the empty poset, multiplies over unions and grows by 1 when an element
+is added to a nonempty value; it bounds every coefficient and partial
+product.  The second pass works on packed rows, one Python integer per
+x-degree with the y-coefficients in fixed w-bit fields (Kronecker
+substitution in y), so a row product is one big-integer multiplication and
+fields of w >= bit_length(m(root)) bits never carry into each other.  A
+single element stays an x factor, applied as a row shift.  w is rounded up
+to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so most rows unpack
+through machine-word views of their bytes; they are unpacked once, at the end.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+from math import prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -222,54 +225,59 @@ def _nonzero(terms: dict[tuple[int, int], int]) -> BivariatePoly:
 
 
 # ----------------------------------------------------------------------
-# the build-node evaluator
+# the build-step evaluator
 
-def build_poly(nodes: Sequence[tuple[int, Sequence[int], bool]]) -> BivariatePoly:
-    """Polynomial of the object a flat post-order build list describes.
+# Build steps; any k >= 0 is the disjoint union of the top k values (k = 1 is a no-op).
+EMPTY, GREATEST, LEAST = -1, -2, -3
 
-    Node ``(points, kids, extreme)`` stands for the disjoint union of
-    ``points`` single elements and the earlier nodes listed in ``kids``
-    (indices may repeat, and a node may be the kid of several nodes); with
-    ``extreme`` set, a greatest or least element is then added on top.  Its
-    polynomial is Q = x**points * prod(P(kid)); with ``extreme`` set it is x
-    when the union is empty, else Q + y**|union|.  The last node is the root.
-    """
-    count = len(nodes)
-    size = [0] * count
-    bound = [1] * count
-    uses = [0] * count
-    for v, (points, kids, extreme) in enumerate(nodes):
-        s, m = points, 1
-        for k in kids:
-            s += size[k]
-            m *= bound[k]
-            uses[k] += 1
-        if extreme:
+
+def build_poly(steps: Sequence[int]) -> BivariatePoly:
+    """Polynomial of the poset that build steps make; they must leave one value."""
+    # First pass: sizes and bounds m of the values, the size under every add
+    # step, and m(root) = P(1,1).
+    sizes, bounds, below = [], [], []
+    for step in steps:
+        if step == EMPTY:
+            sizes.append(0)
+            bounds.append(1)
+        elif step < 0:
+            below.append(sizes[-1])
+            bounds[-1] += sizes[-1] > 0
+            sizes[-1] += 1
+        elif step != 1:
+            sizes[len(sizes) - step:] = [sum(sizes[len(sizes) - step:])]
+            bounds[len(bounds) - step:] = [prod(bounds[len(bounds) - step:])]
+    (bound,) = bounds
+    width = _field_bytes(bound) * 8
+    # Second pass: a value is an int p for x**p (an antichain), else rows.
+    stack: list = []
+    adds = iter(below)
+    for step in steps:
+        if step == EMPTY:
+            stack.append(0)
+        elif step < 0:
+            s = next(adds)
             if s:
-                m += 1
-            s += 1
-        size[v], bound[v] = s, m
-    width = _field_bytes(bound[-1]) * 8
-    rows_of: list[list[int] | None] = [None] * count
-    for v, (points, kids, extreme) in enumerate(nodes):
-        rows = None
-        for k in kids:
-            rows = list(rows_of[k]) if rows is None else _mul_rows(rows, rows_of[k])
-            uses[k] -= 1
-            if not uses[k]:
-                rows_of[k] = None
-        if rows is None:
-            rows = [1]
-        if points:
-            rows = [0] * points + rows
-        if extreme:
-            below = size[v] - 1
-            if below:
-                rows[0] += 1 << (width * below)
+                rows = stack[-1]
+                if rows.__class__ is int:
+                    rows = [0] * rows + [1]
+                rows[0] += 1 << (width * s)
+                stack[-1] = rows
             else:
-                rows = [0, 1]
-        rows_of[v] = rows
-    return _unpack_rows(rows_of[-1], width // 8)
+                stack[-1] = 1
+        elif step != 1:
+            points, rows = 0, None
+            for value in stack[len(stack) - step:]:
+                if value.__class__ is int:
+                    points += value
+                else:
+                    rows = value if rows is None else _mul_rows(rows, value)
+            del stack[len(stack) - step:]
+            stack.append(points if rows is None else [0] * points + rows)
+    rows = stack[0]
+    if rows.__class__ is int:
+        rows = [0] * rows + [1]
+    return _unpack_rows(rows, width // 8)
 
 
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:

@@ -10,12 +10,14 @@ Conventions:
   - Elements are 0..n-1.  The strict order is stored as transitively closed
     bitmask rows: bit v of ``up_mask(u)`` means u < v.
   - `Poset(n, rows)` validates irreflexivity, antisymmetry and transitivity;
-    rows derived from valid posets skip the checks (`Poset._trusted`).
+    rows derived from valid posets skip the checks (`Poset._trusted`), and
+    so do the rows `from_covers` closes along a topological order.
   - Instances are immutable; equality and hashing are by labeled relation.
     Use `poset_isomorphic` for equality up to relabeling.
-  - Nothing recurses: build traces are walked on an explicit stack, and
-    recognition peels extreme elements off the components of a live-element
-    mask over the poset's own rows, so it builds no sub-poset.
+  - Nothing recurses: a build trace is a flat post-order tuple of the step
+    codes of `polynomial`, walked by one loop, and recognition peels extreme
+    elements off the components of a live-element mask over the poset's own
+    rows, so it builds no sub-poset.
   - Each antichain oracle makes one `bruteforce.antichain_sweep`, and the
     tree oracles in `trees` run these oracles on the tree as a V-poset.
 """
@@ -25,13 +27,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import bruteforce
 from .errors import NotVPosetError, OracleBoundError, ParseError
-from .polynomial import BivariatePoly, build_poly
+from .polynomial import EMPTY, GREATEST, LEAST, BivariatePoly, build_poly
 
 ISOMORPHISM_BOUND = 8
 LABELED_BOUND = 5
@@ -40,8 +42,6 @@ BASIC = "basic"
 UPPER = "upper"
 LOWER = "lower"
 OTHER = "other"
-
-T = TypeVar("T")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -103,23 +103,45 @@ class Poset:
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> Poset:
-        """Build from (u, v) pairs meaning u < v; the closure is computed."""
-        rows = [0] * n
+        """Build from (u, v) pairs meaning u < v; the closure is computed.
+
+        It follows a topological order (Kahn, 1962), which makes the rows
+        valid: up rows from the top down, down rows from the bottom up.
+        """
+        above: list[list[int]] = [[] for _ in range(n)]
+        waiting = [0] * n  # pairs below each element not yet in the order
         for u, v in covers:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"relation ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-relation on element {u}")
-            rows[u] |= 1 << v
-        for k in range(n):
-            bit = 1 << k
-            for u in range(n):
-                if rows[u] & bit:
-                    rows[u] |= rows[k]
-        for u in range(n):
-            if (rows[u] >> u) & 1:
-                raise ValueError(f"the relations contain a cycle through element {u}")
-        return cls(n, rows)
+            above[u].append(v)
+            waiting[v] += 1
+        order = [u for u in range(n) if not waiting[u]]
+        for u in order:
+            for v in above[u]:
+                waiting[v] -= 1
+                if not waiting[v]:
+                    order.append(v)
+        if len(order) < n:
+            # Every element left out has one left out below it, so stepping
+            # down among them comes round to a cycle.
+            below = {v: u for u in range(n) if waiting[u] for v in above[u] if waiting[v]}
+            u, seen = next(iter(below)), set()
+            while u not in seen:
+                seen.add(u)
+                u = below[u]
+            raise ValueError(f"the relations contain a cycle through element {u}")
+        up, down = [0] * n, [0] * n
+        for u in reversed(order):
+            for v in above[u]:
+                up[u] |= up[v] | (1 << v)
+        for u in order:
+            for v in above[u]:
+                down[v] |= down[u] | (1 << u)
+        p = object.__new__(cls)
+        p._fill(n, tuple(up), down)
+        return p
 
     @classmethod
     def disjoint_union(cls, posets: Iterable["Poset"]) -> Poset:
@@ -258,105 +280,137 @@ def parse_poset(text: str) -> Poset:
 # construction certificates
 
 class BuildTrace:
-    """Recipe that rebuilds a poset: union / add-greatest / add-least steps.
+    """Recipe that rebuilds a poset: a flat post-order tuple of build steps.
 
-    ``parts`` are the sub-traces a step works on.  Every walk over a trace is
-    iterative, so traces thousands of steps deep are fine.
+    The steps run on a stack of posets, as `polynomial.build_poly` describes,
+    and every walk over them is one loop, so traces thousands of steps deep
+    are fine.  A trace is an instance of the subclass its last step names.
     """
 
-    __slots__ = ()
-    parts: tuple[BuildTrace, ...]
+    __slots__ = ("steps",)
+    steps: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return _fold(self, lambda node, sizes: sum(sizes) + _adds(node))
+        return self.steps.count(GREATEST) + self.steps.count(LEAST)
+
+    @property
+    def parts(self) -> tuple[BuildTrace, ...]:
+        """The traces the last step works on."""
+        steps = self.steps[:-1]
+        lengths = _run(steps, 1, lambda _, k: k + 1, lambda ks: sum(ks) + 1)
+        ends = itertools.accumulate(lengths)
+        return tuple(_trace(steps[end - k:end]) for k, end in zip(lengths, ends))
 
     def to_sexpr(self) -> str:
-        return _fold(
-            self,
-            lambda node, texts: "empty" if isinstance(node, Empty)
-            else f"({node.TAG} {' '.join(texts)})",
-        )
+        return _run(
+            self.steps, "empty", lambda step, text: f"({_CLASSES[step].TAG} {text})",
+            lambda texts: f"({DisjointUnion.TAG} {' '.join(texts)})",
+        )[0]
+
+    def __repr__(self) -> str:
+        return _run(
+            self.steps, "Empty()", lambda step, text: f"{_CLASSES[step].__name__}(inner={text})",
+            lambda texts: f"DisjointUnion(parts=({', '.join(texts)}{',' * (len(texts) == 1)}))",
+        )[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BuildTrace):
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
 
-@dataclass(frozen=True)
+def _run(steps: Sequence[int], empty, add, union) -> list:
+    """The values the steps leave on a stack: ``empty`` for `EMPTY`,
+    ``add(step, top value)`` for an add step, ``union(top k values)`` for k."""
+    stack = []
+    for step in steps:
+        if step == EMPTY:
+            stack.append(empty)
+        elif step < 0:
+            stack[-1] = add(step, stack[-1])
+        else:
+            stack[len(stack) - step:] = [union(stack[len(stack) - step:])]
+    return stack
+
+
+def _steps_of(part: BuildTrace) -> tuple[int, ...]:
+    if not isinstance(part, BuildTrace):
+        raise TypeError(f"not a build trace: {part!r}")
+    return part.steps
+
+
 class Empty(BuildTrace):
-    parts = ()
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.steps = (EMPTY,)
 
 
-@dataclass(frozen=True)
-class AddGreatest(BuildTrace):
-    inner: BuildTrace
-    TAG = "g"
+class _AddStep(BuildTrace):
+    __slots__ = ()
+    STEP: int
 
-    @property
-    def parts(self) -> tuple[BuildTrace, ...]:
-        return (self.inner,)
-
-
-@dataclass(frozen=True)
-class AddLeast(BuildTrace):
-    inner: BuildTrace
-    TAG = "l"
+    def __init__(self, inner: BuildTrace) -> None:
+        self.steps = _steps_of(inner) + (self.STEP,)
 
     @property
-    def parts(self) -> tuple[BuildTrace, ...]:
-        return (self.inner,)
+    def inner(self) -> BuildTrace:
+        return _trace(self.steps[:-1])
 
 
-@dataclass(frozen=True)
+class AddGreatest(_AddStep):
+    __slots__ = ()
+    STEP, TAG = GREATEST, "g"
+
+
+class AddLeast(_AddStep):
+    __slots__ = ()
+    STEP, TAG = LEAST, "l"
+
+
 class DisjointUnion(BuildTrace):
-    parts: tuple[BuildTrace, ...]
+    __slots__ = ()
     TAG = "union"
 
+    def __init__(self, parts: Iterable[BuildTrace]) -> None:
+        parts = tuple(parts)
+        self.steps = tuple(itertools.chain.from_iterable(map(_steps_of, parts))) + (len(parts),)
 
-def _adds(node: BuildTrace) -> bool:
-    return isinstance(node, (AddGreatest, AddLeast))
+
+_CLASSES = {EMPTY: Empty, GREATEST: AddGreatest, LEAST: AddLeast}
 
 
-def _fold(trace: BuildTrace, step: Callable[[BuildTrace, list], T]) -> T:
-    """Apply ``step(node, values of its parts)`` to every node, parts first.
-
-    The post-order walk runs on an explicit stack and returns the value of
-    the root; a sub-trace that occurs twice is visited twice.
-    """
-    stack: list[tuple[BuildTrace, int]] = [(trace, -1)]  # -1: parts not yet pushed
-    done: list[T] = []
-    while stack:
-        node, k = stack.pop()
-        if k >= 0:
-            value = step(node, done[len(done) - k:])
-            del done[len(done) - k:]
-            done.append(value)
-        elif isinstance(node, BuildTrace):
-            parts = node.parts
-            stack.append((node, len(parts)))
-            stack.extend((q, -1) for q in reversed(parts))
-        else:
-            raise TypeError(f"not a trace node: {node!r}")
-    return done[0]
+def _trace(steps: tuple[int, ...]) -> BuildTrace:
+    """Wrap steps known to leave one value, as the subclass of the last step."""
+    trace = object.__new__(_CLASSES.get(steps[-1], DisjointUnion))
+    trace.steps = steps
+    return trace
 
 
 def replay_trace(trace: BuildTrace) -> Poset:
     """Rebuild the poset a trace describes; new elements get the next index.
 
-    Indices follow the post-order walk, so the elements of every sub-trace
+    Indices follow the steps, so the elements of every value on the stack
     form one index range, which an added extreme element is related to.
     """
     rows: list[int] = []
-
-    def step(node: BuildTrace, starts: list[int]) -> int:
-        start = starts[0] if starts else len(rows)
+    starts: list[int] = []  # the first index of each value on the stack
+    for step in _steps_of(trace):
         top = len(rows)
-        if isinstance(node, AddGreatest):
-            for u in range(start, top):
+        if step == EMPTY or step == 0:
+            starts.append(top)
+        elif step == GREATEST:
+            for u in range(starts[-1], top):
                 rows[u] |= 1 << top
             rows.append(0)
-        elif isinstance(node, AddLeast):
-            rows.append((1 << top) - (1 << start))
-        return start
-
-    _fold(trace, step)
+        elif step == LEAST:
+            rows.append((1 << top) - (1 << starts[-1]))
+        else:
+            del starts[len(starts) - step + 1:]
     return Poset._trusted(len(rows), rows)
 
 
@@ -396,30 +450,31 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
 
 def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
     """The construction trace and 0, or None and a component with neither
-    a greatest nor a least element.  Post-order on an explicit stack: each
-    component of a popped live mask loses its greatest (else its least)
-    element, and a (node type, part count) entry builds from the results."""
-    todo: list = [(1 << p.n) - 1]
-    done: list[BuildTrace] = []
+    a greatest nor a least element.  A live mask splits into components, and
+    a component (stacked complemented) loses its greatest, else its least,
+    element; the steps come out in reverse post-order."""
+    steps: list[int] = []
+    todo = [(1 << p.n) - 1]
     while todo:
-        item = todo.pop()
-        if isinstance(item, tuple):
-            cls, k = item
-            parts = done[len(done) - k:]
-            del done[len(done) - k:]
-            done.append(cls(tuple(parts)) if cls is DisjointUnion else cls(*parts))
-            continue
-        comps = list(_components(p._comp, item))
-        if len(comps) != 1:  # a union, or with no component the empty poset
-            todo.append((DisjointUnion, len(comps)) if comps else (Empty, 0))
-        for c in reversed(comps):
-            cls, u = AddGreatest, _extreme(p._up, p._down, c)
+        live = todo.pop()
+        if live < 0:
+            live = ~live
+        else:
+            comps = list(_components(p._comp, live))
+            if len(comps) != 1:  # a union, or with no component the empty poset
+                steps.append(len(comps) or EMPTY)
+                todo += [~c for c in comps]
+                continue
+        u = _extreme(p._up, p._down, live)
+        if u is not None:
+            steps.append(GREATEST)
+        else:
+            u = _extreme(p._down, p._up, live)
             if u is None:
-                cls, u = AddLeast, _extreme(p._down, p._up, c)
-                if u is None:
-                    return None, c
-            todo += [(cls, 1), c ^ (1 << u)]
-    return done[0], 0
+                return None, live
+            steps.append(LEAST)
+        todo.append(live ^ (1 << u))
+    return _trace(tuple(reversed(steps))), 0
 
 
 def decompose(p: Poset) -> BuildTrace | None:
@@ -589,35 +644,13 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     return BivariatePoly(Counter(zip(basics[maximal].tolist(), weights[maximal].tolist())))
 
 
-_POINT = -1
-
-
-def _trace_poly(trace: BuildTrace) -> BivariatePoly:
-    # Post-order build list: a union is a product node and an add step a node
-    # with an extreme element.  Below the root, an empty part is dropped
-    # (None) and a single element is an x factor of its parent (_POINT).
-    nodes: list[tuple[int, list[int], bool]] = []
-
-    def step(node: BuildTrace, kids: list[int | None]) -> int | None:
-        if node is not trace and isinstance(node, Empty):
-            return None
-        if node is not trace and _adds(node) and kids == [None]:
-            return _POINT
-        steps = [k for k in kids if k is not None and k != _POINT]
-        nodes.append((kids.count(_POINT), steps, _adds(node)))
-        return len(nodes) - 1
-
-    _fold(trace, step)
-    return build_poly(nodes)
-
-
 def poset_poly(p: Poset) -> BivariatePoly:
     """The poset polynomial, by recursion over a construction trace.
 
     1 for the empty poset, x for a single element, products over disjoint
     unions, and adding a greatest or least element to P contributes y**|P|.
     """
-    return _trace_poly(_v_trace(p))
+    return build_poly(_v_trace(p).steps)
 
 
 def count_antichains_poset(p: Poset) -> int:

@@ -5,13 +5,12 @@ encoding, so isomorphic inputs collapse to identical objects.  Vertices are
 addressed by canonical depth-first preorder indices (the root is 0), which
 makes antichain output stable across runs.
 
-Two independent routes compute the same polynomial: `tree_poly` uses the
-branch-product recursion (with `tree_poly_dc` as a deletion-contraction
-variant), while `antichain_expansion_tree` sums one monomial per maximal
-antichain found by exhaustive subset enumeration.
-
-A tree is a V-poset (its root is a greatest element over the branches), so
-each brute-force tree oracle is the poset oracle on `tree_to_poset`.
+A tree is a V-poset: its root is a greatest element over the union of the
+branches.  So `tree_poly` writes the tree as V-poset build steps and hands
+them to the evaluator that `poset_poly` uses, and each brute-force tree
+oracle is the poset oracle on `tree_to_poset`.  `tree_poly_dc` (deletion-
+contraction) and `antichain_expansion_tree` (one monomial per maximal
+antichain) are the independent routes to the same polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +26,7 @@ import numpy as np
 from . import bruteforce
 from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
-from .polynomial import BivariatePoly, X, build_poly
+from .polynomial import EMPTY, GREATEST, BivariatePoly, X, build_poly
 from .posets import (
     Poset,
     antichain_expansion_poset,
@@ -131,28 +129,23 @@ def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
 # ----------------------------------------------------------------------
 # the polynomial
 
-_SIZE = attrgetter("size")
+def _tree_steps(t: RootedTree) -> list[int]:
+    """Build steps of the tree as a V-poset: each vertex is a greatest
+    element over the union of its branches, written in reverse, then turned."""
+    steps: list[int] = []
+    stack = [t]
+    while stack:
+        kids = stack.pop().children
+        steps.append(GREATEST)
+        if len(kids) != 1:
+            steps.append(len(kids) or EMPTY)
+        stack += kids
+    return steps[::-1]
 
 
 def tree_poly(t: RootedTree) -> BivariatePoly:
     """x for a single vertex, else the branch product plus y**(size - 1)."""
-    # Build list with one node per distinct non-leaf object, children first
-    # (a branch is smaller than its parent); leaf branches become x factors.
-    # Subtree objects can be shared, so nodes are keyed by identity.
-    order = [t]
-    seen = {id(t)}
-    for node in order:
-        for c in node.children:
-            if c.children and id(c) not in seen:
-                seen.add(id(c))
-                order.append(c)
-    order.sort(key=_SIZE)
-    index = {id(node): k for k, node in enumerate(order)}
-    nodes = []
-    for node in order:
-        kids = [index[id(c)] for c in node.children if c.children]
-        nodes.append((len(node.children) - len(kids), kids, True))
-    return build_poly(nodes)
+    return build_poly(_tree_steps(t))
 
 
 def tree_poly_dc(t: RootedTree) -> BivariatePoly:
@@ -212,26 +205,17 @@ class TreeLayout:
 
 @lru_cache(maxsize=TREE_LAYOUT_CACHE)
 def tree_layout(t: RootedTree) -> TreeLayout:
-    n = t.size
-    parent = [-1] * n
-    leaf = [False] * n
-    anc = [0] * n
+    parent: list[int] = []
+    leaf: list[bool] = []
+    anc: list[int] = []
     stack: list[tuple[RootedTree, int]] = [(t, -1)]
-    idx = 0
     while stack:
         node, par = stack.pop()
-        v = idx
-        idx += 1
-        parent[v] = par
-        leaf[v] = node.size == 1
-        anc[v] = 0 if par < 0 else anc[par] | (1 << par)
-        for child in reversed(node.children):
-            stack.append((child, v))
-    return TreeLayout(
-        parent=tuple(parent),
-        is_leaf=tuple(leaf),
-        ancestor_mask=tuple(anc),
-    )
+        parent.append(par)
+        leaf.append(not node.children)
+        anc.append(0 if par < 0 else anc[par] | (1 << par))
+        stack += [(child, len(anc) - 1) for child in reversed(node.children)]
+    return TreeLayout(parent=tuple(parent), is_leaf=tuple(leaf), ancestor_mask=tuple(anc))
 
 
 def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:

@@ -126,6 +126,12 @@ class TestCheck:
         assert main(["check", str(f)]) == 0
         assert capsys.readouterr().out == "VPOSET " + "(g " * 1200 + "empty" + ")" * 1200 + "\n"
 
+    def test_chain_2000(self, tmp_path, capsys):
+        f = tmp_path / "chain.poset"
+        f.write_text(chain_text(2000))
+        assert main(["check", str(f)]) == 0
+        assert capsys.readouterr().out == "VPOSET " + "(g " * 2000 + "empty" + ")" * 2000 + "\n"
+
     def test_union_sexpr(self, tmp_path, capsys):
         f = tmp_path / "anti.poset"
         f.write_text("2\n")

@@ -1,6 +1,9 @@
 """Unit tests for posets: parsing, recognition, status, polynomials, oracles."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vposets import (
     AddGreatest,
@@ -39,7 +42,9 @@ from vposets import (
     tree_poly,
     tree_to_poset,
 )
+from vposets.polynomial import EMPTY, GREATEST, LEAST
 from vposets.posets import BASIC, LOWER, UPPER, BuildTrace
+from vposets.trees import _tree_steps
 
 from helpers import (
     BOWTIE_POSET,
@@ -74,6 +79,43 @@ class TestParse:
     def test_cycle(self):
         with pytest.raises(ParseError, match="cycle"):
             parse_poset("2\n1 2\n2 1")
+
+    @pytest.mark.parametrize("covers, cycle", [
+        ([(1, 2), (2, 1), (2, 0)], {1, 2}),                     # 0 hangs below
+        ([(0, 3), (3, 1), (1, 2), (2, 3), (2, 4)], {1, 2, 3}),  # 0 leads in, 4 hangs off
+    ])
+    def test_cycle_names_an_element_on_it(self, covers, cycle):
+        with pytest.raises(ValueError, match="cycle") as exc:
+            Poset.from_covers(5, covers)
+        assert int(re.search(r"element (\d+)", str(exc.value)).group(1)) in cycle
+
+    def test_long_chain(self):
+        n = 2000
+        p = parse_poset(chain_text(n))
+        assert p.relation_count == n * (n - 1) // 2
+        assert p.up_mask(0) == (1 << n) - 2 and p.down_mask(n - 1) == (1 << (n - 1)) - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_covers_is_the_closure(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        edges = [(u, v) for u, v in data.draw(st.lists(pairs, max_size=30)) if u < v]
+        label = data.draw(st.permutations(range(n)))
+        covers = [(label[u], label[v]) for u, v in edges]
+        closure = [0] * n
+        for u, v in covers:
+            closure[u] |= 1 << v
+        for k in range(n):
+            for u in range(n):
+                if (closure[u] >> k) & 1:
+                    closure[u] |= closure[k]
+        p, checked = Poset.from_covers(n, covers), Poset(n, closure)
+        assert p == checked
+        assert all(
+            p.down_mask(u) == checked.down_mask(u) and p.comp_mask(u) == checked.comp_mask(u)
+            for u in range(n)
+        )
 
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="range"):
@@ -137,6 +179,25 @@ class TestDecompose:
         assert decompose(parse_poset("2")).to_sexpr() == "(union (g empty) (g empty))"
         assert Empty().to_sexpr() == "empty"
 
+    def test_steps_parts_and_inner(self):
+        trace = decompose(parse_poset("3\n1 2"))
+        point = AddGreatest(Empty())
+        assert trace.steps == (EMPTY, GREATEST, GREATEST, EMPTY, GREATEST, 2)
+        assert isinstance(trace, DisjointUnion)
+        assert trace.parts == (AddGreatest(point), point)
+        assert isinstance(trace.parts[0], AddGreatest) and trace.parts[0].inner == point
+        assert AddLeast(trace).inner == trace and AddLeast(trace).parts == (trace,)
+        assert DisjointUnion(()).steps == (0,) and DisjointUnion(()).parts == ()
+        assert Empty().parts == () and trace.size == 3
+
+    def test_parts_must_be_traces(self):
+        with pytest.raises(TypeError):
+            AddGreatest(5)
+        with pytest.raises(TypeError):
+            AddLeast(None)
+        with pytest.raises(TypeError):
+            DisjointUnion((Empty(), 5))
+
 
 def _deep_chain(n):
     trace = Empty()
@@ -154,6 +215,15 @@ class TestDeepTraces:
         text = trace.to_sexpr()
         assert text.startswith("(g (g (l (g (g (l ")
         assert text.count("(") == 3000 and text.endswith(" empty" + ")" * 3000)
+
+    def test_eq_hash_repr(self):
+        trace = _deep_chain(3000)
+        assert trace == _deep_chain(3000) and trace != _deep_chain(2999)
+        assert hash(trace) == hash(_deep_chain(3000))
+        text = repr(trace)
+        assert text.startswith("AddGreatest(inner=AddGreatest(inner=AddLeast(inner=")
+        assert text.endswith("(inner=Empty()" + ")" * 3000)
+        assert repr(DisjointUnion((Empty(),))) == "DisjointUnion(parts=(Empty(),))"
 
     def test_replay_chain(self):
         p = replay_trace(_deep_chain(1200))
@@ -181,11 +251,19 @@ class TestLongChain:
 
     def test_decompose(self, chain):
         trace = decompose(chain)
-        # Compared as text: dataclass equality on a trace this deep recurses.
+        expected = Empty()
+        for _ in range(self.N):
+            expected = AddGreatest(expected)
+        assert trace == expected
         assert trace.to_sexpr() == "(g " * self.N + "empty" + ")" * self.N
 
+    def test_eq_hash_repr(self, chain):
+        trace = decompose(chain)
+        assert trace == decompose(chain) and hash(trace) == hash(decompose(chain))
+        assert repr(trace) == "AddGreatest(inner=" * self.N + "Empty()" + ")" * self.N
+
     def test_is_v_poset(self, chain):
-        assert is_v_poset(chain).to_sexpr() == decompose(chain).to_sexpr()
+        assert is_v_poset(chain) == decompose(chain)
 
     def test_poset_poly(self, chain):
         terms = {(1, 0): 1, **{(0, k): 1 for k in range(1, self.N)}}
@@ -439,6 +517,11 @@ class TestTreeToPoset:
     def test_bad_orientation(self):
         with pytest.raises(ValueError):
             tree_to_poset(star(3), "sideways")
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_tree_steps_are_its_trace(self, n):
+        for t in enumerate_rooted_trees(n):
+            assert tuple(_tree_steps(t)) == decompose(tree_to_poset(t)).steps
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_polynomial_bridge(self, n):
