@@ -51,6 +51,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _CycleError(ValueError):
+    def __init__(self, element: int):
+        super().__init__(f"the relations contain a cycle through element {element}")
+        self.element = element
+
+
 class Poset:
     __slots__ = ("n", "_up", "_down", "_comp")
 
@@ -131,7 +137,7 @@ class Poset:
             while u not in seen:
                 seen.add(u)
                 u = below[u]
-            raise ValueError(f"the relations contain a cycle through element {u}")
+            raise _CycleError(u)
         up, down = [0] * n, [0] * n
         for u in reversed(order):
             for v in above[u]:
@@ -272,22 +278,24 @@ def parse_poset(text: str) -> Poset:
         covers.append((u - 1, v - 1))
     try:
         return Poset.from_covers(n, covers)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except _CycleError as exc:
+        # Number the element from 1, as the file does.
+        raise ParseError(str(_CycleError(exc.element + 1))) from None
 
 
 # ----------------------------------------------------------------------
 # construction certificates
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BuildTrace:
     """Recipe that rebuilds a poset: a flat post-order tuple of build steps.
 
     The steps run on a stack of posets, as `polynomial.build_poly` describes,
     and every walk over them is one loop, so traces thousands of steps deep
-    are fine.  A trace is an instance of the subclass its last step names.
+    are fine.  A trace is an instance of the subclass its last step names,
+    and it is read-only, since equality and hashing read the steps.
     """
 
-    __slots__ = ("steps",)
     steps: tuple[int, ...]
 
     @property
@@ -314,14 +322,6 @@ class BuildTrace:
             lambda texts: f"DisjointUnion(parts=({', '.join(texts)}{',' * (len(texts) == 1)}))",
         )[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BuildTrace):
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
-
 
 def _run(steps: Sequence[int], empty, add, union) -> list:
     """The values the steps leave on a stack: ``empty`` for `EMPTY`,
@@ -347,7 +347,7 @@ class Empty(BuildTrace):
     __slots__ = ()
 
     def __init__(self) -> None:
-        self.steps = (EMPTY,)
+        object.__setattr__(self, "steps", (EMPTY,))
 
 
 class _AddStep(BuildTrace):
@@ -355,7 +355,7 @@ class _AddStep(BuildTrace):
     STEP: int
 
     def __init__(self, inner: BuildTrace) -> None:
-        self.steps = _steps_of(inner) + (self.STEP,)
+        object.__setattr__(self, "steps", _steps_of(inner) + (self.STEP,))
 
     @property
     def inner(self) -> BuildTrace:
@@ -378,7 +378,8 @@ class DisjointUnion(BuildTrace):
 
     def __init__(self, parts: Iterable[BuildTrace]) -> None:
         parts = tuple(parts)
-        self.steps = tuple(itertools.chain.from_iterable(map(_steps_of, parts))) + (len(parts),)
+        steps = tuple(itertools.chain.from_iterable(map(_steps_of, parts))) + (len(parts),)
+        object.__setattr__(self, "steps", steps)
 
 
 _CLASSES = {EMPTY: Empty, GREATEST: AddGreatest, LEAST: AddLeast}
@@ -387,7 +388,7 @@ _CLASSES = {EMPTY: Empty, GREATEST: AddGreatest, LEAST: AddLeast}
 def _trace(steps: tuple[int, ...]) -> BuildTrace:
     """Wrap steps known to leave one value, as the subclass of the last step."""
     trace = object.__new__(_CLASSES.get(steps[-1], DisjointUnion))
-    trace.steps = steps
+    object.__setattr__(trace, "steps", steps)
     return trace
 
 

@@ -1,16 +1,17 @@
 """Rooted trees, their two-variable polynomials, and counting oracles.
 
-Trees are unordered: children are kept sorted by a canonical parenthesis
-encoding, so isomorphic inputs collapse to identical objects.  Vertices are
-addressed by canonical depth-first preorder indices (the root is 0), which
+A tree is its canonical parenthesis string: a vertex is "(", its branches'
+strings in sorted order, then ")", so isomorphic inputs give equal trees.
+Vertices are numbered in the order of their "(" (the root is 0), which
 makes antichain output stable across runs.
 
 A tree is a V-poset: its root is a greatest element over the union of the
-branches.  So `tree_poly` writes the tree as V-poset build steps and hands
-them to the evaluator that `poset_poly` uses, and each brute-force tree
-oracle is the poset oracle on `tree_to_poset`.  `tree_poly_dc` (deletion-
-contraction) and `antichain_expansion_tree` (one monomial per maximal
-antichain) are the independent routes to the same polynomial.
+branches.  `tree_poly` reads the build steps off the string in one scan and
+hands them to the evaluator that `poset_poly` uses; each brute-force tree
+oracle is the poset oracle on `tree_to_poset`, whose order is another scan
+of the string.  `tree_poly_dc` (deletion-contraction) and
+`antichain_expansion_tree` (one monomial per maximal antichain) are the
+independent routes to the same polynomial.
 """
 
 from __future__ import annotations
@@ -38,29 +39,49 @@ from .posets import (
 )
 
 GENERATION_BOUND = 12
-# The oracles on one tree run back to back, so a few recent layouts suffice.
-TREE_LAYOUT_CACHE = 8
 
 
+def _canonical(branches: list[str]) -> str:
+    """The string of a vertex over its branches' strings, sorted in place."""
+    branches.sort()
+    return "(" + "".join(branches) + ")"
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RootedTree:
-    """An unlabeled rooted tree; ``children`` is the multiset of branches."""
+    """An unlabeled rooted tree, held only as its canonical string ``encoding``
+    (read-only, since equality and hashing read it)."""
 
-    __slots__ = ("children", "size", "leaf_count", "encoding")
+    encoding: str
 
-    def __init__(self, children: Iterable["RootedTree"] = ()):
-        kids = tuple(sorted(children, key=lambda c: c.encoding))
-        self.children = kids
-        self.size = 1 + sum(c.size for c in kids)
-        self.leaf_count = sum(c.leaf_count for c in kids) if kids else 1
-        self.encoding = "(" + "".join(c.encoding for c in kids) + ")"
+    def __init__(self, children: Iterable[RootedTree] = ()):
+        object.__setattr__(self, "encoding", _canonical([c.encoding for c in children]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootedTree):
-            return NotImplemented
-        return self.encoding == other.encoding
+    @classmethod
+    def _trusted(cls, encoding: str) -> RootedTree:
+        """Wrap a string that is already canonical, without sorting it again."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "encoding", encoding)
+        return t
 
-    def __hash__(self) -> int:
-        return hash(self.encoding)
+    @property
+    def size(self) -> int:
+        return len(self.encoding) // 2
+
+    @property
+    def leaf_count(self) -> int:
+        return self.encoding.count("()")
+
+    @property
+    def children(self) -> tuple[RootedTree, ...]:
+        """The branches, split off the encoding at each ")" back at depth 1."""
+        text, out, depth, start = self.encoding, [], 0, 1
+        for end, ch in enumerate(text, 1):
+            depth += 1 if ch == "(" else -1
+            if depth == 1 and ch == ")":
+                out.append(RootedTree._trusted(text[start:end]))
+                start = end
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"RootedTree({self.encoding!r})"
@@ -68,47 +89,39 @@ class RootedTree:
 
 def parse_tree(text: str) -> RootedTree:
     """Parse the parenthesis language  tree ::= "(" tree* ")"  (whitespace ignored)."""
-    root: RootedTree | None = None
-    stack: list[list[RootedTree]] = []
+    # The branch strings of each open vertex, over a bottom list for the tree.
+    stack: list[list[str]] = [[]]
     for pos, ch in enumerate(text):
-        if ch.isspace():
-            continue
         if ch == "(":
-            if root is not None:
+            if stack[0]:
                 raise ParseError(f"position {pos}: trailing input after a complete tree")
             stack.append([])
         elif ch == ")":
-            if not stack:
+            if len(stack) == 1:
                 raise ParseError(f"position {pos}: unmatched ')'")
-            node = RootedTree(stack.pop())
-            if stack:
-                stack[-1].append(node)
-            else:
-                root = node
-        else:
+            branches = stack.pop()
+            stack[-1].append(_canonical(branches))
+        elif not ch.isspace():
             raise ParseError(f"position {pos}: unexpected character {ch!r}")
-    if stack:
+    if len(stack) > 1:
         raise ParseError(f"position {len(text)}: unbalanced '(' at end of input")
-    if root is None:
+    if not stack[0]:
         raise ParseError("empty input: expected a tree such as '()'")
-    return root
+    return RootedTree._trusted(stack[0][0])
 
 
 def star(n: int) -> RootedTree:
     """Star on n vertices rooted at the centre."""
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
-    return RootedTree([RootedTree() for _ in range(n - 1)])
+    return RootedTree._trusted("(" + "()" * (n - 1) + ")")
 
 
 def path(n: int) -> RootedTree:
     """Path on n vertices rooted at one endpoint."""
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
-    t = RootedTree()
-    for _ in range(n - 1):
-        t = RootedTree([t])
-    return t
+    return RootedTree._trusted("(" * n + ")" * n)
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +129,8 @@ def path(n: int) -> RootedTree:
 
 def contract_root_edge(t: RootedTree, index: int) -> RootedTree:
     """Merge the root of branch ``index`` into the root of ``t``."""
-    branch = t.children[index]
-    rest = t.children[:index] + t.children[index + 1 :]
-    return RootedTree(rest + branch.children)
+    kids = t.children
+    return RootedTree(kids[:index] + kids[index + 1 :] + kids[index].children)
 
 
 def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
@@ -130,17 +142,20 @@ def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
 # the polynomial
 
 def _tree_steps(t: RootedTree) -> list[int]:
-    """Build steps of the tree as a V-poset: each vertex is a greatest
-    element over the union of its branches, written in reverse, then turned."""
+    """Build steps of the tree as a V-poset, in one scan of its string: at
+    each ")" a vertex is a greatest element over the union of its branches."""
     steps: list[int] = []
-    stack = [t]
-    while stack:
-        kids = stack.pop().children
-        steps.append(GREATEST)
-        if len(kids) != 1:
-            steps.append(len(kids) or EMPTY)
-        stack += kids
-    return steps[::-1]
+    branches = [0]  # branches closed so far under each open vertex
+    for ch in t.encoding:
+        if ch == "(":
+            branches.append(0)
+        else:
+            k = branches.pop()
+            branches[-1] += 1
+            if k != 1:
+                steps.append(k or EMPTY)
+            steps.append(GREATEST)
+    return steps
 
 
 def tree_poly(t: RootedTree) -> BivariatePoly:
@@ -167,7 +182,8 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
             memo[s.encoding] = X
         else:
             minors = (contract_root_edge(s, 0),)
-            if len(s.children) > 1 and s.children[0].size > 1:
+            kids = s.children
+            if len(kids) > 1 and kids[0].size > 1:
                 minors += (delete_root_branch(s, 0),)
             stack.append((s, minors))
             stack.extend((m, None) for m in minors)
@@ -178,9 +194,10 @@ def _dc_step(
     t: RootedTree, contracted: BivariatePoly, deleted: BivariatePoly | None = None
 ) -> BivariatePoly:
     top = BivariatePoly.monomial(1, 0, t.size - 1)
-    if len(t.children) == 1:
+    kids = t.children
+    if len(kids) == 1:
         return contracted + top
-    branch = t.children[0]
+    branch = kids[0]
     if branch.size == 1:
         return X * contracted - BivariatePoly.monomial(1, 1, t.size - 2) + top
     return (
@@ -203,19 +220,21 @@ class TreeLayout:
     ancestor_mask: tuple[int, ...]       # strict ancestors as a bitmask
 
 
-@lru_cache(maxsize=TREE_LAYOUT_CACHE)
 def tree_layout(t: RootedTree) -> TreeLayout:
     parent: list[int] = []
-    leaf: list[bool] = []
     anc: list[int] = []
-    stack: list[tuple[RootedTree, int]] = [(t, -1)]
-    while stack:
-        node, par = stack.pop()
-        parent.append(par)
-        leaf.append(not node.children)
-        anc.append(0 if par < 0 else anc[par] | (1 << par))
-        stack += [(child, len(anc) - 1) for child in reversed(node.children)]
-    return TreeLayout(parent=tuple(parent), is_leaf=tuple(leaf), ancestor_mask=tuple(anc))
+    open_vertices = [-1]
+    for ch in t.encoding:
+        if ch == "(":
+            par = open_vertices[-1]
+            open_vertices.append(len(parent))
+            parent.append(par)
+            anc.append(0 if par < 0 else anc[par] | (1 << par))
+        else:
+            open_vertices.pop()
+    inner = set(parent)
+    is_leaf = tuple(v not in inner for v in range(len(parent)))
+    return TreeLayout(parent=tuple(parent), is_leaf=is_leaf, ancestor_mask=tuple(anc))
 
 
 def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from vposets import BivariatePoly, Poset
+from hypothesis import strategies as st
+
+from vposets import BivariatePoly, Poset, RootedTree
 
 # Six-vertex example tree: root with a two-leaf branch and a one-leaf branch.
 FIGURE_TREE_TEXT = "((()())(()))"
@@ -118,3 +120,31 @@ def assert_status_preserved(trace):
             assert status_out[: inner.n] == status_in
             assert status_out[inner.n] != BASIC
     assert_status_preserved(trace.inner)
+
+
+def tree_of(parents):
+    """The tree of a parent array (``parents[v] < v``), through `RootedTree`."""
+    kids = [[] for _ in parents]
+    for v in range(len(parents) - 1, 0, -1):
+        kids[parents[v]].append(v)
+    node = [None] * len(parents)
+    for v in range(len(parents) - 1, -1, -1):
+        node[v] = RootedTree(node[c] for c in kids[v])
+    return node[0]
+
+
+def parents_of(t):
+    """Parent array of ``t`` in canonical preorder: first branch first."""
+    parents = []
+    stack = [(t, -1)]
+    while stack:
+        node, par = stack.pop()
+        parents.append(par)
+        stack.extend((c, len(parents) - 1) for c in reversed(node.children))
+    return parents
+
+
+@st.composite
+def parent_arrays(draw, max_size=80):
+    n = draw(st.integers(1, max_size))
+    return [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]

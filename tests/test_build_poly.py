@@ -22,6 +22,8 @@ from vposets import (
 )
 from vposets.polynomial import build_poly
 
+from helpers import parent_arrays, parents_of, tree_of
+
 
 def dict_poly(parents):
     """x for a leaf, else the product of the branches plus y**(size - 1).
@@ -51,33 +53,6 @@ def dict_poly(parents):
         product[top] = product.get(top, 0) + 1
         poly[v] = product
     return poly[0]
-
-
-def tree_of(parents):
-    kids = [[] for _ in parents]
-    for v in range(len(parents) - 1, 0, -1):
-        kids[parents[v]].append(v)
-    node = [None] * len(parents)
-    for v in range(len(parents) - 1, -1, -1):
-        node[v] = RootedTree(node[c] for c in kids[v])
-    return node[0]
-
-
-def parents_of(t):
-    parents = [-1]
-    stack = [(t, 0)]
-    while stack:
-        node, v = stack.pop()
-        for c in node.children:
-            parents.append(v)
-            stack.append((c, len(parents) - 1))
-    return parents
-
-
-@st.composite
-def parent_arrays(draw, max_size=80):
-    n = draw(st.integers(1, max_size))
-    return [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
 
 
 def counts(parents):

@@ -1,9 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vposets
 from vposets.cli import main
 
 from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
@@ -60,6 +66,30 @@ class TestTreePoly:
         assert default == " + ".join([f"y^{k}" for k in range(699, 1, -1)] + ["y", "x"]) + "\n"
         assert main(["tree-poly", str(f), "--dc"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_tall_path_bounded_memory(self, tmp_path):
+        # The child interpreter reports the peak RSS of its own address
+        # space (VmHWM, in kB), so no other test's memory counts towards it:
+        # on Linux, ru_maxrss keeps the parent's peak across exec.
+        n = 20000
+        f = tmp_path / "path.tree"
+        f.write_text("(" * n + ")" * n)
+        child = (
+            "import sys\n"
+            "from vposets.cli import main\n"
+            "status = main(['tree-poly', sys.argv[1]])\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print(*[line for line in f if line.startswith('VmHWM')], file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", child, str(f)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == " + ".join([f"y^{k}" for k in range(n - 1, 1, -1)] + ["y", "x"]) + "\n"
+        assert int(run.stderr.split()[-2]) / 1024 < 60
 
     def test_eval(self, tree_file, capsys):
         assert main(["tree-poly", tree_file, "--eval", "2", "2"]) == 0
@@ -131,6 +161,14 @@ class TestCheck:
         f.write_text(chain_text(2000))
         assert main(["check", str(f)]) == 0
         assert capsys.readouterr().out == "VPOSET " + "(g " * 2000 + "empty" + ")" * 2000 + "\n"
+
+    def test_cycle_numbered_as_in_file(self, tmp_path, capsys):
+        # The cycle is {1, 3} in the file and {0, 2} counted from 0.
+        f = tmp_path / "cycle.poset"
+        f.write_text("3\n1 3\n3 1\n")
+        assert main(["check", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert int(re.search(r"cycle through element (\d+)", err).group(1)) in {1, 3}
 
     def test_union_sexpr(self, tmp_path, capsys):
         f = tmp_path / "anti.poset"

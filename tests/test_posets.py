@@ -198,6 +198,21 @@ class TestDecompose:
         with pytest.raises(TypeError):
             DisjointUnion((Empty(), 5))
 
+    @pytest.mark.parametrize("make", [
+        Empty,
+        lambda: AddGreatest(Empty()),
+        lambda: AddLeast(Empty()),
+        lambda: DisjointUnion((Empty(), Empty())),
+    ], ids=["Empty", "AddGreatest", "AddLeast", "DisjointUnion"])
+    def test_read_only(self, make):
+        # Equality and hashing read the steps, so they must not change.
+        trace = make()
+        with pytest.raises(AttributeError):
+            trace.steps = (EMPTY,)
+        with pytest.raises(AttributeError):
+            del trace.steps
+        assert trace == make() and hash(trace) == hash(make())
+
 
 def _deep_chain(n):
     trace = Empty()

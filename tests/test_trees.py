@@ -1,6 +1,7 @@
 """Unit tests for rooted trees: parsing, polynomials, antichains, oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vposets import (
     BivariatePoly,
@@ -23,6 +24,7 @@ from vposets import (
     tree_poly,
     tree_poly_dc,
 )
+from vposets.trees import tree_layout
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -36,7 +38,10 @@ from helpers import (
     T3_POLY,
     T3_TEXT,
     T4_TEXT,
+    parent_arrays,
+    parents_of,
     rooted_tree_count,
+    tree_of,
 )
 
 
@@ -74,6 +79,54 @@ class TestParse:
 
     def test_canonical_ordering(self):
         assert parse_tree("((())())") == parse_tree("(()(()))")
+
+
+def shuffled_text(parents, rnd):
+    """Text of the tree of ``parents``, each vertex's branches in random order."""
+    kids = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        kids[parents[v]].append(v)
+    out, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        if v is None:
+            out.append(")")
+            continue
+        out.append("(")
+        rnd.shuffle(kids[v])
+        stack.append(None)
+        stack.extend(reversed(kids[v]))
+    return "".join(out)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(parent_arrays(), st.randoms(use_true_random=False))
+    def test_parser_and_constructor_agree(self, parents, rnd):
+        parsed, built = parse_tree(shuffled_text(parents, rnd)), tree_of(parents)
+        assert parsed == built and parsed.encoding == built.encoding
+        n = len(parents)
+        for t in (parsed, built):
+            assert t.size == n
+            assert t.leaf_count == n - len(set(parents[1:]))
+        pre = parents_of(parsed)
+        assert pre == parents_of(built) and tree_of(pre) == parsed
+        masks = [0] * n
+        for v in range(1, n):
+            masks[v] = masks[pre[v]] | (1 << pre[v])
+        layout = tree_layout(parsed)
+        assert layout.ancestor_mask == tuple(masks)
+        assert layout.parent == tuple(pre)
+        assert layout.is_leaf == tuple(v not in pre for v in range(n))
+
+    def test_encoding_is_read_only(self):
+        # Equality and hashing read the encoding, so it must not change.
+        t = parse_tree("(()())")
+        with pytest.raises(AttributeError):
+            t.encoding = "()"
+        with pytest.raises(AttributeError):
+            del t.encoding
+        assert t == parse_tree("(()())") and hash(t) == hash(parse_tree("(()())"))
 
 
 class TestTreePoly:
