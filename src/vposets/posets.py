@@ -57,8 +57,12 @@ class _CycleError(ValueError):
         self.element = element
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Poset:
-    __slots__ = ("n", "_up", "_down", "_comp")
+    n: int
+    _up: tuple[int, ...]
+    _down: tuple[int, ...]
+    _comp: tuple[int, ...]
 
     def __init__(self, n: int, up_masks: Sequence[int]):
         up = tuple(up_masks)
@@ -95,10 +99,10 @@ class Poset:
         return p
 
     def _fill(self, n: int, up: tuple[int, ...], down: list[int]) -> None:
-        self.n = n
-        self._up = up
-        self._down = tuple(down)
-        self._comp = tuple(u | d for u, d in zip(up, down))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_comp", tuple(u | d for u, d in zip(up, down)))
 
     # ------------------------------------------------------------------
     # constructors
@@ -233,18 +237,20 @@ def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | No
     return u if behind[u] & live == live ^ (1 << u) else None
 
 
-def _components(comp: Sequence[int], live: int) -> Iterator[int]:
-    """Components of the comparability graph on ``live``, by least element."""
+def _components(comp: Sequence[int], live: int) -> Iterator[tuple[int, int]]:
+    """Components of the comparability graph on ``live``, by least element
+    k, each as (mask >> k, k): a singleton high up then costs one bit."""
     while live:
-        seen = frontier = live & -live
+        low = (live & -live).bit_length() - 1
+        seen = frontier = 1 << low
         while frontier and seen != live:
             grown = 0
             for v in _bits(frontier):
                 grown |= comp[v]
             frontier = grown & live & ~seen
             seen |= frontier
-        yield seen
         live ^= seen
+        yield seen >> low, low
 
 
 def parse_poset(text: str) -> Poset:
@@ -453,18 +459,19 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
     """The construction trace and 0, or None and a component with neither
     a greatest nor a least element.  A live mask splits into components, and
     a component (stacked complemented) loses its greatest, else its least,
-    element; the steps come out in reverse post-order."""
+    element; the steps come out in reverse post-order.  Pending components
+    wait shifted, as `_components` yields them, so each costs its span."""
     steps: list[int] = []
-    todo = [(1 << p.n) - 1]
+    todo = [((1 << p.n) - 1, 0)]
     while todo:
-        live = todo.pop()
+        live, low = todo.pop()
         if live < 0:
-            live = ~live
+            live = ~live << low
         else:
-            comps = list(_components(p._comp, live))
+            comps = [(~c, k) for c, k in _components(p._comp, live)]
             if len(comps) != 1:  # a union, or with no component the empty poset
                 steps.append(len(comps) or EMPTY)
-                todo += [~c for c in comps]
+                todo += comps
                 continue
         u = _extreme(p._up, p._down, live)
         if u is not None:
@@ -474,7 +481,7 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
             if u is None:
                 return None, live
             steps.append(LEAST)
-        todo.append(live ^ (1 << u))
+        todo.append((live ^ (1 << u), 0))
     return _trace(tuple(reversed(steps))), 0
 
 

@@ -8,8 +8,9 @@ makes antichain output stable across runs.
 A tree is a V-poset: its root is a greatest element over the union of the
 branches.  `tree_poly` reads the build steps off the string in one scan and
 hands them to the evaluator that `poset_poly` uses; each brute-force tree
-oracle is the poset oracle on `tree_to_poset`, whose order is another scan
-of the string.  `tree_poly_dc` (deletion-contraction) and
+oracle is the poset oracle on `tree_to_poset`, whose rows are the vertices'
+ancestor masks from another scan of the string.  `tree_poly_dc`
+(deletion-contraction, on minors cut from the branch strings) and
 `antichain_expansion_tree` (one monomial per maximal antichain) are the
 independent routes to the same polynomial.
 """
@@ -47,6 +48,18 @@ def _canonical(branches: list[str]) -> str:
     return "(" + "".join(branches) + ")"
 
 
+def _branches(encoding: str) -> list[str]:
+    """The branch strings of a tree's string, in sorted order: each ends
+    at a ")" back at depth 1."""
+    out, depth, start = [], 0, 1
+    for end, ch in enumerate(encoding, 1):
+        depth += 1 if ch == "(" else -1
+        if depth == 1 and ch == ")":
+            out.append(encoding[start:end])
+            start = end
+    return out
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class RootedTree:
     """An unlabeled rooted tree, held only as its canonical string ``encoding``
@@ -74,14 +87,7 @@ class RootedTree:
 
     @property
     def children(self) -> tuple[RootedTree, ...]:
-        """The branches, split off the encoding at each ")" back at depth 1."""
-        text, out, depth, start = self.encoding, [], 0, 1
-        for end, ch in enumerate(text, 1):
-            depth += 1 if ch == "(" else -1
-            if depth == 1 and ch == ")":
-                out.append(RootedTree._trusted(text[start:end]))
-                start = end
-        return tuple(out)
+        return tuple(map(RootedTree._trusted, _branches(self.encoding)))
 
     def __repr__(self) -> str:
         return f"RootedTree({self.encoding!r})"
@@ -125,17 +131,20 @@ def path(n: int) -> RootedTree:
 
 
 # ----------------------------------------------------------------------
-# root-edge surgery
+# root-edge surgery, cut from the strings
 
 def contract_root_edge(t: RootedTree, index: int) -> RootedTree:
     """Merge the root of branch ``index`` into the root of ``t``."""
-    kids = t.children
-    return RootedTree(kids[:index] + kids[index + 1 :] + kids[index].children)
+    kids = _branches(t.encoding)
+    branch = kids.pop(index)
+    return RootedTree._trusted(_canonical(kids + _branches(branch)))
 
 
 def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
-    """Remove branch ``index`` entirely."""
-    return RootedTree(t.children[:index] + t.children[index + 1 :])
+    """Remove branch ``index`` entirely (the rest stays sorted)."""
+    kids = _branches(t.encoding)
+    del kids[index]
+    return RootedTree._trusted("(" + "".join(kids) + ")")
 
 
 # ----------------------------------------------------------------------
@@ -168,85 +177,69 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
 
     The bridge case (single root edge) is checked before the pendant case;
     the pendant rewrite needs a second branch to be valid.  The recursion
-    runs on an explicit stack with a memo that lives for one call.
+    runs over the minors' strings on an explicit stack, with a memo that
+    lives for one call; each string is split once.
     """
-    memo: dict[str, BivariatePoly] = {}
-    stack: list[tuple[RootedTree, tuple[RootedTree, ...] | None]] = [(t, None)]
+    memo: dict[str, BivariatePoly] = {"()": X}
+    # (s, None) asks for the polynomial of s; (s, (b, deleted, contracted))
+    # combines its minors', where b is the first branch's size and deleted
+    # is "" in the bridge case.
+    stack: list[tuple[str, tuple[int, str, str] | None]] = [(t.encoding, None)]
     while stack:
-        s, minors = stack.pop()
-        if minors is not None:
-            memo[s.encoding] = _dc_step(s, *(memo[m.encoding] for m in minors))
-        elif s.encoding in memo:
+        s, cut = stack.pop()
+        if cut is None:
+            if s not in memo:
+                kids = _branches(s)
+                branch = kids.pop(0)
+                deleted = "(" + "".join(kids) + ")" if kids else ""
+                cut = (len(branch) // 2, deleted, _canonical(kids + _branches(branch)))
+                stack += [(s, cut), (cut[2], None)]
+                if deleted and cut[0] > 1:
+                    stack.append((deleted, None))
             continue
-        elif s.size == 1:
-            memo[s.encoding] = X
+        size, (b, deleted, contracted) = len(s) // 2, cut
+        top = BivariatePoly.monomial(1, 0, size - 1)
+        if not deleted:
+            memo[s] = memo[contracted] + top
+        elif b == 1:
+            memo[s] = X * memo[contracted] - BivariatePoly.monomial(1, 1, size - 2) + top
         else:
-            minors = (contract_root_edge(s, 0),)
-            kids = s.children
-            if len(kids) > 1 and kids[0].size > 1:
-                minors += (delete_root_branch(s, 0),)
-            stack.append((s, minors))
-            stack.extend((m, None) for m in minors)
+            memo[s] = (
+                memo[contracted]
+                + BivariatePoly.monomial(1, 0, b - 1) * memo[deleted]
+                - BivariatePoly.monomial(2, 0, size - 2)
+                + top
+            )
     return memo[t.encoding]
 
 
-def _dc_step(
-    t: RootedTree, contracted: BivariatePoly, deleted: BivariatePoly | None = None
-) -> BivariatePoly:
-    top = BivariatePoly.monomial(1, 0, t.size - 1)
-    kids = t.children
-    if len(kids) == 1:
-        return contracted + top
-    branch = kids[0]
-    if branch.size == 1:
-        return X * contracted - BivariatePoly.monomial(1, 1, t.size - 2) + top
-    return (
-        contracted
-        + BivariatePoly.monomial(1, 0, branch.size - 1) * deleted
-        - BivariatePoly.monomial(2, 0, t.size - 2)
-        + top
-    )
-
-
 # ----------------------------------------------------------------------
-# vertex layout (canonical DFS indices)
+# the order: strict ancestors in canonical preorder
 
-@dataclass(frozen=True)
-class TreeLayout:
-    """Per-vertex tables in canonical preorder; index 0 is the root."""
-
-    parent: tuple[int, ...]              # -1 for the root
-    is_leaf: tuple[bool, ...]
-    ancestor_mask: tuple[int, ...]       # strict ancestors as a bitmask
-
-
-def tree_layout(t: RootedTree) -> TreeLayout:
-    parent: list[int] = []
-    anc: list[int] = []
-    open_vertices = [-1]
+def _ancestor_masks(t: RootedTree) -> list[int]:
+    """Each vertex's strict ancestors as a bitmask, in one scan of the string.
+    A vertex's parent is its highest ancestor bit, the latest in preorder."""
+    masks: list[int] = []
+    open_chain = [0]  # each open vertex with its ancestors, as a mask
     for ch in t.encoding:
         if ch == "(":
-            par = open_vertices[-1]
-            open_vertices.append(len(parent))
-            parent.append(par)
-            anc.append(0 if par < 0 else anc[par] | (1 << par))
+            open_chain.append(open_chain[-1] | 1 << len(masks))
+            masks.append(open_chain[-2])
         else:
-            open_vertices.pop()
-    inner = set(parent)
-    is_leaf = tuple(v not in inner for v in range(len(parent)))
-    return TreeLayout(parent=tuple(parent), is_leaf=is_leaf, ancestor_mask=tuple(anc))
+            open_chain.pop()
+    return masks
 
 
 def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
     """Poset whose cover graph is the tree; the root becomes the greatest
     element (orientation "greatest") or the least one ("least").
 
-    Elements are the canonical preorder indices of `tree_layout`, and the
-    strict ancestors of a vertex are the elements above it.
+    Elements are the vertices in canonical preorder, and the strict
+    ancestors of a vertex are the elements above it.
     """
     if orientation not in ("greatest", "least"):
         raise ValueError("orientation must be 'greatest' or 'least'")
-    p = Poset._trusted(t.size, tree_layout(t).ancestor_mask)
+    p = Poset._trusted(t.size, _ancestor_masks(t))
     return p if orientation == "greatest" else p.dual()
 
 
@@ -320,12 +313,11 @@ def count_root_subtrees(t: RootedTree) -> int:
     check runs over all 2**n vertex sets, independently of the antichains.
     """
     bruteforce.check_subset_bound(t.size, "tree")
-    parent = tree_layout(t).parent
     codes = np.arange(1 << t.size, dtype=np.int64)
     closed = (codes & 1) == 1
-    for v in range(1, t.size):
-        # v without its parent breaks closure
-        closed &= (codes & ((1 << v) | (1 << parent[v]))) != 1 << v
+    for v, ancestors in enumerate(_ancestor_masks(t)[1:], 1):
+        # v without its parent (its highest ancestor bit) breaks closure
+        closed &= (codes & ((1 << v) | 1 << (ancestors.bit_length() - 1))) != 1 << v
     return int(closed.sum()) + 1
 
 

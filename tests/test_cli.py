@@ -17,6 +17,32 @@ from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
 
 
+def run_child(*args):
+    """Run the CLI with ``args`` in a child interpreter.
+
+    The child reports the peak RSS of its own address space (VmHWM, in kB)
+    on stderr, so no other test's memory counts towards it: on Linux,
+    ru_maxrss keeps the parent's peak across exec.
+    """
+    child = (
+        "import sys\n"
+        "from vposets.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(*[line for line in f if line.startswith('VmHWM')], file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", child, *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def peak_mb(run) -> float:
+    return int(run.stderr.split()[-2]) / 1024
+
+
 @pytest.fixture
 def tree_file(tmp_path):
     f = tmp_path / "fig.tree"
@@ -68,28 +94,13 @@ class TestTreePoly:
         assert capsys.readouterr().out == default
 
     def test_tall_path_bounded_memory(self, tmp_path):
-        # The child interpreter reports the peak RSS of its own address
-        # space (VmHWM, in kB), so no other test's memory counts towards it:
-        # on Linux, ru_maxrss keeps the parent's peak across exec.
         n = 20000
         f = tmp_path / "path.tree"
         f.write_text("(" * n + ")" * n)
-        child = (
-            "import sys\n"
-            "from vposets.cli import main\n"
-            "status = main(['tree-poly', sys.argv[1]])\n"
-            "with open('/proc/self/status') as f:\n"
-            "    print(*[line for line in f if line.startswith('VmHWM')], file=sys.stderr)\n"
-            "sys.exit(status)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-c", child, str(f)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        run = run_child("tree-poly", str(f))
         assert run.returncode == 0, run.stderr
         assert run.stdout == " + ".join([f"y^{k}" for k in range(n - 1, 1, -1)] + ["y", "x"]) + "\n"
-        assert int(run.stderr.split()[-2]) / 1024 < 60
+        assert peak_mb(run) < 60
 
     def test_eval(self, tree_file, capsys):
         assert main(["tree-poly", tree_file, "--eval", "2", "2"]) == 0
@@ -175,6 +186,17 @@ class TestCheck:
         f.write_text("2\n")
         assert main(["check", str(f)]) == 0
         assert capsys.readouterr().out.strip() == "VPOSET (union (g empty) (g empty))"
+
+    def test_wide_antichain_bounded_memory(self, tmp_path):
+        # 50000 singleton components wait on the peel stack; held at full
+        # width they would take O(n^2) bits (about 360 MB).
+        n = 50000
+        f = tmp_path / "anti.poset"
+        f.write_text(f"{n}\n")
+        run = run_child("check", str(f))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "VPOSET (union" + " (g empty)" * n + ")\n"
+        assert peak_mb(run) < 100
 
 
 class TestCounts:

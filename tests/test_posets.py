@@ -1,5 +1,6 @@
 """Unit tests for posets: parsing, recognition, status, polynomials, oracles."""
 
+import pickle
 import re
 
 import pytest
@@ -54,6 +55,7 @@ from helpers import (
     N_POSET,
     assert_status_preserved,
     chain_text,
+    parents_of,
 )
 
 
@@ -131,6 +133,18 @@ class TestParse:
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_poset("two\n1 2")
+
+    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_comp"])
+    def test_read_only(self, name):
+        # Equality and hashing read the rows, so they must not change.
+        p = parse_poset("2\n1 2")
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert p == parse_poset("2\n1 2") and hash(p) == hash(parse_poset("2\n1 2"))
+        assert p.n == 2 and p.up_mask(0) == 2 and p.down_mask(1) == 1 and p.comp_mask(0) == 2
+        assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestForbidden:
@@ -546,11 +560,8 @@ class TestTreeToPoset:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_basic_element_characterisation(self, n):
-        from vposets.trees import tree_layout
-
         for t in enumerate_rooted_trees(n):
-            lay = tree_layout(t)
-            leaves = {v for v in range(t.size) if lay.is_leaf[v]}
+            leaves = set(range(t.size)) - set(parents_of(t))
 
             up = tree_to_poset(t, "greatest")
             basics = {i for i, s in enumerate(element_status(up)) if s == BASIC}

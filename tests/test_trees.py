@@ -23,8 +23,8 @@ from vposets import (
     star,
     tree_poly,
     tree_poly_dc,
+    tree_to_poset,
 )
-from vposets.trees import tree_layout
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -114,10 +114,9 @@ class TestCanonicalForm:
         masks = [0] * n
         for v in range(1, n):
             masks[v] = masks[pre[v]] | (1 << pre[v])
-        layout = tree_layout(parsed)
-        assert layout.ancestor_mask == tuple(masks)
-        assert layout.parent == tuple(pre)
-        assert layout.is_leaf == tuple(v not in pre for v in range(n))
+        up = tree_to_poset(parsed)
+        assert [up.up_mask(v) for v in range(n)] == masks
+        assert [not up.down_mask(v) for v in range(n)] == [v not in pre for v in range(n)]
 
     def test_encoding_is_read_only(self):
         # Equality and hashing read the encoding, so it must not change.
@@ -165,9 +164,20 @@ class TestDeletionContraction:
                 assert base == _edge_identity(t, i)
 
     def test_agrees_with_recursion(self):
-        for n in range(1, 8):
+        for n in range(1, 11):
             for t in enumerate_rooted_trees(n):
                 assert tree_poly_dc(t) == tree_poly(t)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_surgery_matches_children(self, n):
+        # The minors rebuilt through the constructor, which sorts: a cut
+        # string that skipped a needed sort would differ.
+        for t in enumerate_rooted_trees(n):
+            kids = t.children
+            for i, branch in enumerate(kids):
+                rest = kids[:i] + kids[i + 1 :]
+                assert contract_root_edge(t, i) == RootedTree(rest + branch.children)
+                assert delete_root_branch(t, i) == RootedTree(rest)
 
 
 def _edge_identity(t, i):
