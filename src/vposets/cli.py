@@ -230,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact answers can run past 4300 digits
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,10 +1,12 @@
-"""Exact sparse bivariate polynomial arithmetic over Python integers.
+"""Exact bivariate polynomial arithmetic over Python integers.
 
-A polynomial in the variables x and y is stored as a mapping from exponent
-pairs ``(i, j)`` to nonzero integer coefficients, so ``3*x^2*y^2`` is the
-entry ``(2, 2): 3``.  Coefficients are plain Python integers, which keeps
-every operation exact; counting evaluations routinely reach values such as
-2**n for moderately large n and must not overflow.
+A polynomial in the variables x and y is stored as rows, one per x-degree
+with a nonzero term, by ascending x-degree.  The row ``(i, o, (c0, ..., ck))``
+is x^i * (c0 * y^o + ... + ck * y^(o+k)) with c0 and ck nonzero, so each
+polynomial has one form, and x^(10**6) is one coefficient.  Ring operations
+work on the sparse terms of `term_map`.  Coefficients are plain Python
+integers, which keeps every operation exact; counting evaluations routinely
+reach values such as 2**n for moderately large n and must not overflow.
 
 Values are immutable after construction and all operations are pure
 functions, so polynomials can be shared freely between threads.
@@ -27,43 +29,51 @@ x-degree with the y-coefficients in fixed w-bit fields (Kronecker
 substitution in y), so a row product is one big-integer multiplication and
 fields of w >= bit_length(m(root)) bits never carry into each other.  A
 single element stays an x factor, applied as a row shift.  w is rounded up
-to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so most rows unpack
-through machine-word views of their bytes; they are unpacked once, at the end.
+to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so most packed rows
+become coefficient rows through machine-word views of their bytes.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+from collections import Counter
+from itertools import zip_longest
 from math import prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 
 class BivariatePoly:
-    """A sparse polynomial in x and y with exact integer coefficients."""
+    """A polynomial in x and y with exact integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_rows", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
-                    raise ValueError(f"invalid exponent pair {(i, j)!r}")
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficient {c!r} is not an integer")
-                if c:
-                    clean[(i, j)] = c
-        self._terms = clean
+        by_degree: dict[int, dict[int, int]] = {}
+        for (i, j), c in (terms or {}).items():
+            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+                raise ValueError(f"invalid exponent pair {(i, j)!r}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            if c:
+                by_degree.setdefault(i, {})[j] = c
+        rows = []
+        for i in sorted(by_degree):
+            column = by_degree[i]
+            low = min(column)
+            coeffs = [0] * (max(column) + 1 - low)
+            for j, c in column.items():
+                coeffs[j - low] = c
+            rows.append((i, low, tuple(coeffs)))
+        self._rows = tuple(rows)
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, terms: dict[tuple[int, int], int]) -> BivariatePoly:
-        """Wrap a dict already known to hold valid exponents and nonzero
-        integer coefficients; the dict is taken over, not copied."""
+    def _trusted(cls, rows: tuple[tuple[int, int, tuple[int, ...]], ...]) -> BivariatePoly:
+        """Wrap rows already in canonical form; the tuple is taken over."""
         poly = object.__new__(cls)
-        poly._terms = terms
+        poly._rows = rows
         poly._hash = None
         return poly
 
@@ -89,33 +99,28 @@ class BivariatePoly:
     def __add__(self, other: BivariatePoly) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return _nonzero(out)
+        terms = Counter(self.term_map)
+        terms.update(other.term_map)
+        return BivariatePoly(terms)
 
     def __sub__(self, other: BivariatePoly) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) - c
-        return _nonzero(out)
+        return self + -other
 
     def __neg__(self) -> BivariatePoly:
-        return BivariatePoly._trusted({key: -c for key, c in self._terms.items()})
+        return self * -1
 
     def __mul__(self, other: BivariatePoly | int) -> BivariatePoly:
         if isinstance(other, int):
-            return _nonzero({key: c * other for key, c in self._terms.items()})
+            return BivariatePoly({key: c * other for key, c in self.term_map.items()})
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return _nonzero(out)
+        terms: Counter = Counter()
+        for (i1, j1), c1 in self.term_map.items():
+            for (i2, j2), c2 in other.term_map.items():
+                terms[(i1 + i2, j1 + j2)] += c1 * c2
+        return BivariatePoly(terms)
 
     def __rmul__(self, other: int) -> BivariatePoly:
         if isinstance(other, int):
@@ -136,92 +141,106 @@ class BivariatePoly:
     def evaluate(self, x0: int, y0: int) -> int:
         """Exact value of the polynomial at the integer point (x0, y0).
 
-        A coordinate of 0 keeps only the terms where its exponent is 0, and
-        a coordinate of 0 or 1 then contributes no factor, so no powers are
-        taken for it.
+        Each row is evaluated in y, and the row values are combined in x by
+        Horner's rule.  x0 = 0 keeps only the row of x-degree 0, and x0 = 1
+        (like y0 = 1 within a row) just sums, so no powers are taken.
         """
-        terms = self._terms
-        if x0 == 0 or y0 == 0:
-            terms = {k: c for k, c in terms.items() if (x0 or not k[0]) and (y0 or not k[1])}
+        rows = self._rows
+        if x0 == 0:
+            rows = rows[:1] if rows and rows[0][0] == 0 else ()
         if x0 == 0 or x0 == 1:
-            if y0 == 0 or y0 == 1:
-                return sum(terms.values())
-            return sum(c * y0**j for (_, j), c in terms.items())
-        if y0 == 0 or y0 == 1:
-            return sum(c * x0**i for (i, _), c in terms.items())
-        return sum(c * x0**i * y0**j for (i, j), c in terms.items())
+            return sum(_row_value(off, cs, y0) for _, off, cs in rows)
+        value, last = 0, rows[-1][0] if rows else 0
+        for i, off, cs in reversed(rows):
+            value = value * x0 ** (last - i) + _row_value(off, cs, y0)
+            last = i
+        return value * x0**last
 
     def specialize(self, x: int | None = None, y: int | None = None) -> BivariatePoly:
         """Substitute integers for one or both variables, collapsing terms."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._terms.items():
-            if x is not None:
-                c, i = c * x**i, 0
-            if y is not None:
-                c, j = c * y**j, 0
-            if c:
-                key = (i, j)
-                out[key] = out.get(key, 0) + c
-        return _nonzero(out)
+        rows = self._rows
+        if y is not None:
+            rows = tuple((i, 0, (c,)) for i, off, cs in rows if (c := _row_value(off, cs, y)))
+        if x is None or not rows:
+            return BivariatePoly._trusted(rows)
+        low = min([off for _, off, _ in rows])
+        weighted = [
+            (0,) * (off - low) + (cs if (w := x**i) == 1 else tuple([c * w for c in cs]))
+            for i, off, cs in rows
+        ]
+        sums = list(map(sum, zip_longest(*weighted, fillvalue=0)))
+        nonzero = [k for k, c in enumerate(sums) if c]
+        if not nonzero:
+            return BivariatePoly()
+        first, last = nonzero[0], nonzero[-1] + 1
+        return BivariatePoly._trusted(((0, low + first, tuple(sums[first:last])),))
 
     # ------------------------------------------------------------------
     # inspection and formatting
 
     @property
     def term_map(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+        return {(i, j): c for i, off, cs in self._rows for j, c in enumerate(cs, off) if c}
 
     def canonical_triples(self) -> list[tuple[int, int, int]]:
         """Terms as [coeff, x_exp, y_exp] triples in canonical print order."""
-        return [(c, i, j) for j, i, c in self._descending()]
-
-    def _descending(self) -> list[tuple[int, int, int]]:
-        # (y_exp, x_exp, coeff) in canonical order; exponent pairs are unique,
-        # so the sort never compares coefficients.
-        terms = self._terms
-        ys, xs = map(itemgetter(1), terms), map(itemgetter(0), terms)
-        return sorted(zip(ys, xs, terms.values()), reverse=True)
+        # Rows are read from the highest x-degree down, and the sort on y
+        # alone is stable, so each column keeps that order.
+        rows = reversed(self._rows)
+        terms = [(c, i, j) for i, off, cs in rows for j, c in enumerate(cs, off) if c]
+        terms.sort(key=itemgetter(2), reverse=True)
+        return terms
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(self._rows)
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for j, i, coeff in self._descending():
+        # Signed terms by y-exponent, collected and sorted as in
+        # `canonical_triples`; the first term's sign is fixed up at the end.
+        terms = []
+        for i, off, cs in reversed(self._rows):
             x = "x" if i == 1 else f"x^{i}" if i else ""
-            y = "y" if j == 1 else f"y^{j}" if j else ""
-            factors = f"{x}*{y}" if x and y else x or y
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = factors
-            else:
-                body = f"{mag}*{factors}"
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+            x_times = f"{x}*" if x else ""
+            for j, c in enumerate(cs, off):
+                if c:
+                    factors = f"{x_times}y^{j}" if j > 1 else f"{x_times}y" if j else x
+                    mag = abs(c)
+                    body = f"{mag}*{factors}" if mag != 1 and factors else factors or str(mag)
+                    terms.append((j, f"+ {body}" if c > 0 else f"- {body}"))
+        if not terms:
+            return "0"
+        terms.sort(key=itemgetter(0), reverse=True)
+        text = " ".join(map(itemgetter(1), terms))
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"BivariatePoly({str(self)!r})"
 
 
-def _nonzero(terms: dict[tuple[int, int], int]) -> BivariatePoly:
-    return BivariatePoly._trusted({key: c for key, c in terms.items() if c})
+def _row_value(off: int, coeffs: Sequence[int], y0: int) -> int:
+    """y0**off * (coeffs[0] + coeffs[1]*y0 + ...): a sum for y0 = 1, the
+    constant field for y0 = 0, else Horner's rule, or one power per term
+    where most coefficients are zero (Horner there is quadratic in length)."""
+    if y0 == 1:
+        return sum(coeffs)
+    if y0 == 0:
+        return coeffs[0] if off == 0 else 0
+    if 2 * coeffs.count(0) > len(coeffs):
+        return sum(c * y0**j for j, c in enumerate(coeffs, off) if c)
+    value = 0
+    for c in reversed(coeffs):
+        value = value * y0 + c
+    return value * y0**off
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +295,7 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             stack.append(points if rows is None else [0] * points + rows)
     rows = stack[0]
     if rows.__class__ is int:
-        rows = [0] * rows + [1]
+        return BivariatePoly.monomial(1, rows, 0)
     return _unpack_rows(rows, width // 8)
 
 
@@ -305,24 +324,26 @@ def _field_bytes(bound: int) -> int:
 
 
 def _unpack_rows(rows: list[int], field_bytes: int) -> BivariatePoly:
-    terms: dict[tuple[int, int], int] = {}
+    """Coefficient rows from packed ones, each read from its lowest nonzero
+    field up."""
+    width = 8 * field_bytes
     fmt = _WORD_FORMATS.get(field_bytes)
+    out = []
     for i, row in enumerate(rows):
         if not row:
             continue
-        fields = -(-row.bit_length() // (8 * field_bytes))
-        data = row.to_bytes(fields * field_bytes, sys.byteorder)
-        if fmt is not None:
-            coeffs = data if field_bytes == 1 else memoryview(data).cast(fmt)
-        else:
-            coeffs = [
+        off = ((row & -row).bit_length() - 1) // width
+        row >>= off * width
+        data = row.to_bytes(-(-row.bit_length() // width) * field_bytes, sys.byteorder)
+        if fmt is None:
+            coeffs = tuple(
                 int.from_bytes(data[k : k + field_bytes], sys.byteorder)
                 for k in range(0, len(data), field_bytes)
-            ]
-        for j, c in enumerate(coeffs):
-            if c:
-                terms[(i, j)] = c
-    return BivariatePoly._trusted(terms)
+            )
+        else:
+            coeffs = tuple(data if field_bytes == 1 else memoryview(data).cast(fmt).tolist())
+        out.append((i, off, coeffs))
+    return BivariatePoly._trusted(tuple(out))
 
 
 X = BivariatePoly.monomial(1, 1, 0)

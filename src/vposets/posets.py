@@ -211,8 +211,10 @@ class Poset:
         return Poset._trusted(n + 1, list(self._up) + [(1 << n) - 1])
 
     def dual(self) -> Poset:
-        """The same ground set with the order reversed."""
-        return Poset._trusted(self.n, self._down)
+        """The same ground set with the order reversed: the up and down rows swap."""
+        p = object.__new__(Poset)
+        p._fill(self.n, self._down, self._up)
+        return p
 
     # ------------------------------------------------------------------
 

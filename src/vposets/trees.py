@@ -18,7 +18,7 @@ independent routes to the same polynomial.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -28,7 +28,7 @@ import numpy as np
 from . import bruteforce
 from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
-from .polynomial import EMPTY, GREATEST, BivariatePoly, X, build_poly
+from .polynomial import EMPTY, GREATEST, BivariatePoly, build_poly
 from .posets import (
     Poset,
     antichain_expansion_poset,
@@ -177,10 +177,10 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
 
     The bridge case (single root edge) is checked before the pendant case;
     the pendant rewrite needs a second branch to be valid.  The recursion
-    runs over the minors' strings on an explicit stack, with a memo that
-    lives for one call; each string is split once.
+    runs over the minors' strings on an explicit stack, with a memo of
+    signed term dicts that lives for one call; each string is split once.
     """
-    memo: dict[str, BivariatePoly] = {"()": X}
+    memo: dict[str, Counter] = {"()": Counter({(1, 0): 1})}
     # (s, None) asks for the polynomial of s; (s, (b, deleted, contracted))
     # combines its minors', where b is the first branch's size and deleted
     # is "" in the bridge case.
@@ -198,19 +198,18 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
                     stack.append((deleted, None))
             continue
         size, (b, deleted, contracted) = len(s) // 2, cut
-        top = BivariatePoly.monomial(1, 0, size - 1)
         if not deleted:
-            memo[s] = memo[contracted] + top
-        elif b == 1:
-            memo[s] = X * memo[contracted] - BivariatePoly.monomial(1, 1, size - 2) + top
-        else:
-            memo[s] = (
-                memo[contracted]
-                + BivariatePoly.monomial(1, 0, b - 1) * memo[deleted]
-                - BivariatePoly.monomial(2, 0, size - 2)
-                + top
-            )
-    return memo[t.encoding]
+            terms = Counter(memo[contracted])
+        elif b == 1:  # x * P(contracted) - x * y**(size - 2)
+            terms = Counter({(i + 1, j): c for (i, j), c in memo[contracted].items()})
+            terms[(1, size - 2)] -= 1
+        else:  # P(contracted) + y**(b - 1) * P(deleted) - 2 * y**(size - 2)
+            terms = Counter(memo[contracted])
+            terms.update({(i, j + b - 1): c for (i, j), c in memo[deleted].items()})
+            terms[(0, size - 2)] -= 2
+        terms[(0, size - 1)] += 1
+        memo[s] = terms
+    return BivariatePoly(memo[t.encoding])
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ reference, or against closed forms and counts that need no polynomial.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from vposets import (
     enumerate_rooted_trees,
     path,
     tree_poly,
+    tree_poly_dc,
 )
 from vposets.polynomial import build_poly
 
@@ -182,8 +184,11 @@ def term_format(poly):
     return " ".join(parts) or "0"
 
 
+# Small exponents give dense rows; exponents up to 10**5 give rows that are
+# long and mostly zero, and x-degrees far apart.
+exponents = st.one_of(st.integers(0, 6), st.integers(0, 10**5))
 polys = st.dictionaries(
-    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(exponents, exponents),
     st.integers(-50, 50),
     max_size=12,
 ).map(BivariatePoly)
@@ -212,3 +217,67 @@ class TestEvaluationAndFormat:
         for t in enumerate_rooted_trees(9):
             poly = tree_poly(t)
             assert str(poly) == term_format(poly)
+
+
+def assert_same(p, q):
+    assert p == q
+    assert hash(p) == hash(q)
+    assert p.term_map == q.term_map
+
+
+class TestOneCanonicalForm:
+    """Every route to a polynomial gives one stored form: equal values are
+    equal, hash equally and list the same terms."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_tree_routes(self, n):
+        for t in enumerate_rooted_trees(n):
+            p = tree_poly(t)
+            q = BivariatePoly(p.term_map)
+            for other in (q, p + q - q, p * BivariatePoly.one(), p * 1, -(-p), tree_poly_dc(t)):
+                assert_same(p, other)
+
+    @settings(deadline=None)
+    @given(polys, polys)
+    def test_cancelling_signed_terms(self, p, q):
+        assert_same(p + q - q, p)
+        assert_same((p - q) + q, p)
+        assert_same(p - p, BivariatePoly.zero())
+        assert_same(p + (-p), BivariatePoly.zero())
+        assert_same(BivariatePoly(p.term_map), p)
+        assert_same(p * 1, p)
+
+
+class TestFarApartExponents:
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            pytest.param(lambda: BivariatePoly.monomial(1, 10**6, 0), "x^1000000", id="x"),
+            pytest.param(lambda: BivariatePoly.monomial(1, 0, 10**6), "y^1000000", id="y"),
+            pytest.param(
+                lambda: BivariatePoly.monomial(1, 10**6, 0) * BivariatePoly.monomial(1, 0, 10**6),
+                "x^1000000*y^1000000",
+                id="product",
+            ),
+        ],
+    )
+    def test_one_coefficient(self, make, text):
+        tracemalloc.start()
+        try:
+            poly = make()
+            assert str(poly) == text
+            assert poly.evaluate(1, 1) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_long_sparse_row_at_a_high_degree(self):
+        # One row of 10**5 + 1 coefficients, nearly all zero, at x-degree 10**5.
+        p = BivariatePoly({(10**5, 0): 1, (10**5, 10**5): 2, (3, 7): -1})
+        terms = p.term_map.items()
+        assert p.evaluate(3, -2) == sum(c * 3**i * (-2) ** j for (i, j), c in terms)
+        expected = {(0, j): 0 for (_, j), _ in terms}
+        for (i, j), c in terms:
+            expected[(0, j)] += c * 3**i
+        assert p.specialize(x=3) == BivariatePoly(expected)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def run_child(*args):
 
 def peak_mb(run) -> float:
     return int(run.stderr.split()[-2]) / 1024
+
+
+def power_of_two(n: int) -> str:
+    """The digits of 2**n.  Decimal arithmetic is used because converting an
+    int of more than 4300 digits to str raises ValueError by default, and
+    the child interpreters of `run_child` keep that default."""
+    with localcontext() as ctx:
+        ctx.prec = n
+        return str(Decimal(2) ** n)
 
 
 @pytest.fixture
@@ -101,6 +111,14 @@ class TestTreePoly:
         assert run.returncode == 0, run.stderr
         assert run.stdout == " + ".join([f"y^{k}" for k in range(n - 1, 1, -1)] + ["y", "x"]) + "\n"
         assert peak_mb(run) < 60
+
+    def test_eval_past_4300_digits(self, tmp_path):
+        n = 20000
+        f = tmp_path / "path.tree"
+        f.write_text("(" * n + ")" * n)
+        run = run_child("tree-poly", "--eval", "2", "2", str(f))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"P(2,2) = {power_of_two(n)}"
 
     def test_eval(self, tree_file, capsys):
         assert main(["tree-poly", tree_file, "--eval", "2", "2"]) == 0
@@ -217,6 +235,15 @@ class TestCounts:
 
     def test_non_v_poset(self, n_poset_file):
         assert main(["counts", n_poset_file]) == 1
+
+    def test_answers_past_4300_digits(self, tmp_path):
+        n = 20000
+        f = tmp_path / "anti.poset"
+        f.write_text(f"{n}\n")
+        run = run_child("counts", str(f))
+        assert run.returncode == 0, run.stderr
+        values = dict(line.split("\t")[:2] for line in run.stdout.splitlines()[1:])
+        assert values["P(2,1)"] == values["P(2,2)"] == power_of_two(n)
 
 
 class TestCensus:
