@@ -5,7 +5,8 @@ routines refuse inputs above SUBSET_BOUND.  `antichain_sweep` builds the
 antichains by doubling over elements, and `hitting_flags` tests all 2**n
 subset codes against chain bitmasks.  Both stay plain exhaustive sweeps,
 vectorised with numpy and independent of the recursive polynomial
-definitions they are used to cross-check.
+definitions they are used to cross-check.  SUBSET_BOUND is below 31, so
+every subset code and neighbourhood union fits int32.
 """
 
 from __future__ import annotations
@@ -27,33 +28,34 @@ def check_subset_bound(n: int, what: str = "input") -> None:
 
 
 def antichain_sweep(
-    comp_rows: Sequence[int], weights: Sequence[Sequence[int]] = ()
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    comp_rows: Sequence[int], weights: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Every antichain of a comparability relation, in one doubling sweep.
 
-    ``comp_rows[k]`` is the bitmask of the elements comparable to k.  The
-    antichains that contain k are the earlier ones avoiding ``comp_rows[k]``,
-    each with k added, so each element doubles part of the table.  The union
-    of the members' closed neighbourhoods and the members' weight sums double
-    alongside.  Returns the antichains as increasing int64 subset codes, a
-    flag per antichain that is set when it is maximal (its neighbourhood
-    covers every element), and one array of sums per weight vector.
+    ``comp_rows[k]`` is the bitmask of the elements comparable to k.  Each
+    antichain is held as the union of its members' closed neighbourhoods.
+    The members of an earlier antichain all have indices below k, so k joins
+    it exactly when bit k of that union is clear, and each element doubles
+    part of the table.  Returns the unions, one per antichain (so their
+    number is the antichain count), a flag per antichain that is set when it
+    is maximal (its union covers every element), and the sums of the given
+    per-element weights, or None without them.  Weights ``1 << k`` make the
+    sums the antichains' subset codes.
     """
     n = len(comp_rows)
-    codes = np.zeros(1, dtype=np.int64)
-    cover = np.zeros(1, dtype=np.int64)
-    sums = [np.zeros(1, dtype=np.int64) for _ in weights]
+    cover = np.zeros(1, dtype=np.int32)
+    sums = None if weights is None else np.zeros(1, dtype=np.int32)
     for k, row in enumerate(comp_rows):
-        keep = (codes & row) == 0
-        codes = np.concatenate((codes, codes[keep] | (1 << k)))
+        keep = (cover & (1 << k)) == 0
         cover = np.concatenate((cover, cover[keep] | (row | (1 << k))))
-        sums = [np.concatenate((s, s[keep] + w[k])) for s, w in zip(sums, weights)]
-    return codes, cover == (1 << n) - 1, sums
+        if sums is not None:
+            sums = np.concatenate((sums, sums[keep] + weights[k]))
+    return cover, cover == (1 << n) - 1, sums
 
 
 def hitting_flags(n: int, masks: Iterable[int]) -> np.ndarray:
     """Flag per subset code 0..2**n-1: meets every one of the given bitmasks."""
-    codes = np.arange(1 << n, dtype=np.int64)
+    codes = np.arange(1 << n, dtype=np.int32)
     flags = np.ones(1 << n, dtype=bool)
     for mask in masks:
         flags &= (codes & mask) != 0

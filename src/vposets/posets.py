@@ -18,8 +18,9 @@ Conventions:
     codes of `polynomial`, walked by one loop, and recognition peels extreme
     elements off the components of a live-element mask over the poset's own
     rows, so it builds no sub-poset.
-  - Each antichain oracle makes one `bruteforce.antichain_sweep`, and the
-    tree oracles in `trees` run these oracles on the tree as a V-poset.
+  - A poset keeps its certificate, element status and antichain counts when
+    first asked (never a 2**n array), outside equality, hashing, repr and
+    pickling, and the tree oracles in `trees` run on the tree as a V-poset.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class Poset:
     _up: tuple[int, ...]
     _down: tuple[int, ...]
     _comp: tuple[int, ...]
+    _cert: BuildTrace | ForbiddenPattern | None
+    _status: tuple[str, ...] | None
+    _facts: tuple | None
 
     def __init__(self, n: int, up_masks: Sequence[int]):
         up = tuple(up_masks)
@@ -103,6 +107,8 @@ class Poset:
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_comp", tuple(u | d for u, d in zip(up, down)))
+        for name in ("_cert", "_status", "_facts"):
+            object.__setattr__(self, name, None)
 
     # ------------------------------------------------------------------
     # constructors
@@ -228,6 +234,9 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
+
+    def __reduce__(self):
+        return Poset._trusted, (self.n, self._up)
 
 
 def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | None:
@@ -493,21 +502,23 @@ def decompose(p: Poset) -> BuildTrace | None:
     When a component has both a greatest and a least element the greatest is
     removed first, so linear orders are always built by AddGreatest alone.
     """
-    return _peel(p)[0]
+    certificate = is_v_poset(p)
+    return certificate if isinstance(certificate, BuildTrace) else None
 
 
 def is_v_poset(p: Poset) -> BuildTrace | ForbiddenPattern:
     """Exactly one certificate: a construction trace or a forbidden pattern.
 
-    The pattern is found inside the component where peeling got stuck.
+    The pattern is found inside the component where peeling got stuck, and
+    the certificate is kept on ``p``, so each poset is peeled once.
     """
-    trace, stuck = _peel(p)
-    if trace is not None:
-        return trace
-    pattern = _forbidden_in(p, stuck)
-    if pattern is None:
-        raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
-    return pattern
+    if p._cert is None:
+        trace, stuck = _peel(p)
+        certificate = trace if trace is not None else _forbidden_in(p, stuck)
+        if certificate is None:
+            raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
+        object.__setattr__(p, "_cert", certificate)
+    return p._cert
 
 
 def _v_trace(p: Poset) -> BuildTrace:
@@ -548,22 +559,25 @@ def element_status(p: Poset) -> list[str]:
 
     The classification evaluates the basic-element axioms literally, so it
     runs on any poset; on a V-poset every element is basic, upper or lower.
+    It is kept on ``p`` as a tuple, and each call returns a fresh list.
     """
-    basic = [_is_basic(p, x) for x in range(p.n)]
-    status = []
-    for x in range(p.n):
-        if basic[x]:
-            status.append(BASIC)
-        elif any(basic[b] for b in _bits(p.down_mask(x))):
-            status.append(UPPER)
-        elif any(basic[b] for b in _bits(p.up_mask(x))):
-            status.append(LOWER)
-        else:
-            status.append(OTHER)
-    return status
+    if p._status is None:
+        basic = [_is_basic(p, x) for x in range(p.n)]
+        status = []
+        for x in range(p.n):
+            if basic[x]:
+                status.append(BASIC)
+            elif any(basic[b] for b in _bits(p.down_mask(x))):
+                status.append(UPPER)
+            elif any(basic[b] for b in _bits(p.up_mask(x))):
+                status.append(LOWER)
+            else:
+                status.append(OTHER)
+        object.__setattr__(p, "_status", tuple(status))
+    return list(p._status)
 
 
-def _region_sets(p: Poset, status: list[str]) -> list[frozenset[int] | None]:
+def _region_sets(p: Poset, status: Sequence[str]) -> list[frozenset[int] | None]:
     n = p.n
     full = (1 << n) - 1
     incomp = [full & ~(p.comp_mask(v) | (1 << v)) for v in range(n)]
@@ -601,8 +615,7 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
     """
     if not (0 <= a < p.n):
         raise ValueError(f"element index {a} out of range 0..{p.n - 1}")
-    status = element_status(p)
-    region = _region_sets(p, status)[a]
+    region = _region_sets(p, element_status(p))[a]
     if region is None:
         raise ValueError(
             f"element {a} is neither basic nor upper nor lower; "
@@ -614,14 +627,31 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
 # ----------------------------------------------------------------------
 # antichains, cutsets, and the polynomial
 
-def _sweep(p: Poset, weights: Sequence[Sequence[int]] = ()):
-    bruteforce.check_subset_bound(p.n, "poset")
-    return bruteforce.antichain_sweep(p._comp, weights)
+def _sweep_facts(p: Poset, weighted: bool) -> tuple:
+    """The sweep's answers, kept on ``p``: the antichain and maximal counts,
+    then once a call needs weights, the basic-free maximal count and the
+    expansion's terms.  That call sweeps once more, with the basic and region
+    weights packed as ``basic << 16 | weight`` (each sum is at most 20 * 19)."""
+    if p._facts is None or (weighted and len(p._facts) == 2):
+        bruteforce.check_subset_bound(p.n, "poset")
+        packed = None
+        if weighted:
+            status = element_status(p)
+            regions = _region_sets(p, status)
+            packed = [(st == BASIC) << 16 | len(r or ()) for st, r in zip(status, regions)]
+        cover, maximal, sums = bruteforce.antichain_sweep(p._comp, packed)
+        facts = (len(cover), int(maximal.sum()))
+        if weighted:
+            terms = {divmod(s, 1 << 16): c for s, c in Counter(sums[maximal].tolist()).items()}
+            facts += (sum(c for (i, _), c in terms.items() if not i), terms)
+        object.__setattr__(p, "_facts", facts)
+    return p._facts
 
 
 def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     """All maximal antichains, each once, by subset enumeration."""
-    codes, maximal, _ = _sweep(p)
+    bruteforce.check_subset_bound(p.n, "poset")
+    _, maximal, codes = bruteforce.antichain_sweep(p._comp, [1 << k for k in range(p.n)])
     return [frozenset(_bits(code)) for code in codes[maximal].tolist()]
 
 
@@ -645,13 +675,7 @@ def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     """Sum x**basic(A) * y**weight(A) over maximal antichains of a V-poset."""
     _v_trace(p)
-    bruteforce.check_subset_bound(p.n, "poset")
-    status = element_status(p)
-    regions = _region_sets(p, status)
-    basic_vec = [1 if st == BASIC else 0 for st in status]
-    weight_vec = [len(r) if r is not None else 0 for r in regions]
-    _, maximal, (basics, weights) = _sweep(p, (basic_vec, weight_vec))
-    return BivariatePoly(Counter(zip(basics[maximal].tolist(), weights[maximal].tolist())))
+    return BivariatePoly(_sweep_facts(p, True)[3])
 
 
 def poset_poly(p: Poset) -> BivariatePoly:
@@ -665,19 +689,16 @@ def poset_poly(p: Poset) -> BivariatePoly:
 
 def count_antichains_poset(p: Poset) -> int:
     """Number of antichains including the empty one, by subset enumeration."""
-    return len(_sweep(p)[0])
+    return _sweep_facts(p, False)[0]
 
 
 def count_maximal_antichains_poset(p: Poset) -> int:
-    return int(_sweep(p)[1].sum())
+    return _sweep_facts(p, False)[1]
 
 
 def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    basic_vec = [1 if st == BASIC else 0 for st in element_status(p)]
-    _, maximal, (basics,) = _sweep(p, (basic_vec,))
-    return int((maximal & (basics == 0)).sum())
+    return _sweep_facts(p, True)[2]
 
 
 def _cutset_flags(p: Poset):

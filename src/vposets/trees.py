@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -62,20 +62,27 @@ def _branches(encoding: str) -> list[str]:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class RootedTree:
-    """An unlabeled rooted tree, held only as its canonical string ``encoding``
-    (read-only, since equality and hashing read it)."""
+    """An unlabeled rooted tree, held as its canonical string ``encoding``
+    (read-only, since equality and hashing read it).  The oracles keep its
+    poset in ``_poset``, outside equality, hashing, repr and pickling."""
 
     encoding: str
+    _poset: Poset | None = field(compare=False, hash=False, repr=False)
 
     def __init__(self, children: Iterable[RootedTree] = ()):
         object.__setattr__(self, "encoding", _canonical([c.encoding for c in children]))
+        object.__setattr__(self, "_poset", None)
 
     @classmethod
     def _trusted(cls, encoding: str) -> RootedTree:
         """Wrap a string that is already canonical, without sorting it again."""
         t = object.__new__(cls)
         object.__setattr__(t, "encoding", encoding)
+        object.__setattr__(t, "_poset", None)
         return t
+
+    def __reduce__(self):
+        return RootedTree._trusted, (self.encoding,)
 
     @property
     def size(self) -> int:
@@ -215,9 +222,17 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
 # ----------------------------------------------------------------------
 # the order: strict ancestors in canonical preorder
 
-def _ancestor_masks(t: RootedTree) -> list[int]:
-    """Each vertex's strict ancestors as a bitmask, in one scan of the string.
-    A vertex's parent is its highest ancestor bit, the latest in preorder."""
+def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
+    """Poset whose cover graph is the tree; the root becomes the greatest
+    element (orientation "greatest") or the least one ("least").
+
+    Elements are the vertices in canonical preorder, and the strict
+    ancestors of a vertex are the elements above it: each vertex's mask of
+    them comes from one scan of the string.  A vertex's parent is its
+    highest ancestor bit, the latest in preorder.
+    """
+    if orientation not in ("greatest", "least"):
+        raise ValueError("orientation must be 'greatest' or 'least'")
     masks: list[int] = []
     open_chain = [0]  # each open vertex with its ancestors, as a mask
     for ch in t.encoding:
@@ -226,19 +241,7 @@ def _ancestor_masks(t: RootedTree) -> list[int]:
             masks.append(open_chain[-2])
         else:
             open_chain.pop()
-    return masks
-
-
-def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
-    """Poset whose cover graph is the tree; the root becomes the greatest
-    element (orientation "greatest") or the least one ("least").
-
-    Elements are the vertices in canonical preorder, and the strict
-    ancestors of a vertex are the elements above it.
-    """
-    if orientation not in ("greatest", "least"):
-        raise ValueError("orientation must be 'greatest' or 'least'")
-    p = Poset._trusted(t.size, _ancestor_masks(t))
+    p = Poset._trusted(t.size, masks)
     return p if orientation == "greatest" else p.dual()
 
 
@@ -246,9 +249,12 @@ def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
 # brute-force oracles: the poset oracles on the tree as a V-poset
 
 def _oracle_poset(t: RootedTree) -> Poset:
-    # Refuse before building the poset, so a huge tree costs nothing.
+    # Refuse before building the poset, so a huge tree costs nothing; then
+    # keep it on the tree, so every oracle asks one poset.
     bruteforce.check_subset_bound(t.size, "tree")
-    return tree_to_poset(t)
+    if t._poset is None:
+        object.__setattr__(t, "_poset", tree_to_poset(t))
+    return t._poset
 
 
 @dataclass(frozen=True)
@@ -311,10 +317,10 @@ def count_root_subtrees(t: RootedTree) -> int:
     with the empty antichain in the antichain/subtree correspondence).  The
     check runs over all 2**n vertex sets, independently of the antichains.
     """
-    bruteforce.check_subset_bound(t.size, "tree")
-    codes = np.arange(1 << t.size, dtype=np.int64)
+    ancestor_masks = _oracle_poset(t)._up  # each vertex's up row: its strict ancestors
+    codes = np.arange(1 << t.size, dtype=np.int32)
     closed = (codes & 1) == 1
-    for v, ancestors in enumerate(_ancestor_masks(t)[1:], 1):
+    for v, ancestors in enumerate(ancestor_masks[1:], 1):
         # v without its parent (its highest ancestor bit) breaks closure
         closed &= (codes & ((1 << v) | 1 << (ancestors.bit_length() - 1))) != 1 << v
     return int(closed.sum()) + 1
@@ -338,7 +344,8 @@ def enumerate_rooted_trees(n: int) -> list[RootedTree]:
         raise OracleBoundError(
             f"exhaustive tree generation is bounded at {GENERATION_BOUND} vertices"
         )
-    return list(_trees_of_size(n))
+    # Fresh wrappers, so what the oracles keep on them stays out of the cache.
+    return [RootedTree._trusted(t.encoding) for t in _trees_of_size(n)]
 
 
 # ----------------------------------------------------------------------

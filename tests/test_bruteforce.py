@@ -1,4 +1,5 @@
-"""The antichain and cutset oracles against a plain loop over all subsets."""
+"""The antichain and cutset oracles against a plain loop over all subsets,
+and the answers a poset or tree keeps against those of a fresh object."""
 
 from itertools import combinations
 
@@ -7,17 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vposets import (
+    NotVPosetError,
     Poset,
     all_labeled_posets,
+    all_vposets,
+    antichain_expansion_poset,
+    antichain_expansion_tree,
     count_antichains_poset,
+    count_antichains_tree,
     count_cutsets_poset,
+    count_cutsets_tree,
     count_maximal_antichains_no_basic,
     count_maximal_antichains_poset,
+    count_maximal_antichains_tree,
+    count_root_subtrees,
+    decompose,
     element_status,
+    enumerate_rooted_trees,
+    is_v_poset,
     maximal_antichains_poset,
+    maximal_antichains_tree,
     parse_poset,
+    parse_tree,
+    poset_poly,
+    star,
+    tree_poly,
 )
 from vposets.posets import BASIC
+from vposets.trees import _oracle_poset
 
 from helpers import BOWTIE_POSET, N_POSET
 
@@ -58,13 +76,24 @@ def reference(p):
     }
 
 
+def fresh(p):
+    """An equal poset that has answered nothing yet."""
+    return Poset(p.n, [p.up_mask(u) for u in range(p.n)])
+
+
 def assert_engine_matches(p):
+    # Each oracle runs on a fresh poset, and then on ``p``, which keeps
+    # what earlier oracles found.
     ref = reference(p)
-    assert maximal_antichains_poset(p) == ref["maximal"]
-    assert count_maximal_antichains_poset(p) == len(ref["maximal"])
-    assert count_antichains_poset(p) == ref["antichains"]
-    assert count_maximal_antichains_no_basic(p) == ref["basic_free"]
-    assert count_cutsets_poset(p) == ref["cutsets"]
+    for oracle, expected in [
+        (maximal_antichains_poset, ref["maximal"]),
+        (count_maximal_antichains_poset, len(ref["maximal"])),
+        (count_antichains_poset, ref["antichains"]),
+        (count_maximal_antichains_no_basic, ref["basic_free"]),
+        (count_cutsets_poset, ref["cutsets"]),
+    ]:
+        assert oracle(fresh(p)) == expected
+        assert oracle(p) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -97,3 +126,97 @@ def test_random_posets(p):
 def test_antichain_worst_case_at_the_bound():
     # Twenty incomparable elements: every one of the 2**20 subsets is an antichain.
     assert count_antichains_poset(parse_poset("20")) == 2**20
+
+
+def test_antichain_sweep_at_the_bound():
+    chain = parse_poset("20\n" + "".join(f"{k} {k + 1}\n" for k in range(1, 20)))
+    assert count_antichains_poset(chain) == 21
+    assert count_maximal_antichains_poset(chain) == 20
+    assert count_cutsets_poset(chain) == 2**20 - 1
+    antichain = parse_poset("20")
+    assert count_maximal_antichains_poset(antichain) == 1
+    assert count_cutsets_poset(antichain) == 1
+    assert maximal_antichains_poset(antichain) == [frozenset(range(20))]
+
+
+def test_star_at_the_bound():
+    t = star(20)
+    assert count_antichains_tree(t) == count_root_subtrees(t) == 2**19 + 1
+    assert count_cutsets_tree(t) == 2**19 + 1
+    assert count_maximal_antichains_tree(t) == 2
+    assert antichain_expansion_tree(t) == tree_poly(t)
+
+
+# ----------------------------------------------------------------------
+# kept answers: the same in any order as on a fresh object
+
+def _answer(call, obj):
+    try:
+        return call(obj)
+    except NotVPosetError as exc:
+        return ("not a V-poset", exc.pattern)
+
+
+POSET_CALLS = {
+    "antichains": count_antichains_poset,
+    "maximal": count_maximal_antichains_poset,
+    "basic_free": count_maximal_antichains_no_basic,
+    "cutsets": count_cutsets_poset,
+    "maximal_antichains": maximal_antichains_poset,
+    "status": element_status,
+    "certificate": is_v_poset,
+    "decompose": decompose,
+    "poly": poset_poly,
+    "expansion": antichain_expansion_poset,
+}
+
+# The tree oracles, and the poset calls on the poset they share.
+TREE_CALLS = {
+    "antichains": count_antichains_tree,
+    "maximal": count_maximal_antichains_tree,
+    "leaf_free": lambda t: count_maximal_antichains_tree(t, leaf_free=True),
+    "cutsets": count_cutsets_tree,
+    "root_subtrees": count_root_subtrees,
+    "maximal_antichains": maximal_antichains_tree,
+    "expansion": antichain_expansion_tree,
+    "status": lambda t: element_status(_oracle_poset(t)),
+    "certificate": lambda t: is_v_poset(_oracle_poset(t)),
+    "poly": lambda t: poset_poly(_oracle_poset(t)),
+}
+
+
+def assert_order_free(obj, copy, calls, order):
+    """Every call in ``order`` on one shared copy of ``obj`` answers as it
+    does on its own fresh copy."""
+    shared = copy(obj)
+    for name in order:
+        assert _answer(calls[name], shared) == _answer(calls[name], copy(obj)), name
+
+
+FAMILIES = {
+    "labeled posets, n <= 4": lambda: [p for n in range(5) for p in all_labeled_posets(n)],
+    "V-posets, n <= 7": lambda: [p for n in range(8) for p in all_vposets(n)],
+    "trees, n <= 9": lambda: [t for n in range(1, 10) for t in enumerate_rooted_trees(n)],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_answers_in_any_order(family, data):
+    objects = FAMILIES[family]()
+    if isinstance(objects[0], Poset):
+        calls, copy = POSET_CALLS, fresh
+    else:
+        calls, copy = TREE_CALLS, lambda t: parse_tree(t.encoding)
+    order = data.draw(st.permutations(list(calls)))
+    for k, obj in enumerate(objects):
+        # Each object starts the drawn order at another call.
+        k %= len(order)
+        assert_order_free(obj, copy, calls, order[k:] + order[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(), st.permutations(list(POSET_CALLS)))
+def test_random_posets_in_any_order(p, order):
+    assert_order_free(p, fresh, POSET_CALLS, order)

@@ -44,7 +44,7 @@ from vposets import (
     tree_to_poset,
 )
 from vposets.polynomial import EMPTY, GREATEST, LEAST
-from vposets.posets import BASIC, LOWER, UPPER, BuildTrace
+from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace
 from vposets.trees import _tree_steps
 
 from helpers import (
@@ -134,10 +134,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poset("two\n1 2")
 
-    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_comp"])
+    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_comp", "_cert", "_status", "_facts"])
     def test_read_only(self, name):
-        # Equality and hashing read the rows, so they must not change.
+        # Equality and hashing read the rows, and the oracles the answers
+        # kept beside them, so neither may change.
         p = parse_poset("2\n1 2")
+        assert antichain_expansion_poset(p) == mono(1, 1, 0) + mono(1, 0, 1)
         with pytest.raises(AttributeError):
             setattr(p, name, 5)
         with pytest.raises(AttributeError):
@@ -356,6 +358,70 @@ class TestIsVPoset:
     def test_recognisers_agree_small(self, n):
         for p in all_labeled_posets(n):
             assert (find_forbidden(p) is None) == (decompose(p) is not None)
+
+
+ORACLES = (
+    count_antichains_poset,
+    count_maximal_antichains_poset,
+    count_maximal_antichains_no_basic,
+    count_cutsets_poset,
+    maximal_antichains_poset,
+    minimal_cutsets,
+    antichain_expansion_poset,
+)
+
+
+def ask_everything(p):
+    """Every oracle and recognition call on ``p``; some refuse a non-V-poset."""
+    for call in (is_v_poset, decompose, element_status, poset_poly, *ORACLES):
+        try:
+            call(p)
+        except NotVPosetError:
+            pass
+    for a in range(p.n):
+        try:
+            region_set(p, a)
+        except ValueError:
+            pass
+
+
+class TestKeptAnswers:
+    """What a poset keeps from earlier calls stays invisible and read-only."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "3", chain_text(5), FIGURE_POSET_TEXT,
+        "4\n3 1\n4 1\n4 2",         # N
+        "4\n3 1\n4 1\n3 2\n4 2",   # bowtie
+    ])
+    def test_invisible(self, text):
+        used, new = parse_poset(text), parse_poset(text)
+        ask_everything(used)
+        assert used == new and hash(used) == hash(new) and repr(used) == repr(new)
+        assert pickle.dumps(used) == pickle.dumps(new)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == new and hash(back) == hash(new)
+        assert is_v_poset(back) == is_v_poset(new)
+        assert count_maximal_antichains_no_basic(back) == count_maximal_antichains_no_basic(new)
+
+    def test_status_list_is_fresh(self):
+        p = parse_poset(FIGURE_POSET_TEXT)
+        status = element_status(p)
+        expected = list(status)
+        status[:] = [OTHER] * len(status)
+        assert element_status(p) == expected
+        assert element_status(p) is not element_status(p)
+        assert count_maximal_antichains_no_basic(p) == FIGURE_POSET_POLY.evaluate(0, 1)
+        assert antichain_expansion_poset(p) == FIGURE_POSET_POLY
+
+    @pytest.mark.parametrize("text", ["21", chain_text(21)])
+    def test_bound_refusal_before_and_after_recognition(self, text):
+        p = parse_poset(text)
+        for _ in range(2):
+            for oracle in ORACLES:
+                with pytest.raises(OracleBoundError):
+                    oracle(p)
+            assert isinstance(is_v_poset(p), BuildTrace)
+            element_status(p)
 
 
 class TestElementStatus:

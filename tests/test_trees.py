@@ -1,5 +1,7 @@
 """Unit tests for rooted trees: parsing, polynomials, antichains, oracles."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from vposets import (
     tree_poly_dc,
     tree_to_poset,
 )
+from vposets.trees import _trees_of_size
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -284,6 +287,62 @@ class TestCountingOracles:
             count_root_subtrees(big)
         with pytest.raises(OracleBoundError):
             maximal_antichains_tree(big)
+
+
+TREE_ORACLES = (
+    count_antichains_tree,
+    count_maximal_antichains_tree,
+    lambda t: count_maximal_antichains_tree(t, leaf_free=True),
+    count_cutsets_tree,
+    count_root_subtrees,
+    maximal_antichains_tree,
+    antichain_expansion_tree,
+)
+
+
+class TestKeptPoset:
+    """The oracles keep a tree's poset on it, out of sight."""
+
+    def test_invisible(self):
+        used, new = parse_tree(FIGURE_TREE_TEXT), parse_tree(FIGURE_TREE_TEXT)
+        for oracle in TREE_ORACLES:
+            oracle(used)
+        assert used._poset is not None and new._poset is None
+        assert used == new and hash(used) == hash(new) and repr(used) == repr(new)
+        assert len({used, new}) == 1
+        assert pickle.dumps(used) == pickle.dumps(new)
+        assert pickle.loads(pickle.dumps(used)) == new
+        with pytest.raises(AttributeError):
+            used._poset = None
+
+    def test_one_poset_per_tree(self):
+        t = parse_tree(FIGURE_TREE_TEXT)
+        count_antichains_tree(t)
+        p = t._poset
+        for oracle in TREE_ORACLES:
+            oracle(t)
+        assert t._poset is p and p == tree_to_poset(t)
+
+    def test_tree_to_poset_keeps_nothing(self):
+        t = path(500)
+        assert tree_to_poset(t).n == 500 and t._poset is None
+
+    def test_generation_cache_keeps_nothing(self):
+        trees = enumerate_rooted_trees(7)
+        for t in trees:
+            count_antichains_tree(t)
+        assert all(t._poset is not None for t in trees)
+        assert all(t._poset is None for t in _trees_of_size(7))
+        assert all(t._poset is None for t in enumerate_rooted_trees(7))
+
+    @pytest.mark.parametrize("make", [path, star])
+    def test_bound_refusal_keeps_nothing(self, make):
+        t = make(21)
+        for _ in range(2):
+            for oracle in TREE_ORACLES:
+                with pytest.raises(OracleBoundError):
+                    oracle(t)
+        assert t._poset is None
 
 
 class TestEnumeration:
