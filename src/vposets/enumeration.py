@@ -93,9 +93,19 @@ def w_series(order: int) -> IntSeries:
 # ----------------------------------------------------------------------
 # constructive census
 
-@lru_cache(maxsize=None)
+def _fresh(posets: tuple[Poset, ...]) -> tuple[Poset, ...]:
+    """Equal posets on the same row tuples, so what the oracles keep on
+    them stays out of the caches."""
+    return tuple(Poset._wrap(p.n, p._up, p._down) for p in posets)
+
+
 def connected_vposets(n: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class of connected V-posets on n."""
+    return _fresh(_connected_of_size(n))
+
+
+@lru_cache(maxsize=None)
+def _connected_of_size(n: int) -> tuple[Poset, ...]:
     if n > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
     if n < 1:
@@ -103,7 +113,7 @@ def connected_vposets(n: int) -> tuple[Poset, ...]:
     if n == 1:
         return (Poset(1, (0,)),)
     candidates: list[Poset] = []
-    for p in all_vposets(n - 1):
+    for p in _vposets_of_size(n - 1):
         candidates.append(p.add_greatest())
         candidates.append(p.add_least())
     return tuple(_dedup_classes(candidates))
@@ -144,16 +154,20 @@ def multisets(
                 yield (items[i],) + rest
 
 
-@lru_cache(maxsize=None)
 def all_vposets(n: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class of V-posets on n elements."""
+    return _fresh(_vposets_of_size(n))
+
+
+@lru_cache(maxsize=None)
+def _vposets_of_size(n: int) -> tuple[Poset, ...]:
     if n > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
     if n == 0:
         return (Poset.empty(),)
     return tuple(
         Poset.disjoint_union(parts)
-        for parts in multisets(connected_vposets, n)
+        for parts in multisets(_connected_of_size, n)
     )
 
 
@@ -163,7 +177,7 @@ def census(n_max: int) -> list[int]:
         raise ValueError("n_max must be positive")
     if n_max > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
-    return [len(all_vposets(k)) for k in range(1, n_max + 1)]
+    return [len(_vposets_of_size(k)) for k in range(1, n_max + 1)]
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,11 @@ Conventions:
     codes of `polynomial`, walked by one loop, and recognition peels extreme
     elements off the components of a live-element mask over the poset's own
     rows, so it builds no sub-poset.
-  - A poset keeps its certificate, element status and antichain counts when
-    first asked (never a 2**n array), outside equality, hashing, repr and
-    pickling, and the tree oracles in `trees` run on the tree as a V-poset.
+  - A poset keeps its certificate, its element status and the answers of
+    its one antichain sweep when first asked: the antichain count and the
+    subset codes of the maximal antichains, P(1,1) of them, never a 2**n
+    array.  They stay outside equality, hashing, repr and pickling, and the
+    tree oracles in `trees` run on the tree as a V-poset.
 """
 
 from __future__ import annotations
@@ -98,11 +100,17 @@ class Poset:
                 low = row & -row
                 down[low.bit_length() - 1] |= 1 << u
                 row ^= low
+        return cls._wrap(n, up, down)
+
+    @classmethod
+    def _wrap(cls, n: int, up: tuple[int, ...], down: Sequence[int]) -> Poset:
+        """Wrap up rows and their down rows, known to form a transitively
+        closed strict order, unchecked."""
         p = object.__new__(cls)
         p._fill(n, up, down)
         return p
 
-    def _fill(self, n: int, up: tuple[int, ...], down: list[int]) -> None:
+    def _fill(self, n: int, up: tuple[int, ...], down: Sequence[int]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
@@ -155,9 +163,7 @@ class Poset:
         for u in order:
             for v in above[u]:
                 down[v] |= down[u] | (1 << u)
-        p = object.__new__(cls)
-        p._fill(n, tuple(up), down)
-        return p
+        return cls._wrap(n, tuple(up), down)
 
     @classmethod
     def disjoint_union(cls, posets: Iterable["Poset"]) -> Poset:
@@ -218,9 +224,7 @@ class Poset:
 
     def dual(self) -> Poset:
         """The same ground set with the order reversed: the up and down rows swap."""
-        p = object.__new__(Poset)
-        p._fill(self.n, self._down, self._up)
-        return p
+        return Poset._wrap(self.n, self._down, self._up)
 
     # ------------------------------------------------------------------
 
@@ -627,32 +631,19 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
 # ----------------------------------------------------------------------
 # antichains, cutsets, and the polynomial
 
-def _sweep_facts(p: Poset, weighted: bool) -> tuple:
-    """The sweep's answers, kept on ``p``: the antichain and maximal counts,
-    then once a call needs weights, the basic-free maximal count and the
-    expansion's terms.  That call sweeps once more, with the basic and region
-    weights packed as ``basic << 16 | weight`` (each sum is at most 20 * 19)."""
-    if p._facts is None or (weighted and len(p._facts) == 2):
+def _sweep_facts(p: Poset) -> tuple[int, np.ndarray]:
+    """The antichain count and the subset codes of the maximal antichains,
+    from one sweep, kept on ``p``.  There are P(1,1) codes, never 2**n, and
+    every maximal-antichain answer is read off them."""
+    if p._facts is None:
         bruteforce.check_subset_bound(p.n, "poset")
-        packed = None
-        if weighted:
-            status = element_status(p)
-            regions = _region_sets(p, status)
-            packed = [(st == BASIC) << 16 | len(r or ()) for st, r in zip(status, regions)]
-        cover, maximal, sums = bruteforce.antichain_sweep(p._comp, packed)
-        facts = (len(cover), int(maximal.sum()))
-        if weighted:
-            terms = {divmod(s, 1 << 16): c for s, c in Counter(sums[maximal].tolist()).items()}
-            facts += (sum(c for (i, _), c in terms.items() if not i), terms)
-        object.__setattr__(p, "_facts", facts)
+        object.__setattr__(p, "_facts", bruteforce.antichain_sweep(p._comp))
     return p._facts
 
 
 def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     """All maximal antichains, each once, by subset enumeration."""
-    bruteforce.check_subset_bound(p.n, "poset")
-    _, maximal, codes = bruteforce.antichain_sweep(p._comp, [1 << k for k in range(p.n)])
-    return [frozenset(_bits(code)) for code in codes[maximal].tolist()]
+    return [frozenset(_bits(code)) for code in _sweep_facts(p)[1].tolist()]
 
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
@@ -675,7 +666,13 @@ def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     """Sum x**basic(A) * y**weight(A) over maximal antichains of a V-poset."""
     _v_trace(p)
-    return BivariatePoly(_sweep_facts(p, True)[3])
+    codes = _sweep_facts(p)[1]
+    status = element_status(p)
+    weights = [len(r) for r in _region_sets(p, status)]
+    members = (codes[:, None] >> np.arange(p.n)) & 1
+    basic = members @ np.array([st == BASIC for st in status], dtype=np.int64)
+    weight = members @ np.array(weights, dtype=np.int64)
+    return BivariatePoly(Counter(zip(basic.tolist(), weight.tolist())))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:
@@ -689,16 +686,18 @@ def poset_poly(p: Poset) -> BivariatePoly:
 
 def count_antichains_poset(p: Poset) -> int:
     """Number of antichains including the empty one, by subset enumeration."""
-    return _sweep_facts(p, False)[0]
+    return _sweep_facts(p)[0]
 
 
 def count_maximal_antichains_poset(p: Poset) -> int:
-    return _sweep_facts(p, False)[1]
+    return len(_sweep_facts(p)[1])
 
 
 def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
-    return _sweep_facts(p, True)[2]
+    codes = _sweep_facts(p)[1]
+    basic = sum(1 << x for x, st in enumerate(element_status(p)) if st == BASIC)
+    return int(((codes & basic) == 0).sum())
 
 
 def _cutset_flags(p: Poset):

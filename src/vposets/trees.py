@@ -9,7 +9,7 @@ A tree is a V-poset: its root is a greatest element over the union of the
 branches.  `tree_poly` reads the build steps off the string in one scan and
 hands them to the evaluator that `poset_poly` uses; each brute-force tree
 oracle is the poset oracle on `tree_to_poset`, whose rows are the vertices'
-ancestor masks from another scan of the string.  `tree_poly_dc`
+ancestor and descendant masks from another scan of the string.  `tree_poly_dc`
 (deletion-contraction, on minors cut from the branch strings) and
 `antichain_expansion_tree` (one monomial per maximal antichain) are the
 independent routes to the same polynomial.
@@ -226,22 +226,26 @@ def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
     """Poset whose cover graph is the tree; the root becomes the greatest
     element (orientation "greatest") or the least one ("least").
 
-    Elements are the vertices in canonical preorder, and the strict
-    ancestors of a vertex are the elements above it: each vertex's mask of
-    them comes from one scan of the string.  A vertex's parent is its
+    Elements are the vertices in canonical preorder.  The strict ancestors
+    of a vertex are the elements above it, and its descendants, the
+    contiguous preorder range after it, are those below; one scan of the
+    string gives both rows of every vertex.  A vertex's parent is its
     highest ancestor bit, the latest in preorder.
     """
     if orientation not in ("greatest", "least"):
         raise ValueError("orientation must be 'greatest' or 'least'")
-    masks: list[int] = []
+    up: list[int] = []
+    down: list[int] = []
     open_chain = [0]  # each open vertex with its ancestors, as a mask
     for ch in t.encoding:
         if ch == "(":
-            open_chain.append(open_chain[-1] | 1 << len(masks))
-            masks.append(open_chain[-2])
+            open_chain.append(open_chain[-1] | 1 << len(up))
+            up.append(open_chain[-2])
+            down.append(0)
         else:
-            open_chain.pop()
-    p = Poset._trusted(t.size, masks)
+            v = open_chain.pop().bit_length() - 1
+            down[v] = (1 << len(up)) - (2 << v)  # the vertices opened after v
+    p = Poset._wrap(t.size, tuple(up), down)
     return p if orientation == "greatest" else p.dual()
 
 
@@ -315,15 +319,20 @@ def count_root_subtrees(t: RootedTree) -> int:
     A nonempty rooted subtree is a vertex set containing the root and closed
     under taking parents; the empty set contributes the extra 1 (it pairs
     with the empty antichain in the antichain/subtree correspondence).  The
-    check runs over all 2**n vertex sets, independently of the antichains.
+    check builds every such set, independently of the antichains, by
+    doubling over the vertices in preorder: vertex v joins exactly the sets
+    that hold its parent.
     """
     ancestor_masks = _oracle_poset(t)._up  # each vertex's up row: its strict ancestors
-    codes = np.arange(1 << t.size, dtype=np.int32)
-    closed = (codes & 1) == 1
+    table = np.empty(1 << (t.size - 1), dtype=np.int32)  # filled up to ``count``
+    table[0] = 1  # the root alone
+    count = 1
     for v, ancestors in enumerate(ancestor_masks[1:], 1):
-        # v without its parent (its highest ancestor bit) breaks closure
-        closed &= (codes & ((1 << v) | 1 << (ancestors.bit_length() - 1))) != 1 << v
-    return int(closed.sum()) + 1
+        sets = table[:count]
+        held = sets[(sets & 1 << (ancestors.bit_length() - 1)) != 0]
+        np.bitwise_or(held, 1 << v, out=table[count : count + len(held)])
+        count += len(held)
+    return count + 1
 
 
 # ----------------------------------------------------------------------

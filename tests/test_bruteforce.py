@@ -28,16 +28,18 @@ from vposets import (
     is_v_poset,
     maximal_antichains_poset,
     maximal_antichains_tree,
+    maximal_chains,
     parse_poset,
     parse_tree,
     poset_poly,
     star,
     tree_poly,
 )
+from vposets import bruteforce
 from vposets.posets import BASIC
 from vposets.trees import _oracle_poset
 
-from helpers import BOWTIE_POSET, N_POSET
+from helpers import BOWTIE_POSET, N_POSET, parents_of
 
 
 def members(code, n):
@@ -139,12 +141,72 @@ def test_antichain_sweep_at_the_bound():
     assert maximal_antichains_poset(antichain) == [frozenset(range(20))]
 
 
+def layers(*sizes):
+    """Complete layers: every element of a layer lies below every element
+    of the next."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    covers = [
+        (u, v)
+        for i in range(len(sizes) - 1)
+        for u in range(starts[i], starts[i + 1])
+        for v in range(starts[i + 1], starts[i + 2])
+    ]
+    return Poset.from_covers(starts[-1], covers)
+
+
+def test_more_chains_than_one_hit_word():
+    # A cutset of complete layers holds a whole layer.
+    bipartite = layers(6, 6)
+    assert len(maximal_chains(bipartite)) == 36
+    assert_engine_matches(bipartite)
+    assert count_cutsets_poset(bipartite) == 2 * 2**6 - 1
+    four = layers(5, 5, 5, 5)
+    assert len(maximal_chains(four)) == 625
+    assert count_cutsets_poset(four) == 2**20 - (2**5 - 1) ** 4 == 125055
+
+
 def test_star_at_the_bound():
     t = star(20)
     assert count_antichains_tree(t) == count_root_subtrees(t) == 2**19 + 1
     assert count_cutsets_tree(t) == 2**19 + 1
     assert count_maximal_antichains_tree(t) == 2
     assert antichain_expansion_tree(t) == tree_poly(t)
+
+
+def test_root_subtrees_by_subset_loop():
+    # Parent-closed vertex sets holding the root, plus the empty set, found
+    # by testing every vertex set against the parent array.
+    for n in range(1, 10):
+        for t in enumerate_rooted_trees(n):
+            parents = parents_of(t)
+            closed = [
+                code
+                for code in range(1 << n)
+                if code & 1 and all(not (code >> v) & 1 or (code >> parents[v]) & 1 for v in range(1, n))
+            ]
+            assert count_root_subtrees(t) == len(closed) + 1, t.encoding
+
+
+def test_one_sweep_per_poset(monkeypatch):
+    calls = []
+    sweep = bruteforce.antichain_sweep
+
+    def counted(comp_rows):
+        calls.append(comp_rows)
+        return sweep(comp_rows)
+
+    monkeypatch.setattr(bruteforce, "antichain_sweep", counted)
+    p = Poset.disjoint_union([layers(1, 3, 1), layers(2, 1), layers(1)])
+    for oracle in (
+        count_antichains_poset,
+        count_maximal_antichains_poset,
+        count_maximal_antichains_no_basic,
+        count_cutsets_poset,
+        antichain_expansion_poset,
+        maximal_antichains_poset,
+    ):
+        oracle(p)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from vposets import (
     OracleBoundError,
     all_vposets,
+    antichain_expansion_poset,
     asymptotic_constant,
     asymptotic_estimate,
     census,
@@ -19,6 +20,7 @@ from vposets import (
     w_series,
     w_value,
 )
+from vposets.enumeration import _connected_of_size, _vposets_of_size
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
 
@@ -81,6 +83,14 @@ class TestCensus:
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
             census(9)
+
+    def test_caches_keep_no_answers(self):
+        for n in range(1, 8):
+            for p in all_vposets(n) + connected_vposets(n):
+                antichain_expansion_poset(p)
+                assert p._facts is not None
+            for p in _vposets_of_size(n) + _connected_of_size(n):
+                assert p._facts is None and p._cert is None and p._status is None
 
 
 class TestAsymptotics:

@@ -9,6 +9,7 @@ from vposets import (
     BivariatePoly,
     OracleBoundError,
     ParseError,
+    Poset,
     RootedTree,
     antichain_expansion_tree,
     collision_search,
@@ -120,6 +121,25 @@ class TestCanonicalForm:
         up = tree_to_poset(parsed)
         assert [up.up_mask(v) for v in range(n)] == masks
         assert [not up.down_mask(v) for v in range(n)] == [v not in pre for v in range(n)]
+
+    @pytest.mark.parametrize("orientation", ["greatest", "least"])
+    def test_tree_to_poset_rows_validate(self, orientation):
+        for n in range(1, 10):
+            for t in enumerate_rooted_trees(n):
+                p = tree_to_poset(t, orientation)
+                checked = Poset(n, [p.up_mask(v) for v in range(n)])
+                assert p == checked
+                for v in range(n):
+                    assert p.down_mask(v) == checked.down_mask(v)
+                    assert p.comp_mask(v) == checked.comp_mask(v)
+
+    def test_tree_to_poset_tall_path(self):
+        # The descendants are handed over as preorder ranges, not rebuilt
+        # bit by bit, so a tall path takes a linear number of big-integer
+        # operations, not a quadratic one.
+        p = tree_to_poset(path(4000))
+        assert p.up_mask(0) == 0 and p.down_mask(3999) == 0
+        assert p.up_mask(3999) == (1 << 3999) - 1 and p.down_mask(0) == 2**4000 - 2
 
     def test_encoding_is_read_only(self):
         # Equality and hashing read the encoding, so it must not change.
