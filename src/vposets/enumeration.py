@@ -163,6 +163,8 @@ def all_vposets(n: int) -> tuple[Poset, ...]:
 def _vposets_of_size(n: int) -> tuple[Poset, ...]:
     if n > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
+    if n < 0:
+        raise ValueError("a poset has a nonnegative number of elements")
     if n == 0:
         return (Poset.empty(),)
     return tuple(
@@ -192,7 +194,7 @@ class AsymptoticResult:
     bracket_width: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one bisection evaluates one order
 def _w_floats(order: int) -> tuple[float, ...]:
     return tuple(float(c) for c in w_series(order).coeffs)
 

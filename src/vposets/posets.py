@@ -9,9 +9,11 @@ hunts for a witness quadruple, and `is_v_poset` returns whichever applies.
 Conventions:
   - Elements are 0..n-1.  The strict order is stored as transitively closed
     bitmask rows: bit v of ``up_mask(u)`` means u < v.
-  - `Poset(n, rows)` validates irreflexivity, antisymmetry and transitivity;
-    rows derived from valid posets skip the checks (`Poset._trusted`), and
-    so do the rows `from_covers` closes along a topological order.
+  - `Poset(n, rows)` validates irreflexivity, antisymmetry and transitivity,
+    and so does loading a pickle.  Every other route knows its up and down
+    rows are valid and hands both to `Poset._wrap` unchecked: `from_covers`
+    closes them along a topological order, and a derived poset swaps, shifts
+    or extends the rows of the posets it comes from.
   - Instances are immutable; equality and hashing are by labeled relation.
     Use `poset_isomorphic` for equality up to relabeling.
   - Nothing recurses: a build trace is a flat post-order tuple of the step
@@ -91,18 +93,6 @@ class Poset:
         self._fill(n, up, down)
 
     @classmethod
-    def _trusted(cls, n: int, up_masks: Sequence[int]) -> Poset:
-        """Wrap rows known to form a transitively closed strict order, unchecked."""
-        up = tuple(up_masks)
-        down = [0] * n
-        for u, row in enumerate(up):
-            while row:
-                low = row & -row
-                down[low.bit_length() - 1] |= 1 << u
-                row ^= low
-        return cls._wrap(n, up, down)
-
-    @classmethod
     def _wrap(cls, n: int, up: tuple[int, ...], down: Sequence[int]) -> Poset:
         """Wrap up rows and their down rows, known to form a transitively
         closed strict order, unchecked."""
@@ -167,12 +157,14 @@ class Poset:
 
     @classmethod
     def disjoint_union(cls, posets: Iterable["Poset"]) -> Poset:
-        rows: list[int] = []
+        up: list[int] = []
+        down: list[int] = []
         offset = 0
         for p in posets:
-            rows.extend(r << offset for r in p._up)
+            up.extend(r << offset for r in p._up)
+            down.extend(r << offset for r in p._down)
             offset += p.n
-        return cls._trusted(offset, rows)
+        return cls._wrap(offset, tuple(up), down)
 
     # ------------------------------------------------------------------
     # relation queries
@@ -216,11 +208,13 @@ class Poset:
 
     def add_greatest(self) -> Poset:
         n = self.n
-        return Poset._trusted(n + 1, [r | (1 << n) for r in self._up] + [0])
+        up = tuple(r | 1 << n for r in self._up) + (0,)
+        return Poset._wrap(n + 1, up, self._down + ((1 << n) - 1,))
 
     def add_least(self) -> Poset:
         n = self.n
-        return Poset._trusted(n + 1, list(self._up) + [(1 << n) - 1])
+        down = tuple(r | 1 << n for r in self._down) + (0,)
+        return Poset._wrap(n + 1, self._up + ((1 << n) - 1,), down)
 
     def dual(self) -> Poset:
         """The same ground set with the order reversed: the up and down rows swap."""
@@ -240,7 +234,7 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
 
     def __reduce__(self):
-        return Poset._trusted, (self.n, self._up)
+        return Poset, (self.n, self._up)
 
 
 def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | None:
@@ -419,21 +413,23 @@ def replay_trace(trace: BuildTrace) -> Poset:
     Indices follow the steps, so the elements of every value on the stack
     form one index range, which an added extreme element is related to.
     """
-    rows: list[int] = []
+    up: list[int] = []
+    down: list[int] = []
     starts: list[int] = []  # the first index of each value on the stack
     for step in _steps_of(trace):
-        top = len(rows)
+        top = len(up)
         if step == EMPTY or step == 0:
             starts.append(top)
-        elif step == GREATEST:
+        elif step < 0:
+            # A least element is a greatest one with the two row lists swapped.
+            ahead, behind = (up, down) if step == GREATEST else (down, up)
             for u in range(starts[-1], top):
-                rows[u] |= 1 << top
-            rows.append(0)
-        elif step == LEAST:
-            rows.append((1 << top) - (1 << starts[-1]))
+                ahead[u] |= 1 << top
+            ahead.append(0)
+            behind.append((1 << top) - (1 << starts[-1]))
         else:
             del starts[len(starts) - step + 1:]
-    return Poset._trusted(len(rows), rows)
+    return Poset._wrap(len(up), tuple(up), down)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from vposets import (
     w_series,
     w_value,
 )
-from vposets.enumeration import _connected_of_size, _vposets_of_size
+from vposets.enumeration import _connected_of_size, _vposets_of_size, _w_floats
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
 
@@ -84,6 +84,13 @@ class TestCensus:
         with pytest.raises(OracleBoundError):
             census(9)
 
+    def test_negative_size_refused_and_not_cached(self):
+        before = _vposets_of_size.cache_info().currsize
+        for n in (-1, -2):
+            with pytest.raises(ValueError):
+                all_vposets(n)
+        assert _vposets_of_size.cache_info().currsize == before
+
     def test_caches_keep_no_answers(self):
         for n in range(1, 8):
             for p in all_vposets(n) + connected_vposets(n):
@@ -112,6 +119,12 @@ class TestAsymptotics:
     def test_prefactor(self):
         result = asymptotic_constant(order=100)
         assert abs(result.constant - 0.726213) < 1e-4
+
+    def test_series_cache_stays_small(self):
+        for order in range(60, 160):
+            w_value(0.1, order)
+        info = _w_floats.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
 
     def test_tree_function_identity(self):
         # W = T(R) with T the solution of T = x*exp(T), so W*exp(-W) = R.

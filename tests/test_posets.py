@@ -333,8 +333,11 @@ class TestTrustedConstructors:
     def test_derived_rows(self, fig):
         for n in range(5):
             for p in all_labeled_posets(n):
+                trace = decompose(p)
                 for q in (p.dual(), p.add_greatest(), p.add_least(),
-                          Poset.disjoint_union([p, fig, p])):
+                          Poset.disjoint_union([p, fig, p]),
+                          *([replay_trace(trace)] if trace is not None else []),
+                          pickle.loads(pickle.dumps(p))):
                     checked = Poset(q.n, [q.up_mask(u) for u in range(q.n)])
                     assert all(
                         q.down_mask(u) == checked.down_mask(u)
