@@ -24,10 +24,14 @@ and any k >= 0 replaces the top k values by their disjoint union (the
 product).  A first pass finds the sizes and m(root) = P(1,1), where m is 1
 for the empty poset, multiplies over unions and grows by 1 when an element
 is added to a nonempty value; it bounds every coefficient and partial
-product.  The second pass works on packed rows, one Python integer per
-x-degree with the y-coefficients in fixed w-bit fields (Kronecker
-substitution in y), so a row product is one big-integer multiplication and
-fields of w >= bit_length(m(root)) bits never carry into each other.  A
+product.  The second pass works on packed rows, one per x-degree with a
+nonzero term: the pair (o, r) holds the coefficients of y^o, y^(o+1), ...
+in the fixed w-bit fields of the Python integer r (Kronecker substitution
+in y), and its lowest field is nonzero, so a row carries its own y-offset
+and no zero padding below its first term.  A row product adds the offsets
+and is one big-integer multiplication of the packed parts; a sum shifts
+the part with the higher offset up by w bits per degree of difference.
+Fields of w >= bit_length(m(root)) bits never carry into each other.  A
 single element stays an x factor, applied as a row shift.  w is rounded up
 to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so most packed rows
 become coefficient rows through machine-word views of their bytes.
@@ -268,7 +272,8 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             bounds[len(bounds) - step:] = [prod(bounds[len(bounds) - step:])]
     (bound,) = bounds
     width = _field_bytes(bound) * 8
-    # Second pass: a value is an int p for x**p (an antichain), else rows.
+    # Second pass: a value is an int p for x**p (an antichain), else a list
+    # of packed rows by x-degree, each None or (y-offset, packed).
     stack: list = []
     adds = iter(below)
     for step in steps:
@@ -279,8 +284,13 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             if s:
                 rows = stack[-1]
                 if rows.__class__ is int:
-                    rows = [0] * rows + [1]
-                rows[0] += 1 << (width * s)
+                    rows = [None] * rows + [(0, 1)]
+                row = rows[0]
+                if row is None:
+                    rows[0] = (s, 1)
+                else:
+                    off, packed = row
+                    rows[0] = (off, packed + (1 << (width * (s - off))))
                 stack[-1] = rows
             else:
                 stack[-1] = 1
@@ -290,23 +300,36 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
                 if value.__class__ is int:
                     points += value
                 else:
-                    rows = value if rows is None else _mul_rows(rows, value)
+                    rows = value if rows is None else _mul_rows(rows, value, width)
             del stack[len(stack) - step:]
-            stack.append(points if rows is None else [0] * points + rows)
+            stack.append(points if rows is None else [None] * points + rows)
     rows = stack[0]
     if rows.__class__ is int:
         return BivariatePoly.monomial(1, rows, 0)
     return _unpack_rows(rows, width // 8)
 
 
-def _mul_rows(a: list[int], b: list[int]) -> list[int]:
-    # Row k of the product is sum(a[i] * b[k - i]); no field can carry.
-    out = [0] * (len(a) + len(b) - 1)
-    nonzero_b = [(j, rb) for j, rb in enumerate(b) if rb]
-    for i, ra in enumerate(a):
-        if ra:
-            for j, rb in nonzero_b:
-                out[i + j] += ra * rb
+def _mul_rows(a: list, b: list, width: int) -> list:
+    # Row k of the product is sum(a[i] * b[k - i]); no field can carry.  A
+    # product adds the offsets, and a sum shifts the part with the higher
+    # offset up to the lower one.
+    out: list = [None] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, row[0], row[1]) for j, row in enumerate(b) if row is not None]
+    for i, row_a in enumerate(a):
+        if row_a is not None:
+            off_a, packed_a = row_a
+            for j, off_b, packed_b in nonzero_b:
+                k = i + j
+                row = out[k]
+                if row is None:
+                    out[k] = (off_a + off_b, packed_a * packed_b)
+                else:
+                    low, packed = row
+                    off = off_a + off_b
+                    if off < low:
+                        out[k] = (off, packed_a * packed_b + (packed << (width * (low - off))))
+                    else:
+                        out[k] = (low, packed + (packed_a * packed_b << (width * (off - low))))
     return out
 
 
@@ -323,18 +346,16 @@ def _field_bytes(bound: int) -> int:
     return _FIELD_BYTES[need] if need <= 8 else need
 
 
-def _unpack_rows(rows: list[int], field_bytes: int) -> BivariatePoly:
-    """Coefficient rows from packed ones, each read from its lowest nonzero
-    field up."""
+def _unpack_rows(rows: list, field_bytes: int) -> BivariatePoly:
+    """Coefficient rows from packed ones, each read from its y-offset up."""
     width = 8 * field_bytes
     fmt = _WORD_FORMATS.get(field_bytes)
     out = []
     for i, row in enumerate(rows):
-        if not row:
+        if row is None:
             continue
-        off = ((row & -row).bit_length() - 1) // width
-        row >>= off * width
-        data = row.to_bytes(-(-row.bit_length() // width) * field_bytes, sys.byteorder)
+        off, packed = row
+        data = packed.to_bytes(-(-packed.bit_length() // width) * field_bytes, sys.byteorder)
         if fmt is None:
             coeffs = tuple(
                 int.from_bytes(data[k : k + field_bytes], sys.byteorder)

@@ -8,7 +8,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vposets import (
     AddGreatest,
@@ -16,15 +16,27 @@ from vposets import (
     BivariatePoly,
     DisjointUnion,
     Empty,
+    Poset,
     RootedTree,
     enumerate_rooted_trees,
+    parse_tree,
     path,
+    poset_poly,
     tree_poly,
     tree_poly_dc,
 )
-from vposets.polynomial import build_poly
+from vposets.polynomial import EMPTY, GREATEST, LEAST, build_poly
 
 from helpers import parent_arrays, parents_of, tree_of
+
+
+def dict_mul(p, q):
+    """The product of two term dicts."""
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return out
 
 
 def dict_poly(parents):
@@ -46,11 +58,7 @@ def dict_poly(parents):
         product = {(0, 0): 1}
         for c in kids[v]:
             size[v] += size[c]
-            out = {}
-            for (i1, j1), c1 in product.items():
-                for (i2, j2), c2 in poly[c].items():
-                    out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
-            product = out
+            product = dict_mul(product, poly[c])
         top = (0, size[v] - 1)
         product[top] = product.get(top, 0) + 1
         poly[v] = product
@@ -166,6 +174,84 @@ class TestTraces:
         assert build_poly(DisjointUnion(()).steps) == BivariatePoly.one()
         assert build_poly(AddLeast(Empty()).steps).term_map == {(1, 0): 1}
         assert build_poly(AddGreatest(DisjointUnion(())).steps).term_map == {(1, 0): 1}
+
+
+def binomial_terms(k):
+    """The terms of (x + y)**k."""
+    return {(i, k - i): math.comb(k, i) for i in range(k + 1)}
+
+
+class TestClosedForms:
+    """Wide unions: every row of (x + y)**k is one term, at y-offset k - i."""
+
+    @pytest.mark.parametrize("k", [1, 2, 250, 1000])
+    def test_disjoint_two_chains(self, k):
+        chain = Poset.empty().add_greatest().add_greatest()
+        assert poset_poly(Poset.disjoint_union([chain] * k)).term_map == binomial_terms(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 250, 1000])
+    def test_spider(self, k):
+        # A root over k legs of two vertices: (x + y)**k + y**(2k).
+        expected = binomial_terms(k)
+        expected[(0, 2 * k)] = 1
+        assert tree_poly(parse_tree("(" + "(())" * k + ")")).term_map == expected
+
+
+def dict_steps(steps):
+    """The polynomial that build steps make, on a stack of (size, term dict)
+    values: the reference for `build_poly`'s packed rows."""
+    stack = []
+    for step in steps:
+        if step == EMPTY:
+            stack.append((0, {(0, 0): 1}))
+        elif step < 0:
+            size, poly = stack.pop()
+            if size:
+                poly = {**poly, (0, size): poly.get((0, size), 0) + 1}
+            else:
+                poly = {(1, 0): 1}
+            stack.append((size + 1, poly))
+        else:
+            size, product = 0, {(0, 0): 1}
+            for part_size, poly in stack[len(stack) - step:]:
+                size += part_size
+                product = dict_mul(product, poly)
+            del stack[len(stack) - step:]
+            stack.append((size, product))
+    ((_, poly),) = stack
+    return poly
+
+
+adds = st.sampled_from((GREATEST, LEAST))
+step_lists = st.recursive(
+    st.one_of(
+        st.just([EMPTY]),
+        st.just([EMPTY, GREATEST]),
+        st.lists(adds, min_size=1, max_size=6).map(lambda a: [EMPTY, *a]),
+    ),
+    # A union of up to four parts, then up to three added elements.
+    lambda parts: st.tuples(st.lists(parts, max_size=4), st.lists(adds, max_size=3)).map(
+        lambda pa: [s for p in pa[0] for s in p] + [len(pa[0]), *pa[1]]
+    ),
+    max_leaves=24,
+)
+
+# x + y, with row offsets 1 and 0, and x * (x + y) + y**3 + y**4, with row
+# offsets 3, 1 and 0.  In their product, row 1 sums y**2 (x + y's row 0 times
+# the other's row 1) and y**3 + y**4 (row 1 times row 0): the later part's
+# offset is above the earlier one's in one order of the union and below it
+# in the other, and the parts differ, so shifting the wrong one shows.
+CHAIN = [EMPTY, GREATEST, LEAST]
+TOPPED = [EMPTY, LEAST, EMPTY, GREATEST, GREATEST, 2, GREATEST, LEAST]
+
+
+class TestStepLists:
+    @settings(deadline=None)
+    @given(step_lists)
+    @example(CHAIN + TOPPED + [2])
+    @example(TOPPED + CHAIN + [2])
+    def test_against_dict_evaluator(self, steps):
+        assert build_poly(steps).term_map == dict_steps(steps)
 
 
 def term_format(poly):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import vposets
 from vposets.cli import main
 
-from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
+from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text, tree_of
 
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
 
@@ -102,6 +103,31 @@ class TestTreePoly:
         assert default == " + ".join([f"y^{k}" for k in range(699, 1, -1)] + ["y", "x"]) + "\n"
         assert main(["tree-poly", str(f), "--dc"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_dc_refuses_many_minors(self, tmp_path):
+        # A random recursive tree has exponentially many minors; the bound
+        # refuses it (exit 3) before the memo fills memory.
+        rng = random.Random(1)
+        f = tmp_path / "random.tree"
+        f.write_text(tree_of([-1] + [rng.randrange(v) for v in range(1, 200)]).encoding)
+        run = run_child("tree-poly", "--dc", str(f))
+        assert run.returncode == 3, run.stderr
+        assert "work bound" in run.stderr
+        assert peak_mb(run) < 200
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("(" * 1000 + ")" * 1000,
+                         " + ".join([f"y^{k}" for k in range(999, 1, -1)] + ["y", "x"]), id="path"),
+            pytest.param("(" + "()" * 999 + ")", "y^999 + x^999", id="star"),
+        ],
+    )
+    def test_dc_answers_paths_and_stars(self, tmp_path, capsys, text, expected):
+        f = tmp_path / "t.tree"
+        f.write_text(text)
+        assert main(["tree-poly", "--dc", str(f)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_tall_path_bounded_memory(self, tmp_path):
         n = 20000
