@@ -2,7 +2,8 @@
 
 Subcommands: tree-poly, poset-poly, check, counts, census, asymptotics,
 collide.  Inputs are file paths, or "-" for standard input.  Exit status:
-0 success, 1 not a V-poset, 2 parse or usage error, 3 oracle bound exceeded.
+0 success, 1 not a V-poset, 2 parse or usage error, 3 oracle or series
+bound exceeded.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ def _read_input(path: str) -> str:
 
 
 def _print_poly(poly: BivariatePoly, args) -> None:
-    triples = [list(t) for t in poly.canonical_triples()]
     if args.json:
-        obj: dict = {"polynomial": triples}
+        obj: dict = {"polynomial": [list(t) for t in poly.canonical_triples()]}
         if args.eval is not None:
             x0, y0 = args.eval
             obj["eval"] = {"x": x0, "y": y0, "value": poly.evaluate(x0, y0)}
@@ -241,10 +241,7 @@ def main(argv=None) -> int:
     except OracleBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,11 @@ hunts for a witness quadruple, and `is_v_poset` returns whichever applies.
 Conventions:
   - Elements are 0..n-1.  The strict order is stored as transitively closed
     bitmask rows: bit v of ``up_mask(u)`` means u < v.
-  - `Poset(n, rows)` validates irreflexivity, antisymmetry and transitivity,
-    and so does loading a pickle.  Every other route knows its up and down
-    rows are valid and hands both to `Poset._wrap` unchecked: `from_covers`
-    closes them along a topological order, and a derived poset swaps, shifts
-    or extends the rows of the posets it comes from.
+  - `from_covers` alone decides whether relation pairs form a strict order:
+    one Kahn pass closes them or names a self-relation or a cycle.
+    `Poset(n, rows)`, pickles, `parse_poset` and `all_labeled_posets` all go
+    through it.  A derived poset swaps, shifts or extends the rows of the
+    posets it comes from and hands both tuples to `Poset._wrap` unchecked.
   - Instances are immutable; equality and hashing are by labeled relation.
     Use `poset_isomorphic` for equality up to relabeling.
   - Nothing recurses: a build trace is a flat post-order tuple of the step
@@ -76,21 +76,13 @@ class Poset:
         up = tuple(up_masks)
         if len(up) != n:
             raise ValueError(f"expected {n} relation rows, got {len(up)}")
-        full = (1 << n) - 1
-        down = [0] * n
-        for u in range(n):
-            row = up[u]
-            if row & ~full:
-                raise ValueError("relation references elements out of range")
-            if (row >> u) & 1:
-                raise ValueError(f"element {u} lies below itself")
-            for v in _bits(row):
-                if (up[v] >> u) & 1:
-                    raise ValueError(f"relation is not antisymmetric at ({u}, {v})")
-                if up[v] & ~row:
-                    raise ValueError(f"relation is not transitive at ({u}, {v})")
-                down[v] |= 1 << u
-        self._fill(n, up, down)
+        if any(row >> n for row in up):
+            raise ValueError("relation references elements out of range")
+        closed = Poset.from_covers(n, [(u, v) for u in range(n) for v in _bits(up[u])])
+        if closed._up != up:
+            u = next(u for u in range(n) if closed._up[u] != up[u])
+            raise ValueError(f"relation row {u} is not transitively closed")
+        self._fill(n, up, closed._down)
 
     @classmethod
     def _wrap(cls, n: int, up: tuple[int, ...], down: Sequence[int]) -> Poset:
@@ -148,8 +140,13 @@ class Poset:
             raise _CycleError(u)
         up, down = [0] * n, [0] * n
         for u in reversed(order):
+            # A pair the row holds already is implied by the kept ones.
+            row, kept = 0, []
             for v in above[u]:
-                up[u] |= up[v] | (1 << v)
+                if not row >> v & 1:
+                    row |= up[v] | 1 << v
+                    kept.append(v)
+            up[u], above[u] = row, kept
         for u in order:
             for v in above[u]:
                 down[v] |= down[u] | (1 << u)
@@ -790,15 +787,10 @@ def all_labeled_posets(n: int) -> list[Poset]:
             ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, i)]])
     for i, j, k in itertools.permutations(range(n), 3):
         ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, k)]] & ~rel[:, index[(i, k)]])
-    out = []
-    for code in np.nonzero(ok)[0]:
-        rows = [0] * n
-        c = int(code)
-        for k, (i, j) in enumerate(pairs):
-            if (c >> k) & 1:
-                rows[i] |= 1 << j
-        out.append(Poset(n, rows))
-    return out
+    return [
+        Poset.from_covers(n, [pairs[k] for k in np.flatnonzero(rel[code])])
+        for code in np.flatnonzero(ok)
+    ]
 
 
 # ----------------------------------------------------------------------

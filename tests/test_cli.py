@@ -13,6 +13,7 @@ import pytest
 
 import vposets
 from vposets.cli import main
+from vposets.enumeration import SERIES_BOUND
 
 from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text, tree_of
 
@@ -289,6 +290,10 @@ class TestCensus:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[2] == "3\t5\t3\t5"
 
+    def test_series_bound(self, capsys):
+        assert main(["census", "--max", str(SERIES_BOUND + 1)]) == 3
+        assert f"bounded at order {SERIES_BOUND}" in capsys.readouterr().err
+
 
 class TestAsymptotics:
     def test_json_result(self, capsys):
@@ -306,6 +311,14 @@ class TestAsymptotics:
     def test_too_small_order(self, capsys):
         assert main(["asymptotics", "--order", "10"]) == 2
 
+    def test_series_bound(self, capsys):
+        assert main(["asymptotics", "--order", str(SERIES_BOUND + 1)]) == 3
+        assert f"bounded at order {SERIES_BOUND}" in capsys.readouterr().err
+
+    def test_order_past_double_precision(self, capsys):
+        assert main(["asymptotics", "--order", "600"]) == 2
+        assert "error: truncation order 600 overflows" in capsys.readouterr().err
+
 
 class TestCollide:
     def test_small_run(self, capsys):
@@ -321,6 +334,22 @@ class TestCollide:
 
     def test_bound_status(self, capsys):
         assert main(["collide", "--max", "13"]) == 3
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("command, text", [
+        ("check", ""),
+        ("check", " \n\t\n"),
+        ("check", "-1"),
+        ("check", "3\n1 2 3"),
+        ("check", "3\n1 x"),
+        ("tree-poly", "()()"),
+    ])
+    def test_status_and_message(self, tmp_path, capsys, command, text):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -20,7 +20,7 @@ from vposets import (
     w_series,
     w_value,
 )
-from vposets.enumeration import _connected_of_size, _vposets_of_size, _w_floats
+from vposets.enumeration import SERIES_BOUND, _connected_of_size, _vposets_of_size, _w_floats
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
 
@@ -58,6 +58,11 @@ class TestSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             v_series(-1)
+
+    @pytest.mark.parametrize("series", [v_series, q_series, w_series])
+    def test_bound_refusal(self, series):
+        with pytest.raises(OracleBoundError, match=f"order {SERIES_BOUND}"):
+            series(SERIES_BOUND + 1)
 
 
 class TestCensus:
@@ -119,6 +124,12 @@ class TestAsymptotics:
     def test_prefactor(self):
         result = asymptotic_constant(order=100)
         assert abs(result.constant - 0.726213) < 1e-4
+
+    def test_order_past_double_precision(self):
+        # w_536 * 536 is past the largest double; order 535 still answers.
+        assert abs(asymptotic_constant(order=535).constant - 0.726213) < 1e-4
+        with pytest.raises(ValueError, match="order 536 overflows double precision"):
+            asymptotic_constant(order=536)
 
     def test_series_cache_stays_small(self):
         for order in range(60, 160):

@@ -44,7 +44,7 @@ from vposets import (
     tree_to_poset,
 )
 from vposets.polynomial import EMPTY, GREATEST, LEAST
-from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace
+from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace, _element_signatures
 from vposets.trees import _tree_steps
 
 from helpers import (
@@ -133,6 +133,17 @@ class TestParse:
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_poset("two\n1 2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        (" \n\t\n", "empty input"),
+        ("-1", "nonnegative"),
+        ("3\n1 2 3", "expected 'u v'"),
+        ("3\n1 x", "two integers"),
+    ])
+    def test_malformed(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_poset(text)
 
     @pytest.mark.parametrize("name", ["n", "_up", "_down", "_comp", "_cert", "_status", "_facts"])
     def test_read_only(self, name):
@@ -344,6 +355,33 @@ class TestTrustedConstructors:
                         and q.comp_mask(u) == checked.comp_mask(u)
                         for u in range(q.n)
                     )
+
+
+class _InvalidPickle:
+    """Pickles as a call of `Poset` on a 2-cycle."""
+
+    def __reduce__(self):
+        return Poset, (2, (2, 1))
+
+
+class TestCheckedConstructor:
+    """`Poset(n, rows)` takes only the rows of a closed strict order."""
+
+    @pytest.mark.parametrize("n, rows, message", [
+        (2, [0], "expected 2 relation rows, got 1"),
+        (2, [4, 0], "out of range"),
+        (2, [-1, 0], "out of range"),
+        (2, [1, 0], "self-relation on element 0"),
+        (2, [2, 1], "cycle"),
+        (3, [2, 4, 0], "row 0 is not transitively closed"),
+    ])
+    def test_refused(self, n, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Poset(n, rows)
+
+    def test_invalid_pickle_refused(self):
+        with pytest.raises(ValueError, match="cycle"):
+            pickle.loads(pickle.dumps(_InvalidPickle()))
 
 
 class TestIsVPoset:
@@ -673,6 +711,21 @@ class TestIsomorphism:
         a = Poset.from_covers(4, [(0, 1), (0, 2), (3, 2)])
         b = Poset.from_covers(4, [(3, 2), (3, 1), (0, 1)])
         assert poset_isomorphic(a, b)
+
+    def test_different_sizes(self):
+        assert not poset_isomorphic(parse_poset("2\n1 2"), parse_poset("3\n1 2\n2 3"))
+
+    def test_crowns_need_backtracking(self):
+        # The 8-crown's cover graph is an 8-cycle, that of two 4-crowns two
+        # 4-cycles: every element has the same signature in both, so only
+        # the search, undoing its choices, tells them apart.
+        crown8 = Poset.from_covers(8, [(i, 4 + j) for i in range(4) for j in (i, (i + 1) % 4)])
+        crowns4 = Poset.from_covers(8, [(i, 4 + j) for i in range(4) for j in range(i & 2, (i & 2) + 2)])
+        assert sorted(_element_signatures(crown8)) == sorted(_element_signatures(crowns4))
+        assert not poset_isomorphic(crown8, crowns4)
+        label = [5, 2, 7, 0, 3, 6, 1, 4]
+        relabelled = Poset.from_covers(8, [(label[u], label[v]) for u, v in crown8.covers()])
+        assert poset_isomorphic(crown8, relabelled)
 
     def test_bound_refusal(self):
         big = Poset.from_covers(9, [(i, i + 1) for i in range(8)])

@@ -81,6 +81,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_tree("   ")
 
+    def test_trailing_tree(self):
+        with pytest.raises(ParseError, match="position 2: trailing input"):
+            parse_tree("()()")
+
     def test_canonical_ordering(self):
         assert parse_tree("((())())") == parse_tree("(()(()))")
 
