@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bruteforce
-from .enumeration import CENSUS_BOUND, asymptotic_constant, census, q_series, v_series
+from .enumeration import CENSUS_BOUND, _connected, asymptotic_constant, census, v_series
 from .errors import NotVPosetError, OracleBoundError, ParseError
 from .polynomial import BivariatePoly
 from .posets import (
@@ -124,12 +124,11 @@ def _cmd_counts(args) -> int:
 
 def _cmd_census(args) -> int:
     series = v_series(args.max)
-    connected = q_series(args.max) if args.connected else None
     counts = census(min(args.max, CENSUS_BOUND))
     for n in range(1, args.max + 1):
         cells = [str(n), str(series[n])]
-        if connected is not None:
-            cells.append(str(connected[n]))
+        if args.connected:
+            cells.append(str(_connected(series.coeffs, n)))
         if n <= CENSUS_BOUND:
             cells.append(str(counts[n - 1]))
         print("\t".join(cells))

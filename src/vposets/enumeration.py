@@ -23,7 +23,6 @@ The prefactor is C = sqrt(e*R'(rho)) / (sqrt(2*pi*rho) * (2-rho)).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -33,6 +32,9 @@ from .posets import Poset, _element_signatures, poset_isomorphic
 
 CENSUS_BOUND = 8
 SERIES_BOUND = 2000  # v_series is near cubic: 4.6 s at 2000 on a 2-core VM
+# The largest truncation order whose series fits in double precision with
+# the derivative's weight: order * w_order passes the largest double at 536.
+_FLOAT_ORDER_BOUND = 535
 
 # Tail terms of the inner sum are dropped once x**m falls below this; the
 # sum converges geometrically because x**2 stays well inside the radius.
@@ -56,17 +58,26 @@ class IntSeries:
         return self.coeffs[k]
 
 
-def v_series(order: int) -> IntSeries:
-    """Counts of V-posets by size, v_0..v_order, via the integer recurrence."""
+def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > SERIES_BOUND:
         raise OracleBoundError(f"the series are bounded at order {SERIES_BOUND}")
+
+
+def _connected(v: Sequence[int], n: int) -> int:
+    """q_n for n >= 1, from the V-poset counts v_0..v_(n-1)."""
+    return 1 if n == 1 else 2 * v[n - 1] - v[n - 2]
+
+
+def v_series(order: int) -> IntSeries:
+    """Counts of V-posets by size, v_0..v_order, via the integer recurrence."""
+    _check_order(order)
     v = [1]
     q = [0]
     c = [0]
     for n in range(1, order + 1):
-        q.append(1 if n == 1 else 2 * v[n - 1] - v[n - 2])
+        q.append(_connected(v, n))
         c.append(sum(d * q[d] for d in range(1, n + 1) if n % d == 0))
         total = sum(c[k] * v[n - k] for k in range(1, n + 1))
         if total % n:
@@ -82,8 +93,7 @@ def q_series(order: int) -> IntSeries:
     if order < 1:
         raise ValueError("order must be at least 1")
     v = v_series(order).coeffs  # v[order] is unused but puts order under the bound
-    coeffs = [0, 1] + [2 * v[n - 1] - v[n - 2] for n in range(2, order + 1)]
-    return IntSeries(order, tuple(coeffs))
+    return IntSeries(order, (0, *(_connected(v, n) for n in range(1, order + 1))))
 
 
 def w_series(order: int) -> IntSeries:
@@ -200,11 +210,10 @@ class AsymptoticResult:
 
 @lru_cache(maxsize=4)  # one bisection evaluates one order
 def _w_floats(order: int) -> tuple[float, ...]:
-    coeffs = w_series(order).coeffs
-    # The coefficients grow, and the derivative weighs the last by order.
-    if order * coeffs[-1] > sys.float_info.max:
+    _check_order(order)
+    if order > _FLOAT_ORDER_BOUND:
         raise ValueError(f"truncation order {order} overflows double precision")
-    return tuple(float(c) for c in coeffs)
+    return tuple(float(c) for c in w_series(order).coeffs)
 
 
 def w_value(x: float, order: int) -> float:

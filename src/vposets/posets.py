@@ -20,6 +20,11 @@ Conventions:
     codes of `polynomial`, walked by one loop, and recognition peels extreme
     elements off the components of a live-element mask over the poset's own
     rows, so it builds no sub-poset.
+  - The basic-element axioms are decided by row sizes, in O(n) row
+    operations: a nonempty down row is a chain exactly when it holds a
+    member whose down row is one smaller and is a chain, and that member is
+    its top; a twin below x is that top when its up row is one larger than
+    x's.  Up rows are the dual.
   - A poset keeps its certificate, its element status and the answers of
     its one antichain sweep when first asked: the antichain count and the
     subset codes of the maximal antichains, P(1,1) of them, never a 2**n
@@ -528,45 +533,79 @@ def _v_trace(p: Poset) -> BuildTrace:
 # ----------------------------------------------------------------------
 # basic elements and region sets
 
-def _mask_is_chain(p: Poset, mask: int) -> bool:
-    for v in _bits(mask):
-        if mask & ~(1 << v) & ~p.comp_mask(v):
-            return False
-    return True
+def _mask(members: list[int]) -> int:
+    """The bitmask of ascending element indices, in time linear in the last:
+    by shifts for a few members, through a bitmap for many."""
+    if len(members) < 32:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        return mask
+    bits = np.zeros(members[-1] + 1, dtype=bool)
+    bits[members] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _is_basic(p: Poset, x: int) -> bool:
-    up = p.up_mask(x)
-    down = p.down_mask(x)
-    # B.1 and B.2: nothing incomparable strictly below, or strictly above.
-    if not _mask_is_chain(p, down) or not _mask_is_chain(p, up):
-        return False
-    # B.3: no u < x whose comparabilities agree with x everywhere else.
-    for u in _bits(down):
-        ignore = ~((1 << u) | (1 << x))
-        if (p.down_mask(u) & ignore) == (down & ignore) and (
-            p.up_mask(u) & ignore
-        ) == (up & ignore):
-            return False
-    return True
+def _chain_tops(rows: Sequence[int], sizes: Sequence[int]) -> list[int | None]:
+    """For rows that are all down rows or all up rows: per element v, the
+    top member of ``rows[v]`` when that row is a nonempty chain, -1 when it
+    is empty, and None when it is not a chain.
+
+    A nonempty row is a chain exactly when one of its members t has a row
+    one smaller, and that row is a chain.  Such a t is the top: its row lies
+    in the rest of the row and is as large, so it is the rest, and no other
+    member can match it, as each would lie below the other.  Taking the
+    elements by ascending row size decides t before v.
+    """
+    groups: dict[int, list[int]] = defaultdict(list)
+    for v, k in enumerate(sizes):
+        groups[k].append(v)
+    tops: list[int | None] = [None] * len(rows)
+    for k in sorted(groups):
+        smaller = _mask(groups[k - 1]) if k - 1 in groups else 0
+        for v in groups[k]:
+            t = (rows[v] & smaller).bit_length() - 1
+            if k == 0:
+                tops[v] = -1
+            elif t >= 0 and tops[t] is not None:
+                tops[v] = t
+    return tops
 
 
 def element_status(p: Poset) -> list[str]:
     """Classify each element as basic, upper, lower, or other.
 
-    The classification evaluates the basic-element axioms literally, so it
-    runs on any poset; on a V-poset every element is basic, upper or lower.
-    It is kept on ``p`` as a tuple, and each call returns a fresh list.
+    The basic-element axioms are decided by row sizes, so this runs on any
+    poset in O(n) row operations; on a V-poset every element is basic,
+    upper or lower.  B.1 and B.2 ask whether down(x) and up(x) are chains
+    (see `_chain_tops`).  B.3 asks for a twin u < x whose comparabilities
+    agree with those of x elsewhere.  Since down(u) lies in down(x) minus u
+    and up(u) holds up(x) and x, a twin is a member of down(x) with row
+    sizes (|down(x)| - 1, |up(x)| + 1), and the only member of that down
+    size is the top of the chain.  x is upper when a basic element lies
+    below it, and lower when one lies above.  The result is kept on ``p``
+    as a tuple, and each call returns a fresh list.
     """
     if p._status is None:
-        basic = [_is_basic(p, x) for x in range(p.n)]
+        n, up, down = p.n, p._up, p._down
+        up_sizes = [row.bit_count() for row in up]
+        below = _chain_tops(down, [row.bit_count() for row in down])
+        above = _chain_tops(up, up_sizes)
+        basic = [
+            x
+            for x, t in enumerate(below)
+            if t is not None
+            and above[x] is not None
+            and not (t >= 0 and up_sizes[t] == up_sizes[x] + 1)
+        ]
+        mask, is_basic = _mask(basic), set(basic)
         status = []
-        for x in range(p.n):
-            if basic[x]:
+        for x in range(n):
+            if x in is_basic:
                 status.append(BASIC)
-            elif any(basic[b] for b in _bits(p.down_mask(x))):
+            elif down[x] & mask:
                 status.append(UPPER)
-            elif any(basic[b] for b in _bits(p.up_mask(x))):
+            elif up[x] & mask:
                 status.append(LOWER)
             else:
                 status.append(OTHER)
@@ -639,21 +678,28 @@ def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     return [frozenset(_bits(code)) for code in _sweep_facts(p)[1].tolist()]
 
 
-def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
-    """All maximal chains, as cover paths from a minimal to a maximal element."""
+def _chain_masks(p: Poset) -> list[int]:
+    """Every maximal chain as a bitmask, depth-first along the covers from
+    each minimal element in turn, first cover first."""
     above: list[list[int]] = [[] for _ in range(p.n)]
     for u, v in p.covers():
         above[u].append(v)
-    # Depth-first on an explicit stack of paths, first cover first.
-    chains: list[tuple[int, ...]] = []
-    stack = [(u,) for u in reversed(range(p.n)) if not p.down_mask(u)]
+    masks = []
+    stack = [(u, 1 << u) for u in reversed(range(p.n)) if not p._down[u]]
     while stack:
-        path = stack.pop()
-        if above[path[-1]]:
-            stack.extend(path + (v,) for v in reversed(above[path[-1]]))
+        u, mask = stack.pop()
+        if above[u]:
+            stack.extend((v, mask | 1 << v) for v in reversed(above[u]))
         else:
-            chains.append(path)
-    return chains
+            masks.append(mask)
+    return masks
+
+
+def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
+    """All maximal chains, as cover paths from a minimal to a maximal element."""
+    # Down-row sizes rise strictly along a chain.
+    size = [row.bit_count() for row in p._down]
+    return [tuple(sorted(_bits(mask), key=size.__getitem__)) for mask in _chain_masks(p)]
 
 
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
@@ -695,8 +741,7 @@ def count_maximal_antichains_no_basic(p: Poset) -> int:
 
 def _cutset_flags(p: Poset):
     bruteforce.check_subset_bound(p.n, "poset")
-    chains = [sum(1 << v for v in chain) for chain in maximal_chains(p)]
-    return bruteforce.hitting_flags(p.n, chains)
+    return bruteforce.hitting_flags(p.n, _chain_masks(p))
 
 
 def count_cutsets_poset(p: Poset) -> int:

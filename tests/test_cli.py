@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import vposets
 from vposets.cli import main
-from vposets.enumeration import SERIES_BOUND
+from vposets.enumeration import SERIES_BOUND, q_series
 
 from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text, tree_of
 
@@ -290,6 +291,11 @@ class TestCensus:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[2] == "3\t5\t3\t5"
 
+    def test_connected_column_is_the_q_series(self, capsys):
+        assert main(["census", "--max", "40", "--connected"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [int(line.split("\t")[2]) for line in lines] == list(q_series(40).coeffs[1:])
+
     def test_series_bound(self, capsys):
         assert main(["census", "--max", str(SERIES_BOUND + 1)]) == 3
         assert f"bounded at order {SERIES_BOUND}" in capsys.readouterr().err
@@ -318,6 +324,12 @@ class TestAsymptotics:
     def test_order_past_double_precision(self, capsys):
         assert main(["asymptotics", "--order", "600"]) == 2
         assert "error: truncation order 600 overflows" in capsys.readouterr().err
+
+    def test_order_past_double_precision_refused_before_the_series(self, capsys):
+        start = time.perf_counter()
+        assert main(["asymptotics", "--order", str(SERIES_BOUND)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"error: truncation order {SERIES_BOUND} overflows" in capsys.readouterr().err
 
 
 class TestCollide:

@@ -1,6 +1,7 @@
 """Unit tests for the counting series, census, and asymptotics."""
 
 import math
+import sys
 
 import pytest
 
@@ -20,7 +21,13 @@ from vposets import (
     w_series,
     w_value,
 )
-from vposets.enumeration import SERIES_BOUND, _connected_of_size, _vposets_of_size, _w_floats
+from vposets.enumeration import (
+    _FLOAT_ORDER_BOUND,
+    SERIES_BOUND,
+    _connected_of_size,
+    _vposets_of_size,
+    _w_floats,
+)
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
 
@@ -130,6 +137,11 @@ class TestAsymptotics:
         assert abs(asymptotic_constant(order=535).constant - 0.726213) < 1e-4
         with pytest.raises(ValueError, match="order 536 overflows double precision"):
             asymptotic_constant(order=536)
+
+    def test_float_bound_is_the_last_order_that_fits(self):
+        b = _FLOAT_ORDER_BOUND
+        w = w_series(b + 1).coeffs
+        assert b * w[b] <= sys.float_info.max < (b + 1) * w[b + 1]
 
     def test_series_cache_stays_small(self):
         for order in range(60, 160):

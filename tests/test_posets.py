@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +45,7 @@ from vposets import (
     tree_to_poset,
 )
 from vposets.polynomial import EMPTY, GREATEST, LEAST
-from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace, _element_signatures
+from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace, _bits, _element_signatures
 from vposets.trees import _tree_steps
 
 from helpers import (
@@ -505,6 +506,113 @@ class TestElementStatus:
                 if v not in basics:
                     assert any(p.comparable(v, b) for b in basics)
                     assert status[v] in (UPPER, LOWER)
+
+
+def _mask_is_chain(p, mask):
+    for v in _bits(mask):
+        if mask & ~(1 << v) & ~p.comp_mask(v):
+            return False
+    return True
+
+
+def _is_basic(p, x):
+    up, down = p.up_mask(x), p.down_mask(x)
+    # B.1 and B.2: nothing incomparable strictly below, or strictly above.
+    if not _mask_is_chain(p, down) or not _mask_is_chain(p, up):
+        return False
+    # B.3: no u < x whose comparabilities agree with x everywhere else.
+    for u in _bits(down):
+        ignore = ~((1 << u) | (1 << x))
+        if (p.down_mask(u) & ignore) == (down & ignore) and (
+            p.up_mask(u) & ignore
+        ) == (up & ignore):
+            return False
+    return True
+
+
+def reference_status(p):
+    """The basic-element axioms checked one by one, bit by bit."""
+    basic = [_is_basic(p, x) for x in range(p.n)]
+    status = []
+    for x in range(p.n):
+        if basic[x]:
+            status.append(BASIC)
+        elif any(basic[b] for b in _bits(p.down_mask(x))):
+            status.append(UPPER)
+        elif any(basic[b] for b in _bits(p.up_mask(x))):
+            status.append(LOWER)
+        else:
+            status.append(OTHER)
+    return status
+
+
+@st.composite
+def strict_orders(draw, max_n=14):
+    """Strict orders closed from random pairs u < v, then relabelled, so
+    that most of them are not V-posets."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return Poset.from_covers(n, [(label[u], label[v]) for u, v in chosen])
+
+
+class TestStatusByCounting:
+    """`element_status` decides the axioms by row sizes; the reference
+    checks them one by one."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        for p in all_labeled_posets(n):
+            assert element_status(p) == reference_status(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strict_orders())
+    def test_random_orders(self, p):
+        assert element_status(p) == reference_status(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strict_orders())
+    def test_top_of_a_row_is_unique_and_sees_the_rest(self, p):
+        # Why a member one smaller needs no further check: its row is the rest.
+        for x in range(p.n):
+            down = p.down_mask(x)
+            k = down.bit_count()
+            tops = [t for t in _bits(down) if p.down_mask(t).bit_count() == k - 1]
+            assert len(tops) <= 1
+            assert all(p.down_mask(t) == down ^ (1 << t) for t in tops)
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            # Two members of equal size on top of a row: neither is its top.
+            (N_POSET, [UPPER, BASIC, BASIC, LOWER]),
+            (BOWTIE_POSET, [OTHER, OTHER, OTHER, OTHER]),
+            # A top one smaller whose own row is not a chain.
+            (parse_poset("4\n1 3\n2 3\n3 4"), [BASIC, BASIC, UPPER, UPPER]),
+            # A chain below a chain: 3 sees 1 < 2; its top 2 is no twin of 3,
+            # as 2 also lies below 4.
+            (parse_poset("4\n1 2\n2 3\n2 4"), [LOWER, LOWER, BASIC, BASIC]),
+            # A twin pair: 1 agrees with 2 everywhere else; then a top that is
+            # no twin.
+            (parse_poset("2\n1 2"), [BASIC, UPPER]),
+            (parse_poset("3\n1 2\n1 3"), [LOWER, BASIC, BASIC]),
+            # Empty rows.
+            (parse_poset("1"), [BASIC]),
+            (parse_poset("3"), [BASIC, BASIC, BASIC]),
+        ],
+    )
+    def test_branches(self, p, expected):
+        assert element_status(p) == expected == reference_status(p)
+
+    def test_long_chain_and_wide_antichain(self):
+        n = 3000
+        chain = Poset.from_covers(n, [(k, k + 1) for k in range(n - 1)])
+        antichain = Poset.from_covers(n, [])
+        start = time.perf_counter()
+        assert element_status(chain) == [BASIC] + [UPPER] * (n - 1)
+        assert element_status(antichain) == [BASIC] * n
+        assert time.perf_counter() - start < 5
 
 
 class TestRegionSets:
