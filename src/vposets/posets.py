@@ -534,16 +534,15 @@ def _v_trace(p: Poset) -> BuildTrace:
 # basic elements and region sets
 
 def _mask(members: list[int]) -> int:
-    """The bitmask of ascending element indices, in time linear in the last:
-    by shifts for a few members, through a bitmap for many."""
-    if len(members) < 32:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        return mask
-    bits = np.zeros(members[-1] + 1, dtype=bool)
-    bits[members] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    """The bitmask of ascending element indices, read as one binary numeral
+    in time linear in the last (base 2 is exempt from the digit limit)."""
+    if not members:
+        return 0
+    top = members[-1]
+    digits = bytearray(b"0") * (top + 1)
+    for v in members:
+        digits[top - v] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _chain_tops(rows: Sequence[int], sizes: Sequence[int]) -> list[int | None]:
@@ -678,28 +677,24 @@ def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     return [frozenset(_bits(code)) for code in _sweep_facts(p)[1].tolist()]
 
 
-def _chain_masks(p: Poset) -> list[int]:
-    """Every maximal chain as a bitmask, depth-first along the covers from
-    each minimal element in turn, first cover first."""
+def _chain_walk(p: Poset) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every maximal chain as its bitmask and its cover path, depth-first
+    along the covers from each minimal element in turn, first cover first."""
     above: list[list[int]] = [[] for _ in range(p.n)]
     for u, v in p.covers():
         above[u].append(v)
-    masks = []
-    stack = [(u, 1 << u) for u in reversed(range(p.n)) if not p._down[u]]
+    stack = [(u, 1 << u, (u,)) for u in reversed(range(p.n)) if not p._down[u]]
     while stack:
-        u, mask = stack.pop()
+        u, mask, path = stack.pop()
         if above[u]:
-            stack.extend((v, mask | 1 << v) for v in reversed(above[u]))
+            stack.extend((v, mask | 1 << v, path + (v,)) for v in reversed(above[u]))
         else:
-            masks.append(mask)
-    return masks
+            yield mask, path
 
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
     """All maximal chains, as cover paths from a minimal to a maximal element."""
-    # Down-row sizes rise strictly along a chain.
-    size = [row.bit_count() for row in p._down]
-    return [tuple(sorted(_bits(mask), key=size.__getitem__)) for mask in _chain_masks(p)]
+    return [path for _, path in _chain_walk(p)]
 
 
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
@@ -741,7 +736,7 @@ def count_maximal_antichains_no_basic(p: Poset) -> int:
 
 def _cutset_flags(p: Poset):
     bruteforce.check_subset_bound(p.n, "poset")
-    return bruteforce.hitting_flags(p.n, _chain_masks(p))
+    return bruteforce.hitting_flags(p.n, [mask for mask, _ in _chain_walk(p)])
 
 
 def count_cutsets_poset(p: Poset) -> int:

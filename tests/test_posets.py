@@ -606,13 +606,16 @@ class TestStatusByCounting:
         assert element_status(p) == expected == reference_status(p)
 
     def test_long_chain_and_wide_antichain(self):
-        n = 3000
+        # The limit is loose for a loaded machine: these take a fraction of
+        # a second, while walking each row bit by bit takes over a minute
+        # on the chain.
+        n = 5000
         chain = Poset.from_covers(n, [(k, k + 1) for k in range(n - 1)])
         antichain = Poset.from_covers(n, [])
         start = time.perf_counter()
         assert element_status(chain) == [BASIC] + [UPPER] * (n - 1)
         assert element_status(antichain) == [BASIC] * n
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 30
 
 
 class TestRegionSets:
