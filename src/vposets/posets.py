@@ -25,21 +25,22 @@ Conventions:
     member whose down row is one smaller and is a chain, and that member is
     its top; a twin below x is that top when its up row is one larger than
     x's.  Up rows are the dual.
-  - A poset keeps its certificate, its element status and the answers of
-    its one antichain sweep when first asked: the antichain count and the
-    subset codes of the maximal antichains, P(1,1) of them, never a 2**n
-    array.  They stay outside equality, hashing, repr and pickling, and the
-    tree oracles in `trees` run on the tree as a V-poset.
+  - The brute-force oracles hand rows and chain masks to the exhaustive
+    sweeps of `bruteforce` and read back plain ints.  A poset keeps its
+    certificate, its element status and the answers of its one antichain
+    sweep when first asked: the antichain count and the subset codes of the
+    maximal antichains, P(1,1) of them, never 2**n.  They stay outside
+    equality, hashing, repr and pickling, and the tree oracles in `trees`
+    run on the tree as a V-poset.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import bruteforce
 from .errors import NotVPosetError, OracleBoundError, ParseError
@@ -47,6 +48,9 @@ from .polynomial import EMPTY, GREATEST, LEAST, BivariatePoly, build_poly
 
 ISOMORPHISM_BOUND = 8
 LABELED_BOUND = 5
+# Candidate sums of monomials `impossibility_search` may try: about 2 s at
+# the million a second it checks (CPython 3.11, 2-core x86-64).
+IMPOSSIBILITY_BOUND = 2_000_000
 
 BASIC = "basic"
 UPPER = "upper"
@@ -662,7 +666,7 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
 # ----------------------------------------------------------------------
 # antichains, cutsets, and the polynomial
 
-def _sweep_facts(p: Poset) -> tuple[int, np.ndarray]:
+def _sweep_facts(p: Poset) -> tuple[int, list[int]]:
     """The antichain count and the subset codes of the maximal antichains,
     from one sweep, kept on ``p``.  There are P(1,1) codes, never 2**n, and
     every maximal-antichain answer is read off them."""
@@ -674,7 +678,7 @@ def _sweep_facts(p: Poset) -> tuple[int, np.ndarray]:
 
 def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     """All maximal antichains, each once, by subset enumeration."""
-    return [frozenset(_bits(code)) for code in _sweep_facts(p)[1].tolist()]
+    return [frozenset(_bits(code)) for code in _sweep_facts(p)[1]]
 
 
 def _chain_walk(p: Poset) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -703,10 +707,8 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     codes = _sweep_facts(p)[1]
     status = element_status(p)
     weights = [len(r) for r in _region_sets(p, status)]
-    members = (codes[:, None] >> np.arange(p.n)) & 1
-    basic = members @ np.array([st == BASIC for st in status], dtype=np.int64)
-    weight = members @ np.array(weights, dtype=np.int64)
-    return BivariatePoly(Counter(zip(basic.tolist(), weight.tolist())))
+    basic = [int(st == BASIC) for st in status]
+    return BivariatePoly(Counter(bruteforce.member_sums(codes, [basic, weights])))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:
@@ -731,27 +733,23 @@ def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
     codes = _sweep_facts(p)[1]
     basic = sum(1 << x for x, st in enumerate(element_status(p)) if st == BASIC)
-    return int(((codes & basic) == 0).sum())
+    return sum(not code & basic for code in codes)
 
 
-def _cutset_flags(p: Poset):
+def _chain_masks(p: Poset) -> list[int]:
     bruteforce.check_subset_bound(p.n, "poset")
-    return bruteforce.hitting_flags(p.n, [mask for mask, _ in _chain_walk(p)])
+    return [mask for mask, _ in _chain_walk(p)]
 
 
 def count_cutsets_poset(p: Poset) -> int:
     """Number of element sets meeting every maximal chain."""
-    return int(_cutset_flags(p).sum())
+    return bruteforce.count_hitting_sets(p.n, _chain_masks(p))
 
 
 def minimal_cutsets(p: Poset) -> list[frozenset[int]]:
     """All inclusion-minimal cutsets, by brute force over subsets."""
-    flags = _cutset_flags(p)
-    out = []
-    for code in np.flatnonzero(flags).tolist():
-        if all(not flags[code ^ (1 << v)] for v in _bits(code)):
-            out.append(frozenset(_bits(code)))
-    return out
+    codes = bruteforce.minimal_hitting_sets(p.n, _chain_masks(p))
+    return [frozenset(_bits(code)) for code in codes]
 
 
 # ----------------------------------------------------------------------
@@ -816,21 +814,7 @@ def all_labeled_posets(n: int) -> list[Poset]:
         raise OracleBoundError(
             f"labeled-poset generation is bounded at {LABELED_BOUND} elements"
         )
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    m = len(pairs)
-    codes = np.arange(1 << m, dtype=np.int64)
-    rel = ((codes[:, None] >> np.arange(m)) & 1).astype(bool)
-    ok = np.ones(1 << m, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, i)]])
-    for i, j, k in itertools.permutations(range(n), 3):
-        ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, k)]] & ~rel[:, index[(i, k)]])
-    return [
-        Poset.from_covers(n, [pairs[k] for k in np.flatnonzero(rel[code])])
-        for code in np.flatnonzero(ok)
-    ]
+    return [Poset.from_covers(n, pairs) for pairs in bruteforce.strict_orders(n)]
 
 
 # ----------------------------------------------------------------------
@@ -842,11 +826,26 @@ def impossibility_search(targets: tuple[int, int, int, int]) -> bool:
     ``targets`` is (maximal antichains, antichains, cutsets, 2**n); the
     candidate polynomials are all sums of k = targets[0] monomials
     x**a * y**b, and the three remaining targets are checked at the
-    evaluation points (2,1), (1,2) and (2,2).
+    evaluation points (2,1), (1,2) and (2,2).  The candidates are counted
+    before any is built: more than IMPOSSIBILITY_BOUND of them, or of the
+    monomials or of the terms in one candidate, raise OracleBoundError.
     """
     k, antichains, cutsets, power = targets
     max_x = max(antichains.bit_length() - 1, 0)
     max_y = max(cutsets.bit_length() - 1, 0)
+    monomials = (max_x + 1) * (max_y + 1)
+    # There are C(monomials + k - 1, j) candidates for j = min(k, monomials - 1),
+    # at least 2**j, so a large j is refused without computing the count.
+    j = min(k, monomials - 1)
+    if (
+        max(k, monomials) > IMPOSSIBILITY_BOUND
+        or j >= IMPOSSIBILITY_BOUND.bit_length()
+        or math.comb(monomials + k - 1, j) > IMPOSSIBILITY_BOUND
+    ):
+        raise OracleBoundError(
+            f"impossibility search over sums of {k} of {monomials} monomials "
+            f"is bounded at {IMPOSSIBILITY_BOUND} candidates"
+        )
     pairs = [(a, b) for a in range(max_x + 1) for b in range(max_y + 1)]
     for combo in itertools.combinations_with_replacement(pairs, k):
         if (

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from . import bruteforce
 from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
@@ -340,16 +338,9 @@ def count_root_subtrees(t: RootedTree) -> int:
     doubling over the vertices in preorder: vertex v joins exactly the sets
     that hold its parent.
     """
-    ancestor_masks = _oracle_poset(t)._up  # each vertex's up row: its strict ancestors
-    table = np.empty(1 << (t.size - 1), dtype=np.int32)  # filled up to ``count``
-    table[0] = 1  # the root alone
-    count = 1
-    for v, ancestors in enumerate(ancestor_masks[1:], 1):
-        sets = table[:count]
-        held = sets[(sets & 1 << (ancestors.bit_length() - 1)) != 0]
-        np.bitwise_or(held, 1 << v, out=table[count : count + len(held)])
-        count += len(held)
-    return count + 1
+    # Each vertex's up row holds its strict ancestors; its parent is the highest.
+    parents = [ancestors.bit_length() - 1 for ancestors in _oracle_poset(t)._up]
+    return bruteforce.count_parent_closed(parents) + 1
 
 
 # ----------------------------------------------------------------------

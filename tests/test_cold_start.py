@@ -1,0 +1,65 @@
+"""numpy is loaded only by the exhaustive oracles, on their first sweep.
+
+Each check runs in a fresh interpreter, since this test session has long
+since imported numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vposets
+
+from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_POLY, FIGURE_TREE_TEXT
+
+
+def run_fresh(code: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_no_numpy_without_a_sweep():
+    run_fresh(
+        "import sys\n"
+        "import vposets, vposets.cli\n"
+        "from vposets import *\n"
+        "from vposets.posets import BASIC\n"
+        f"t = parse_tree({FIGURE_TREE_TEXT!r})\n"
+        "poly = tree_poly(t)\n"
+        f"assert str(poly) == {str(FIGURE_TREE_POLY)!r}\n"
+        "assert tree_poly_dc(t) == poly\n"
+        "assert poly.evaluate(2, 2) == 2**6\n"
+        f"p = parse_poset({FIGURE_POSET_TEXT!r})\n"
+        "assert isinstance(is_v_poset(p), BuildTrace)\n"
+        f"assert str(poset_poly(p)) == {FIGURE_POSET_STR!r}\n"
+        "assert element_status(p).count(BASIC) == 4\n"
+        "assert census(6) == [1, 2, 5, 14, 40, 121]\n"
+        "report = collision_search(6)\n"
+        "assert report.tree_count == 37 and report.full_pairs == []\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "call, answer",
+    [
+        ("count_antichains_tree(star(5))", "2**4 + 1"),
+        ("count_root_subtrees(star(5))", "2**4 + 1"),
+        ("minimal_cutsets(tree_to_poset(star(5)))", "[{0}, {1, 2, 3, 4}]"),
+        ("antichain_expansion_poset(tree_to_poset(star(5)))", "tree_poly(star(5))"),
+        ("len(all_labeled_posets(3))", "19"),
+    ],
+)
+def test_first_sweep_loads_numpy(call, answer):
+    run_fresh(
+        "import sys\n"
+        "from vposets import *\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"assert {call} == {answer}\n"
+        "assert 'numpy' in sys.modules\n"
+    )

@@ -1,5 +1,6 @@
 """Unit tests for posets: parsing, recognition, status, polynomials, oracles."""
 
+import itertools
 import pickle
 import re
 import time
@@ -862,6 +863,30 @@ class TestImpossibility:
 
     def test_two_chain_targets(self):
         assert impossibility_search((2, 3, 3, 4)) is True
+
+    def test_answers_below_the_bound(self):
+        # 82251 candidates: sums of 4 of the 36 monomials x**a * y**b, a, b <= 5.
+        assert impossibility_search((4, 32, 32, 64)) is False
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            (12, 2**20, 2**20, 2**40),  # about 1.3 * 10**23 candidates
+            (5, 64, 64, 256),  # 2869685 candidates
+            (10**6, 2**999, 2**999, 4),  # a count of 602057 digits
+            (10**7, 1, 1, 1),  # one candidate of 10**7 monomials
+            (0, 2**10**7, 1, 1),  # 10**7 monomials
+        ],
+    )
+    def test_bound_refuses_before_building(self, targets, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a candidate was built")
+
+        monkeypatch.setattr(itertools, "combinations_with_replacement", unbuilt)
+        start = time.perf_counter()
+        with pytest.raises(OracleBoundError, match="impossibility search"):
+            impossibility_search(targets)
+        assert time.perf_counter() - start < 1
 
     def test_targets_match_brute_counts(self):
         for p, k in ((BOWTIE_POSET, 2), (N_POSET, 3)):
