@@ -8,7 +8,8 @@ hunts for a witness quadruple, and `is_v_poset` returns whichever applies.
 
 Conventions:
   - Elements are 0..n-1.  The strict order is stored as transitively closed
-    bitmask rows: bit v of ``up_mask(u)`` means u < v.
+    up and down bitmask rows: bit v of ``up_mask(u)`` means u < v.  Nothing
+    stores comparability: it is ``up | down``, derived where it is read.
   - `from_covers` alone decides whether relation pairs form a strict order:
     one Kahn pass closes them or names a self-relation or a cycle.
     `Poset(n, rows)`, pickles, `parse_poset` and `all_labeled_posets` all go
@@ -73,10 +74,12 @@ class _CycleError(ValueError):
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Poset:
+    """A strict order on 0..n-1, stored as its up and down rows only;
+    comparability is their OR, derived where it is read."""
+
     n: int
     _up: tuple[int, ...]
     _down: tuple[int, ...]
-    _comp: tuple[int, ...]
     _cert: BuildTrace | ForbiddenPattern | None
     _status: tuple[str, ...] | None
     _facts: tuple | None
@@ -105,7 +108,6 @@ class Poset:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
-        object.__setattr__(self, "_comp", tuple(u | d for u, d in zip(up, down)))
         for name in ("_cert", "_status", "_facts"):
             object.__setattr__(self, name, None)
 
@@ -182,13 +184,13 @@ class Poset:
         return self._down[u]
 
     def comp_mask(self, u: int) -> int:
-        return self._comp[u]
+        return self._up[u] | self._down[u]
 
     def less(self, u: int, v: int) -> bool:
         return bool((self._up[u] >> v) & 1)
 
     def comparable(self, u: int, v: int) -> bool:
-        return bool((self._comp[u] >> v) & 1)
+        return bool((self.comp_mask(u) >> v) & 1)
 
     @property
     def relation_count(self) -> int:
@@ -252,16 +254,17 @@ def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | No
     return u if behind[u] & live == live ^ (1 << u) else None
 
 
-def _components(comp: Sequence[int], live: int) -> Iterator[tuple[int, int]]:
+def _components(p: Poset, live: int) -> Iterator[tuple[int, int]]:
     """Components of the comparability graph on ``live``, by least element
     k, each as (mask >> k, k): a singleton high up then costs one bit."""
+    up, down = p._up, p._down
     while live:
         low = (live & -live).bit_length() - 1
         seen = frontier = 1 << low
         while frontier and seen != live:
             grown = 0
             for v in _bits(frontier):
-                grown |= comp[v]
+                grown |= up[v] | down[v]
             frontier = grown & live & ~seen
             seen |= frontier
         live ^= seen
@@ -416,26 +419,15 @@ def _trace(steps: tuple[int, ...]) -> BuildTrace:
 def replay_trace(trace: BuildTrace) -> Poset:
     """Rebuild the poset a trace describes; new elements get the next index.
 
-    Indices follow the steps, so the elements of every value on the stack
-    form one index range, which an added extreme element is related to.
+    The steps run through the derived-poset constructors: an added element
+    takes the next index of its value, and a union shifts each part past the
+    ones before it, so indices follow the steps.
     """
-    up: list[int] = []
-    down: list[int] = []
-    starts: list[int] = []  # the first index of each value on the stack
-    for step in _steps_of(trace):
-        top = len(up)
-        if step == EMPTY or step == 0:
-            starts.append(top)
-        elif step < 0:
-            # A least element is a greatest one with the two row lists swapped.
-            ahead, behind = (up, down) if step == GREATEST else (down, up)
-            for u in range(starts[-1], top):
-                ahead[u] |= 1 << top
-            ahead.append(0)
-            behind.append((1 << top) - (1 << starts[-1]))
-        else:
-            del starts[len(starts) - step + 1:]
-    return Poset._wrap(len(up), tuple(up), down)
+    return _run(
+        _steps_of(trace), Poset.empty(),
+        lambda step, q: q.add_greatest() if step == GREATEST else q.add_least(),
+        Poset.disjoint_union,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -458,13 +450,17 @@ def find_forbidden(p: Poset) -> ForbiddenPattern | None:
 
 
 def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
-    # The first quadruple inside ``live`` in (u, v, x, w) index order.
+    # The first quadruple inside ``live`` in (u, v, x, w) index order.  A u
+    # with fewer than two live elements below it has no x and w: skip it.
+    up, down = p._up, p._down
     for u in _bits(live):
-        du = p._down[u] & live
-        for v in _bits(live & ~p._comp[u] & ~(1 << u)):
-            common = du & p._down[v]
+        du = down[u] & live
+        if not du & (du - 1):
+            continue
+        for v in _bits(live & ~(up[u] | down[u] | 1 << u)):
+            common = du & down[v]
             for x in _bits(common):
-                loose = du & ~p._comp[x] & ~(1 << x)
+                loose = du & ~(up[x] | down[x] | 1 << x)
                 if loose:
                     w = (loose & -loose).bit_length() - 1
                     kind = "bowtie" if p.less(w, v) else "N"
@@ -485,7 +481,7 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
         if live < 0:
             live = ~live << low
         else:
-            comps = [(~c, k) for c, k in _components(p._comp, live)]
+            comps = [(~c, k) for c, k in _components(p, live)]
             if len(comps) != 1:  # a union, or with no component the empty poset
                 steps.append(len(comps) or EMPTY)
                 todo += comps
@@ -616,33 +612,29 @@ def element_status(p: Poset) -> list[str]:
     return list(p._status)
 
 
-def _region_sets(p: Poset, status: Sequence[str]) -> list[frozenset[int] | None]:
-    n = p.n
-    full = (1 << n) - 1
-    incomp = [full & ~(p.comp_mask(v) | (1 << v)) for v in range(n)]
-    basic_mask = 0
-    for v in range(n):
-        if status[v] == BASIC:
-            basic_mask |= 1 << v
-    assoc = [p.comp_mask(v) & basic_mask for v in range(n)]
-    regions: list[frozenset[int] | None] = [None] * n
-    for a in range(n):
-        st = status[a]
-        if st == BASIC:
-            regions[a] = frozenset()
-        elif st == LOWER:
-            regions[a] = frozenset(
-                b for b in _bits(p.up_mask(a)) if not (p.down_mask(b) & incomp[a])
-            )
-        elif st == UPPER:
-            keep = {
-                b for b in _bits(p.down_mask(a)) if not (p.up_mask(b) & incomp[a])
-            }
-            keep -= {
-                l for l in range(n) if status[l] == LOWER and assoc[l] == assoc[a]
-            }
-            regions[a] = frozenset(keep)
-    return regions
+def _basic_mask(status: Sequence[str]) -> int:
+    return _mask([x for x, st in enumerate(status) if st == BASIC])
+
+
+def _region(p: Poset, a: int, status: Sequence[str], basic: int) -> frozenset[int] | None:
+    """The region set of ``a`` from its own rows and their members' rows,
+    given the status and the basic mask; None for an element of another
+    status.  A lower element of the same association only matters below a."""
+    up, down = p._up, p._down
+    near = up[a] | down[a] | 1 << a  # a and the elements comparable to it
+    if status[a] == BASIC:
+        return frozenset()
+    if status[a] == LOWER:
+        return frozenset(b for b in _bits(up[a]) if not down[b] & ~near)
+    if status[a] == UPPER:
+        assoc = near & basic
+        return frozenset(
+            b
+            for b in _bits(down[a])
+            if not up[b] & ~near
+            and not (status[b] == LOWER and (up[b] | down[b]) & basic == assoc)
+        )
+    return None
 
 
 def region_set(p: Poset, a: int) -> frozenset[int]:
@@ -654,7 +646,8 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
     """
     if not (0 <= a < p.n):
         raise ValueError(f"element index {a} out of range 0..{p.n - 1}")
-    region = _region_sets(p, element_status(p))[a]
+    status = element_status(p)
+    region = _region(p, a, status, _basic_mask(status))
     if region is None:
         raise ValueError(
             f"element {a} is neither basic nor upper nor lower; "
@@ -672,7 +665,8 @@ def _sweep_facts(p: Poset) -> tuple[int, list[int]]:
     every maximal-antichain answer is read off them."""
     if p._facts is None:
         bruteforce.check_subset_bound(p.n, "poset")
-        object.__setattr__(p, "_facts", bruteforce.antichain_sweep(p._comp))
+        comp = [u | d for u, d in zip(p._up, p._down)]
+        object.__setattr__(p, "_facts", bruteforce.antichain_sweep(comp))
     return p._facts
 
 
@@ -706,9 +700,10 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     _v_trace(p)
     codes = _sweep_facts(p)[1]
     status = element_status(p)
-    weights = [len(r) for r in _region_sets(p, status)]
-    basic = [int(st == BASIC) for st in status]
-    return BivariatePoly(Counter(bruteforce.member_sums(codes, [basic, weights])))
+    basic = _basic_mask(status)
+    weights = [len(_region(p, a, status, basic)) for a in range(p.n)]
+    flags = [int(st == BASIC) for st in status]
+    return BivariatePoly(Counter(bruteforce.member_sums(codes, [flags, weights])))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:
@@ -732,7 +727,7 @@ def count_maximal_antichains_poset(p: Poset) -> int:
 def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
     codes = _sweep_facts(p)[1]
-    basic = sum(1 << x for x, st in enumerate(element_status(p)) if st == BASIC)
+    basic = _basic_mask(element_status(p))
     return sum(not code & basic for code in codes)
 
 

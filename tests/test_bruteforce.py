@@ -29,11 +29,13 @@ from vposets import (
     maximal_antichains_poset,
     maximal_antichains_tree,
     maximal_chains,
+    minimal_cutsets,
     parse_poset,
     parse_tree,
     poset_poly,
     star,
     tree_poly,
+    tree_to_poset,
 )
 from vposets import bruteforce
 from vposets.posets import BASIC
@@ -68,6 +70,8 @@ def reference(p):
         if pairwise(c, p.comparable) and unextendable(c, incomparable)
     ]
     cutsets = [s for s in range(1 << n) if all(s & c for c in chains)]
+    is_cutset = set(cutsets)
+    minimal = [s for s in cutsets if not any(s ^ 1 << v in is_cutset for v in subsets[s])]
     basics = {v for v, status in enumerate(element_status(p)) if status == BASIC}
     basic_free = [c for c in maximal if not basics & set(subsets[c])]
     return {
@@ -75,6 +79,7 @@ def reference(p):
         "antichains": len(antichains),
         "basic_free": len(basic_free),
         "cutsets": len(cutsets),
+        "minimal_cutsets": [frozenset(subsets[s]) for s in minimal],
     }
 
 
@@ -93,6 +98,7 @@ def assert_engine_matches(p):
         (count_antichains_poset, ref["antichains"]),
         (count_maximal_antichains_no_basic, ref["basic_free"]),
         (count_cutsets_poset, ref["cutsets"]),
+        (minimal_cutsets, ref["minimal_cutsets"]),
     ]:
         assert oracle(fresh(p)) == expected
         assert oracle(p) == expected
@@ -171,6 +177,8 @@ def test_star_at_the_bound():
     assert count_cutsets_tree(t) == 2**19 + 1
     assert count_maximal_antichains_tree(t) == 2
     assert antichain_expansion_tree(t) == tree_poly(t)
+    # The root alone, and all the leaves.
+    assert minimal_cutsets(tree_to_poset(t)) == [frozenset({0}), frozenset(range(1, 20))]
 
 
 def test_root_subtrees_by_subset_loop():

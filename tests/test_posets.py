@@ -46,7 +46,16 @@ from vposets import (
     tree_to_poset,
 )
 from vposets.polynomial import EMPTY, GREATEST, LEAST
-from vposets.posets import BASIC, LOWER, OTHER, UPPER, BuildTrace, _bits, _element_signatures
+from vposets.posets import (
+    BASIC,
+    LOWER,
+    OTHER,
+    UPPER,
+    BuildTrace,
+    _bits,
+    _element_signatures,
+    _peel,
+)
 from vposets.trees import _tree_steps
 
 from helpers import (
@@ -147,7 +156,7 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_poset(text)
 
-    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_comp", "_cert", "_status", "_facts"])
+    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_cert", "_status", "_facts"])
     def test_read_only(self, name):
         # Equality and hashing read the rows, and the oracles the answers
         # kept beside them, so neither may change.
@@ -619,7 +628,143 @@ class TestStatusByCounting:
         assert time.perf_counter() - start < 30
 
 
+def reference_forbidden(p, live):
+    """The first quadruple inside ``live`` in (u, v, x, w) order, walking
+    every u and every v incomparable to it."""
+    for u in _bits(live):
+        du = p.down_mask(u) & live
+        for v in _bits(live & ~p.comp_mask(u) & ~(1 << u)):
+            for x in _bits(du & p.down_mask(v)):
+                loose = du & ~p.comp_mask(x) & ~(1 << x)
+                if loose:
+                    w = (loose & -loose).bit_length() - 1
+                    kind = "bowtie" if p.less(w, v) else "N"
+                    return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
+    return None
+
+
+def fence(m):
+    """m minima below m maxima, maximum m + i covering minima i and i + 1."""
+    return Poset.from_covers(
+        2 * m, [(i + d, m + i) for i in range(m - 1) for d in (0, 1)]
+    )
+
+
+class TestWitnessScan:
+    """The scan skips any u with fewer than two live elements below it,
+    which cannot start a quadruple, so it finds the same first witness."""
+
+    def assert_same_witness(self, p):
+        assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
+        trace, stuck = _peel(p)
+        if trace is None:
+            assert is_v_poset(p) == reference_forbidden(p, stuck)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        for p in all_labeled_posets(n):
+            self.assert_same_witness(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strict_orders())
+    def test_random_orders(self, p):
+        self.assert_same_witness(p)
+
+    def test_long_fence(self):
+        # The limit is loose for a loaded machine: this takes well under a
+        # second, while walking every incomparable v of every u takes
+        # minutes.
+        p = fence(10000)
+        start = time.perf_counter()
+        assert find_forbidden(p) == ForbiddenPattern(u=10000, v=10001, w=0, x=1, kind="N")
+        assert is_v_poset(p) == find_forbidden(p)
+        assert time.perf_counter() - start < 10
+
+
+def reference_region_sets(p, status):
+    """Every element's region set: for an upper element, the lower elements
+    of the same basic association are looked for among all n."""
+    n = p.n
+    full = (1 << n) - 1
+    incomp = [full & ~(p.comp_mask(v) | (1 << v)) for v in range(n)]
+    basic_mask = 0
+    for v in range(n):
+        if status[v] == BASIC:
+            basic_mask |= 1 << v
+    assoc = [p.comp_mask(v) & basic_mask for v in range(n)]
+    regions = [None] * n
+    for a in range(n):
+        st = status[a]
+        if st == BASIC:
+            regions[a] = frozenset()
+        elif st == LOWER:
+            regions[a] = frozenset(
+                b for b in _bits(p.up_mask(a)) if not (p.down_mask(b) & incomp[a])
+            )
+        elif st == UPPER:
+            keep = {
+                b for b in _bits(p.down_mask(a)) if not (p.up_mask(b) & incomp[a])
+            }
+            keep -= {
+                l for l in range(n) if status[l] == LOWER and assoc[l] == assoc[a]
+            }
+            regions[a] = frozenset(keep)
+    return regions
+
+
+@st.composite
+def relabelled_vposets(draw):
+    """V-posets replayed from random build traces, then relabelled."""
+    trace = draw(st.recursive(
+        st.just(Empty()),
+        lambda inner: st.one_of(
+            inner.map(AddGreatest),
+            inner.map(AddLeast),
+            st.lists(inner, max_size=3).map(DisjointUnion),
+        ),
+        max_leaves=16,
+    ))
+    p = replay_trace(trace)
+    label = draw(st.permutations(range(p.n)))
+    return Poset.from_covers(p.n, [(label[u], label[v]) for u, v in p.covers()])
+
+
+def assert_regions_match(p):
+    expected = reference_region_sets(p, element_status(p))
+    for a, region in enumerate(expected):
+        if region is None:
+            with pytest.raises(ValueError, match="neither basic nor upper nor lower"):
+                region_set(p, a)
+        else:
+            assert region_set(p, a) == region
+
+
 class TestRegionSets:
+    @pytest.mark.parametrize("n", range(8))
+    def test_all_vposets(self, n):
+        for p in all_vposets(n):
+            assert_regions_match(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_vposets())
+    def test_random_vposets(self, p):
+        assert isinstance(is_v_poset(p), BuildTrace)
+        assert_regions_match(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strict_orders())
+    def test_random_orders(self, p):
+        assert_regions_match(p)
+
+    def test_long_chain(self):
+        # The limit is loose for a loaded machine: this takes a fraction of
+        # a second, while computing every element's region takes seconds.
+        n = 5000
+        chain = Poset.from_covers(n, [(k, k + 1) for k in range(n - 1)])
+        start = time.perf_counter()
+        assert region_set(chain, n - 1) == frozenset(range(n - 1))
+        assert time.perf_counter() - start < 5
+
     def test_figure_poset_values(self, fig):
         assert region_set(fig, 6) == frozenset({1, 2, 3, 4, 5, 7})
         assert region_set(fig, 1) == frozenset({2, 3, 4, 5})
