@@ -21,12 +21,9 @@ enumeration and every CLI command that sweeps no subset start without it.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import OracleBoundError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SUBSET_BOUND = 20
 

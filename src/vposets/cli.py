@@ -2,8 +2,8 @@
 
 Subcommands: tree-poly, poset-poly, check, counts, census, asymptotics,
 collide.  Inputs are file paths, or "-" for standard input.  Exit status:
-0 success, 1 not a V-poset, 2 parse or usage error, 3 oracle or series
-bound exceeded.
+0 success, 1 not a V-poset, 2 parse or usage error, 3 a brute-force, series
+or memory bound exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .posets import (
     poset_poly,
     BASIC,
 )
-from .trees import collision_search, parse_tree, tree_poly, tree_poly_dc, tree_to_poset
+from .trees import _oracle_poset, collision_search, parse_tree, tree_poly, tree_poly_dc
 
 
 def _read_input(path: str) -> str:
@@ -87,13 +87,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_counts(args) -> int:
     # A tree is a V-poset whose leaves are the basic elements, so both kinds
-    # of input are checked by the poset oracles.
+    # of input are checked by the poset oracles, a tree on the poset its own
+    # oracles keep, which already holds its certificate and element status.
     text = _read_input(args.input)
     if text.lstrip().startswith("("):
         t = parse_tree(text)
         n, poly, basics = t.size, tree_poly(t), t.leaf_count
         kind, units, plural, basic, ground = "tree", "vertices", "leaves", "leaf", "vertex"
-        p = tree_to_poset(t) if n <= bruteforce.SUBSET_BOUND else None
+        p = _oracle_poset(t) if n <= bruteforce.SUBSET_BOUND else None
     else:
         p = parse_poset(text)
         n, poly = p.n, poset_poly(p)
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
         return 1
     except OracleBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)

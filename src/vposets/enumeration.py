@@ -23,10 +23,10 @@ The prefactor is C = sqrt(e*R'(rho)) / (sqrt(2*pi*rho) * (2-rho)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, TypeVar
 
+from ._record import Record
 from .errors import OracleBoundError
 from .posets import Poset, _element_signatures, poset_isomorphic
 
@@ -40,17 +40,14 @@ _FLOAT_ORDER_BOUND = 535
 # sum converges geometrically because x**2 stays well inside the radius.
 _INNER_CUTOFF = 1e-18
 
-T = TypeVar("T")
 
-
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(Record):
     """A truncated integer power series: coeffs[k] is exact for k <= order."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("order", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient vector does not match the order")
 
@@ -146,11 +143,11 @@ def _dedup_classes(candidates: list[Poset]) -> list[Poset]:
 
 
 def multisets(
-    pool: Callable[[int], Sequence[T]],
+    pool: Callable[[int], Sequence[object]],
     total: int,
     size_cap: int | None = None,
     index_cap: int | None = None,
-) -> Iterator[tuple[T, ...]]:
+) -> Iterator[tuple[object, ...]]:
     """Multisets of pool items whose sizes sum to ``total``, each once.
 
     ``pool(s)`` lists the items of size s.  A multiset is emitted as the
@@ -199,13 +196,11 @@ def census(n_max: int) -> list[int]:
 # ----------------------------------------------------------------------
 # asymptotics
 
-@dataclass(frozen=True)
-class AsymptoticResult:
-    rho: float
-    rho_inv: float
-    constant: float | None
-    truncation_order: int
-    bracket_width: float
+class AsymptoticResult(Record):
+    """The root rho of R(x) = 1/e with its bracket, and the prefactor C, or
+    None before `asymptotic_constant` computes it."""
+
+    __slots__ = _fields = ("rho", "rho_inv", "constant", "truncation_order", "bracket_width")
 
 
 @lru_cache(maxsize=4)  # one bisection evaluates one order
@@ -295,7 +290,13 @@ def asymptotic_constant(order: int = 100, tol: float = 1e-12) -> AsymptoticResul
         m += 1
     r_prime = r * (1.0 / rho - 1.0 / (1.0 - rho) - 1.0 / (2.0 - rho) + inner)
     constant = math.sqrt(math.e * r_prime) / (math.sqrt(2.0 * math.pi * rho) * (2.0 - rho))
-    return replace(base, constant=constant)
+    return AsymptoticResult(
+        rho=rho,
+        rho_inv=base.rho_inv,
+        constant=constant,
+        truncation_order=order,
+        bracket_width=base.bracket_width,
+    )
 
 
 def asymptotic_estimate(n: int, result: AsymptoticResult) -> float:

@@ -42,10 +42,10 @@ from __future__ import annotations
 import struct
 import sys
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from itertools import zip_longest
 from math import prod
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 
 class BivariatePoly:

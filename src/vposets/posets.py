@@ -40,10 +40,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import bruteforce
+from ._record import Record
 from .errors import NotVPosetError, OracleBoundError, ParseError
 from .polynomial import EMPTY, GREATEST, LEAST, BivariatePoly, build_poly
 
@@ -72,17 +72,14 @@ class _CycleError(ValueError):
         self.element = element
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Poset:
     """A strict order on 0..n-1, stored as its up and down rows only;
-    comparability is their OR, derived where it is read."""
+    comparability is their OR, derived where it is read.  ``_cert``,
+    ``_status`` and ``_facts`` hold the answers kept on first use."""
 
-    n: int
-    _up: tuple[int, ...]
-    _down: tuple[int, ...]
-    _cert: BuildTrace | ForbiddenPattern | None
-    _status: tuple[str, ...] | None
-    _facts: tuple | None
+    __slots__ = ("n", "_up", "_down", "_cert", "_status", "_facts")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, n: int, up_masks: Sequence[int]):
         up = tuple(up_masks)
@@ -310,17 +307,18 @@ def parse_poset(text: str) -> Poset:
 # ----------------------------------------------------------------------
 # construction certificates
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class BuildTrace:
+class BuildTrace(Record):
     """Recipe that rebuilds a poset: a flat post-order tuple of build steps.
 
     The steps run on a stack of posets, as `polynomial.build_poly` describes,
     and every walk over them is one loop, so traces thousands of steps deep
     are fine.  A trace is an instance of the subclass its last step names,
-    and it is read-only, since equality and hashing read the steps.
+    and it is read-only, since equality and hashing read the steps.  It
+    pickles through `_trace`, since the subclasses' constructors take other
+    arguments.
     """
 
-    steps: tuple[int, ...]
+    __slots__ = _fields = ("steps",)
 
     @property
     def size(self) -> int:
@@ -345,6 +343,9 @@ class BuildTrace:
             self.steps, "Empty()", lambda step, text: f"{_CLASSES[step].__name__}(inner={text})",
             lambda texts: f"DisjointUnion(parts=({', '.join(texts)}{',' * (len(texts) == 1)}))",
         )[0]
+
+    def __reduce__(self):
+        return _trace, (self.steps,)
 
 
 def _run(steps: Sequence[int], empty, add, union) -> list:
@@ -430,18 +431,13 @@ def replay_trace(trace: BuildTrace) -> Poset:
     )[0]
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
+class ForbiddenPattern(Record):
     """Witness quadruple with u > w, u > x, v > x, u || v and w || x.
 
     ``kind`` is "bowtie" when additionally v > w, else "N".
     """
 
-    u: int
-    v: int
-    w: int
-    x: int
-    kind: str
+    __slots__ = _fields = ("u", "v", "w", "x", "kind")
 
 
 def find_forbidden(p: Poset) -> ForbiddenPattern | None:

@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import bruteforce
+from ._record import Record
 from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
 from .polynomial import EMPTY, GREATEST, BivariatePoly, build_poly
 from .posets import (
+    BASIC,
+    UPPER,
     Poset,
+    _trace,
     antichain_expansion_poset,
     count_antichains_poset,
     count_cutsets_poset,
@@ -64,14 +67,14 @@ def _branches(encoding: str) -> list[str]:
     return out
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RootedTree:
     """An unlabeled rooted tree, held as its canonical string ``encoding``
     (read-only, since equality and hashing read it).  The oracles keep its
     poset in ``_poset``, outside equality, hashing, repr and pickling."""
 
-    encoding: str
-    _poset: Poset | None = field(compare=False, hash=False, repr=False)
+    __slots__ = ("encoding", "_poset")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, children: Iterable[RootedTree] = ()):
         object.__setattr__(self, "encoding", _canonical([c.encoding for c in children]))
@@ -84,6 +87,14 @@ class RootedTree:
         object.__setattr__(t, "encoding", encoding)
         object.__setattr__(t, "_poset", None)
         return t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.encoding == other.encoding
+
+    def __hash__(self) -> int:
+        return hash((self.encoding,))
 
     def __reduce__(self):
         return RootedTree._trusted, (self.encoding,)
@@ -269,20 +280,23 @@ def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
 
 def _oracle_poset(t: RootedTree) -> Poset:
     # Refuse before building the poset, so a huge tree costs nothing; then
-    # keep it on the tree, so every oracle asks one poset.
+    # keep it on the tree, so every oracle asks one poset.  What the tree
+    # already says goes on the poset too, not derived again: its own steps
+    # certify it, and its leaves are the basic elements, under which every
+    # other vertex is upper.
     bruteforce.check_subset_bound(t.size, "tree")
     if t._poset is None:
-        object.__setattr__(t, "_poset", tree_to_poset(t))
+        p = tree_to_poset(t)
+        object.__setattr__(p, "_cert", _trace(tuple(_tree_steps(t))))
+        object.__setattr__(p, "_status", tuple(UPPER if row else BASIC for row in p._down))
+        object.__setattr__(t, "_poset", p)
     return t._poset
 
 
-@dataclass(frozen=True)
-class TreeAntichain:
+class TreeAntichain(Record):
     """A maximal antichain with its leaf count and number of vertices below it."""
 
-    vertices: frozenset[int]
-    leaf_count: int
-    below_count: int
+    __slots__ = _fields = ("vertices", "leaf_count", "below_count")
 
 
 def maximal_antichains_tree(t: RootedTree) -> list[TreeAntichain]:
@@ -368,15 +382,14 @@ def enumerate_rooted_trees(n: int) -> list[RootedTree]:
 # ----------------------------------------------------------------------
 # polynomial collision search
 
-@dataclass
-class CollisionReport:
-    """Outcome of comparing polynomials across all trees up to a size bound."""
+class CollisionReport(Record):
+    """Outcome of comparing polynomials across all trees up to a size bound:
+    the full-polynomial pairs, and the groups of trees that share the
+    polynomial at y=1 and at x=1, each with that polynomial."""
 
-    n_max: int
-    tree_count: int
-    full_pairs: list[tuple[RootedTree, RootedTree]]
-    collisions_at_y1: list[tuple[BivariatePoly, list[RootedTree]]]
-    collisions_at_x1: list[tuple[BivariatePoly, list[RootedTree]]]
+    __slots__ = _fields = (
+        "n_max", "tree_count", "full_pairs", "collisions_at_y1", "collisions_at_x1",
+    )
 
 
 def collision_search(n_max: int) -> CollisionReport:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import vposets
+import vposets.cli
 from vposets import enumeration
 from vposets.cli import main
 from vposets.enumeration import SERIES_BOUND, q_series
@@ -366,6 +367,17 @@ class TestParseErrors:
         f.write_text(text)
         assert main([command, str(f)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutOfMemory:
+    def test_status_and_message(self, poset_file, capsys, monkeypatch):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setattr(vposets.cli, "_cmd_check", exhaust)
+        assert main(["check", poset_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
 class TestUsageErrors:

@@ -1,7 +1,8 @@
-"""numpy is loaded only by the exhaustive oracles, on their first sweep.
+"""numpy is loaded only by the exhaustive oracles, on their first sweep, and
+the package loads none of dataclasses, inspect or typing.
 
 Each check runs in a fresh interpreter, since this test session has long
-since imported numpy."""
+since imported all of them."""
 
 import os
 import subprocess
@@ -42,6 +43,20 @@ def test_no_numpy_without_a_sweep():
         "report = collision_search(6)\n"
         "assert report.tree_count == 37 and report.full_pairs == []\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+
+
+def test_no_dataclasses_inspect_or_typing():
+    # Compared with the modules loaded before the import, so that whatever
+    # the interpreter's own site loaded does not count.
+    run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vposets, vposets.cli\n"
+        "added = set(sys.modules) - before\n"
+        "assert 'vposets.cli' in added\n"
+        "loaded = added & {'dataclasses', 'inspect', 'typing'}\n"
+        "assert not loaded, sorted(loaded)\n"
     )
 
 

@@ -19,16 +19,20 @@ from vposets import (
     count_maximal_antichains_tree,
     count_root_subtrees,
     delete_root_branch,
+    element_status,
     enumerate_rooted_trees,
     maximal_antichains_tree,
     parse_tree,
     path,
+    poset_poly,
     star,
     tree_poly,
     tree_poly_dc,
     tree_to_poset,
 )
-from vposets.trees import _trees_of_size
+from vposets import posets
+from vposets.polynomial import build_poly
+from vposets.trees import _oracle_poset, _trees_of_size
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -346,6 +350,26 @@ class TestKeptPoset:
         for oracle in TREE_ORACLES:
             oracle(t)
         assert t._poset is p and p == tree_to_poset(t)
+
+    def test_known_facts_kept(self):
+        # The kept poset carries the tree's own steps and the leaves as its
+        # basic elements; both agree with what recognition derives on a
+        # fresh poset of the tree.
+        for n in range(1, 12):
+            for t in enumerate_rooted_trees(n):
+                p, fresh = _oracle_poset(t), tree_to_poset(t)
+                assert list(p._status) == element_status(fresh)
+                assert build_poly(p._cert.steps) == tree_poly(t) == poset_poly(fresh)
+
+    def test_known_facts_not_derived_again(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derived again")
+
+        t = parse_tree(FIGURE_TREE_TEXT)
+        monkeypatch.setattr(posets, "_peel", refuse)
+        monkeypatch.setattr(posets, "_chain_tops", refuse)
+        assert antichain_expansion_tree(t) == FIGURE_TREE_POLY
+        assert count_maximal_antichains_tree(t, leaf_free=True) == FIGURE_TREE_POLY.evaluate(0, 1)
 
     def test_tree_to_poset_keeps_nothing(self):
         t = path(500)
