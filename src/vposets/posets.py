@@ -466,31 +466,30 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
 
 def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
     """The construction trace and 0, or None and a component with neither
-    a greatest nor a least element.  A live mask splits into components, and
-    a component (stacked complemented) loses its greatest, else its least,
-    element; the steps come out in reverse post-order.  Pending components
-    wait shifted, as `_components` yields them, so each costs its span."""
+    a greatest nor a least element.  A live mask loses its greatest, else
+    its least, element; a mask with neither splits into components, and one
+    component is stuck.  The steps come out in reverse post-order.  Pending
+    components wait shifted, as `_components` yields them: each costs its span."""
+    up, down = p._up, p._down
     steps: list[int] = []
     todo = [((1 << p.n) - 1, 0)]
     while todo:
         live, low = todo.pop()
-        if live < 0:
-            live = ~live << low
-        else:
-            comps = [(~c, k) for c, k in _components(p, live)]
-            if len(comps) != 1:  # a union, or with no component the empty poset
-                steps.append(len(comps) or EMPTY)
-                todo += comps
-                continue
-        u = _extreme(p._up, p._down, live)
-        if u is not None:
+        live <<= low
+        if not live:
+            steps.append(EMPTY)
+        elif (u := _extreme(up, down, live)) is not None:
             steps.append(GREATEST)
-        else:
-            u = _extreme(p._down, p._up, live)
-            if u is None:
-                return None, live
+            todo.append((live ^ (1 << u), 0))
+        elif (u := _extreme(down, up, live)) is not None:
             steps.append(LEAST)
-        todo.append((live ^ (1 << u), 0))
+            todo.append((live ^ (1 << u), 0))
+        else:
+            comps = list(_components(p, live))
+            if len(comps) == 1:
+                return None, live
+            steps.append(len(comps))
+            todo += comps
     return _trace(tuple(reversed(steps))), 0
 
 

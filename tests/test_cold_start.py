@@ -1,5 +1,5 @@
 """numpy is loaded only by the exhaustive oracles, on their first sweep, and
-the package loads none of dataclasses, inspect or typing.
+neither the package nor its CLI commands load dataclasses, inspect or typing.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported all of them."""
@@ -46,16 +46,24 @@ def test_no_numpy_without_a_sweep():
     )
 
 
-def test_no_dataclasses_inspect_or_typing():
+def test_no_dataclasses_inspect_or_typing(tmp_path):
     # Compared with the modules loaded before the import, so that whatever
-    # the interpreter's own site loaded does not count.
+    # the interpreter's own site loaded does not count.  The CLI commands
+    # that need no sweep run too, and load no numpy either.
+    tree, poset = tmp_path / "small.tree", tmp_path / "small.poset"
+    tree.write_text(FIGURE_TREE_TEXT + "\n")
+    poset.write_text("4\n1 3\n2 3\n3 4\n")
+    commands = [["tree-poly", str(tree)], ["check", str(poset)], ["poset-poly", str(poset)]]
     run_fresh(
         "import sys\n"
         "before = set(sys.modules)\n"
         "import vposets, vposets.cli\n"
+        f"for args in {commands!r}:\n"
+        "    assert vposets.cli.main(args) == 0, args\n"
         "added = set(sys.modules) - before\n"
         "assert 'vposets.cli' in added\n"
-        "loaded = added & {'dataclasses', 'inspect', 'typing'}\n"
+        "loaded = {name.partition('.')[0] for name in added}\n"
+        "loaded &= {'numpy', 'dataclasses', 'inspect', 'typing'}\n"
         "assert not loaded, sorted(loaded)\n"
     )
 

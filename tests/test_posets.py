@@ -53,8 +53,11 @@ from vposets.posets import (
     UPPER,
     BuildTrace,
     _bits,
+    _components,
     _element_signatures,
+    _extreme,
     _peel,
+    _trace,
 )
 from vposets.trees import _tree_steps
 
@@ -291,6 +294,21 @@ class TestDeepTraces:
         assert p.up_mask(2) == 0 and p.down_mask(2) == 0b100011
         assert p.up_mask(5) == 0b11111 and p.down_mask(5) == 0
         assert not p.comparable(3, 4) and not p.comparable(2, 3)
+
+    def test_building_by_steps(self):
+        # Each derived poset extends or shifts its parent's rows, so these
+        # take well under a second; the limit is loose for a loaded machine.
+        start = time.perf_counter()
+        up = down = Poset.empty()
+        for _ in range(1000):
+            up, down = up.add_greatest(), down.add_least()
+        assert up.relation_count == down.relation_count == 1000 * 999 // 2
+        assert Poset.disjoint_union([up, down]).relation_count == 1000 * 999
+        trace = Empty()
+        for k in range(3000):
+            trace = (AddLeast if k % 3 == 2 else AddGreatest)(trace)
+        assert replay_trace(trace).relation_count == 3000 * 2999 // 2
+        assert time.perf_counter() - start < 60
 
 
 class TestLongChain:
@@ -641,6 +659,49 @@ def reference_forbidden(p, live):
                     kind = "bowtie" if p.less(w, v) else "N"
                     return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
     return None
+
+
+def reference_peel(p):
+    """The peel that splits every live mask into components first, and
+    stacks each component complemented so that it is not split again."""
+    steps = []
+    todo = [((1 << p.n) - 1, 0)]
+    while todo:
+        live, low = todo.pop()
+        if live < 0:
+            live = ~live << low
+        else:
+            comps = [(~c, k) for c, k in _components(p, live)]
+            if len(comps) != 1:  # a union, or with no component the empty poset
+                steps.append(len(comps) or EMPTY)
+                todo += comps
+                continue
+        u = _extreme(p._up, p._down, live)
+        if u is not None:
+            steps.append(GREATEST)
+        else:
+            u = _extreme(p._down, p._up, live)
+            if u is None:
+                return None, live
+            steps.append(LEAST)
+        todo.append((live ^ (1 << u), 0))
+    return _trace(tuple(reversed(steps))), 0
+
+
+class TestPeel:
+    """The peel splits a mask only when it has neither a greatest nor a
+    least element, and gives the same trace and stuck mask as splitting
+    every mask first."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        for p in all_labeled_posets(n):
+            assert _peel(p) == reference_peel(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strict_orders())
+    def test_random_orders(self, p):
+        assert _peel(p) == reference_peel(p)
 
 
 def fence(m):
