@@ -9,7 +9,14 @@ greatest or least element):
     n*v_n = sum of c_k * v_(n-k) for k = 1..n,   v_0 = 1.
 
 All series arithmetic is integer-only; the division by n is asserted exact.
-The census rebuilds the same counts object by object as a cross-check.
+
+The census builds the posets as build traces by the argument behind q_n: a
+connected V-poset on n >= 2 is a greatest element over any V-poset on n-1,
+or a least element over one with no greatest element, and a V-poset is a
+multiset of connected ones.  Each class arises once, with no isomorphism
+search, and the counts cross-check the multiset relation and the exact
+division in `v_series`.  The caches hold traces; each call replays new
+posets, so what the oracles keep on them stays out of the caches.
 
 Asymptotically v_n grows like C * n**-1.5 * rho**-n where rho solves
 R(rho) = 1/e for
@@ -28,9 +35,9 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import OracleBoundError
-from .posets import Poset, _element_signatures, poset_isomorphic
+from .posets import AddGreatest, AddLeast, BuildTrace, DisjointUnion, Empty, Poset, replay_trace
 
-CENSUS_BOUND = 8
+CENSUS_BOUND = 8  # each class is built once: 8 takes 8 ms on a 2-core VM
 SERIES_BOUND = 2000  # v_series is near cubic: 4.6 s at 2000 on a 2-core VM
 # The largest truncation order whose series fits in double precision with
 # the derivative's weight: order * w_order passes the largest double at 536.
@@ -104,42 +111,23 @@ def w_series(order: int) -> IntSeries:
 # ----------------------------------------------------------------------
 # constructive census
 
-def _fresh(posets: tuple[Poset, ...]) -> tuple[Poset, ...]:
-    """Equal posets on the same row tuples, so what the oracles keep on
-    them stays out of the caches."""
-    return tuple(Poset._wrap(p.n, p._up, p._down) for p in posets)
-
-
 def connected_vposets(n: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class of connected V-posets on n."""
-    return _fresh(_connected_of_size(n))
+    return tuple(map(replay_trace, _connected_of_size(n)))
 
 
 @lru_cache(maxsize=None)
-def _connected_of_size(n: int) -> tuple[Poset, ...]:
+def _connected_of_size(n: int) -> tuple[BuildTrace, ...]:
+    # Every generated poset with a greatest element is an AddGreatest, so
+    # the class of a trace tells whether a least element may go under it.
     if n > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
     if n < 1:
         raise ValueError("connected posets have at least one element")
-    if n == 1:
-        return (Poset(1, (0,)),)
-    candidates: list[Poset] = []
-    for p in _vposets_of_size(n - 1):
-        candidates.append(p.add_greatest())
-        candidates.append(p.add_least())
-    return tuple(_dedup_classes(candidates))
-
-
-def _dedup_classes(candidates: list[Poset]) -> list[Poset]:
-    buckets: dict[tuple, list[Poset]] = {}
-    out: list[Poset] = []
-    for p in candidates:
-        key = (p.n, p.relation_count, tuple(sorted(_element_signatures(p))))
-        group = buckets.setdefault(key, [])
-        if not any(poset_isomorphic(p, rep) for rep in group):
-            group.append(p)
-            out.append(p)
-    return out
+    below = _vposets_of_size(n - 1)
+    return tuple(map(AddGreatest, below)) + tuple(
+        AddLeast(t) for t in below if not isinstance(t, (Empty, AddGreatest))
+    )
 
 
 def multisets(
@@ -167,19 +155,19 @@ def multisets(
 
 def all_vposets(n: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class of V-posets on n elements."""
-    return _fresh(_vposets_of_size(n))
+    return tuple(map(replay_trace, _vposets_of_size(n)))
 
 
 @lru_cache(maxsize=None)
-def _vposets_of_size(n: int) -> tuple[Poset, ...]:
+def _vposets_of_size(n: int) -> tuple[BuildTrace, ...]:
     if n > CENSUS_BOUND:
         raise OracleBoundError(f"the census is bounded at {CENSUS_BOUND} elements")
     if n < 0:
         raise ValueError("a poset has a nonnegative number of elements")
     if n == 0:
-        return (Poset.empty(),)
+        return (Empty(),)
     return tuple(
-        Poset.disjoint_union(parts)
+        parts[0] if len(parts) == 1 else DisjointUnion(parts)
         for parts in multisets(_connected_of_size, n)
     )
 

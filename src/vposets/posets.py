@@ -122,6 +122,8 @@ class Poset:
         It follows a topological order (Kahn, 1962), which makes the rows
         valid: up rows from the top down, down rows from the bottom up.
         """
+        if n < 0:
+            raise ValueError("a poset has a nonnegative number of elements")
         above: list[list[int]] = [[] for _ in range(n)]
         waiting = [0] * n  # pairs below each element not yet in the order
         for u, v in covers:

@@ -155,17 +155,24 @@ def path(n: int) -> RootedTree:
 # ----------------------------------------------------------------------
 # root-edge surgery, cut from the strings
 
+def _cut_branch(t: RootedTree, index: int) -> tuple[list[str], str]:
+    """The other branch strings of ``t``, still sorted, and branch ``index``."""
+    kids = _branches(t.encoding)
+    if not 0 <= index < len(kids):
+        raise ValueError(f"branch index {index} out of range 0..{len(kids) - 1}")
+    branch = kids.pop(index)
+    return kids, branch
+
+
 def contract_root_edge(t: RootedTree, index: int) -> RootedTree:
     """Merge the root of branch ``index`` into the root of ``t``."""
-    kids = _branches(t.encoding)
-    branch = kids.pop(index)
+    kids, branch = _cut_branch(t, index)
     return RootedTree._trusted(_canonical(kids + _branches(branch)))
 
 
 def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
     """Remove branch ``index`` entirely (the rest stays sorted)."""
-    kids = _branches(t.encoding)
-    del kids[index]
+    kids, _ = _cut_branch(t, index)
     return RootedTree._trusted("(" + "".join(kids) + ")")
 
 
@@ -361,10 +368,9 @@ def count_root_subtrees(t: RootedTree) -> int:
 # exhaustive generation
 
 @lru_cache(maxsize=GENERATION_BOUND)
-def _trees_of_size(n: int) -> tuple[RootedTree, ...]:
-    if n == 1:
-        return (RootedTree(),)
-    return tuple(RootedTree(forest) for forest in multisets(_trees_of_size, n - 1))
+def _trees_of_size(n: int) -> tuple[str, ...]:
+    # Strings, not trees, so what the oracles keep on a tree stays out.
+    return tuple(_canonical(list(forest)) for forest in multisets(_trees_of_size, n - 1))
 
 
 def enumerate_rooted_trees(n: int) -> list[RootedTree]:
@@ -375,8 +381,7 @@ def enumerate_rooted_trees(n: int) -> list[RootedTree]:
         raise OracleBoundError(
             f"exhaustive tree generation is bounded at {GENERATION_BOUND} vertices"
         )
-    # Fresh wrappers, so what the oracles keep on them stays out of the cache.
-    return [RootedTree._trusted(t.encoding) for t in _trees_of_size(n)]
+    return list(map(RootedTree._trusted, _trees_of_size(n)))
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +412,7 @@ def collision_search(n_max: int) -> CollisionReport:
         )
     trees: list[RootedTree] = []
     for n in range(1, n_max + 1):
-        trees.extend(_trees_of_size(n))
+        trees.extend(map(RootedTree._trusted, _trees_of_size(n)))
     by_full: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
     by_y1: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
     by_x1: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)

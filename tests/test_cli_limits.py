@@ -112,6 +112,8 @@ ROWS = [
         expect=(f"bounded at order {SERIES_BOUND}",)),
     row("census-max-9", None, f"census --max {CENSUS_BOUND + 1}", 0, 60,
         expect=("\n8\t1184\t1184\n9\t3823\n",)),
+    row("census-max-8-connected", None, "census --max 8 --connected", 0, 10,
+        expect=("\n8\t1184\t625\t1184\n",)),
     row("asymptotics-order-2001", None, f"asymptotics --order {SERIES_BOUND + 1}", 3, 60,
         expect=(f"bounded at order {SERIES_BOUND}",)),
     row("asymptotics-order-536", None, "asymptotics --order 536", 2, 60,

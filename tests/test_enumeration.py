@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from vposets import (
+    BuildTrace,
     OracleBoundError,
     all_vposets,
     antichain_expansion_poset,
@@ -23,10 +24,17 @@ from vposets import (
 )
 from vposets.enumeration import (
     _FLOAT_ORDER_BOUND,
+    CENSUS_BOUND,
     SERIES_BOUND,
-    _connected_of_size,
     _vposets_of_size,
     _w_floats,
+)
+from vposets.posets import (
+    _element_signatures,
+    all_labeled_posets,
+    is_v_poset,
+    poset_isomorphic,
+    poset_poly,
 )
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
@@ -83,8 +91,27 @@ class TestCensus:
         assert census(7) == list(v_series(7).coeffs[1:])
 
     def test_connected_counts_match_q(self):
-        q = q_series(7)
-        assert [len(connected_vposets(n)) for n in range(1, 8)] == list(q.coeffs[1:])
+        q = q_series(CENSUS_BOUND)
+        counts = [len(connected_vposets(n)) for n in range(1, CENSUS_BOUND + 1)]
+        assert counts == list(q.coeffs[1:])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_no_two_isomorphic(self, n):
+        # Exhaustive isomorphism search within buckets of equal element
+        # signatures: the reference the census needs none of.
+        buckets: dict[tuple, list] = {}
+        for p in all_vposets(n):
+            key = (p.n, p.relation_count, tuple(sorted(_element_signatures(p))))
+            group = buckets.setdefault(key, [])
+            assert not any(poset_isomorphic(p, rep) for rep in group)
+            group.append(p)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_labeled_vposet_has_one_class(self, n):
+        reps = all_vposets(n)
+        for p in all_labeled_posets(n):
+            if isinstance(is_v_poset(p), BuildTrace):
+                assert sum(poset_isomorphic(p, rep) for rep in reps) == 1
 
     def test_census_posets_are_v_posets(self):
         for n in range(1, 7):
@@ -105,11 +132,13 @@ class TestCensus:
 
     def test_caches_keep_no_answers(self):
         for n in range(1, 8):
-            for p in all_vposets(n) + connected_vposets(n):
-                antichain_expansion_poset(p)
-                assert p._facts is not None
-            for p in _vposets_of_size(n) + _connected_of_size(n):
-                assert p._facts is None and p._cert is None and p._status is None
+            for generate in (all_vposets, connected_vposets):
+                for p in generate(n):
+                    antichain_expansion_poset(p)
+                    poset_poly(p)
+                    assert None not in (p._facts, p._cert, p._status)
+                for p in generate(n):
+                    assert p._facts is None and p._cert is None and p._status is None
 
 
 class TestAsymptotics:

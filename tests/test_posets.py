@@ -105,6 +105,15 @@ class TestParse:
             Poset.from_covers(5, covers)
         assert int(re.search(r"element (\d+)", str(exc.value)).group(1)) in cycle
 
+    @pytest.mark.parametrize("n, covers, message", [
+        (-1, [], "nonnegative number of elements"),
+        (2, [(0, 2)], "out of range"),
+        (2, [(1, 1)], "self-relation on element 1"),
+    ])
+    def test_from_covers_refused(self, n, covers, message):
+        with pytest.raises(ValueError, match=message):
+            Poset.from_covers(n, covers)
+
     def test_long_chain(self):
         n = 2000
         p = parse_poset(chain_text(n))

@@ -32,7 +32,7 @@ from vposets import (
 )
 from vposets import posets
 from vposets.polynomial import build_poly
-from vposets.trees import _oracle_poset, _trees_of_size
+from vposets.trees import _oracle_poset
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -210,6 +210,16 @@ class TestDeletionContraction:
                 assert contract_root_edge(t, i) == RootedTree(rest + branch.children)
                 assert delete_root_branch(t, i) == RootedTree(rest)
 
+    @pytest.mark.parametrize("t, index, message", [
+        (path(1), 0, r"branch index 0 out of range 0\.\.-1"),
+        (star(3), 5, r"branch index 5 out of range 0\.\.1"),
+        (star(3), -1, r"branch index -1 out of range 0\.\.1"),
+    ])
+    @pytest.mark.parametrize("surgery", [contract_root_edge, delete_root_branch])
+    def test_surgery_bad_index(self, surgery, t, index, message):
+        with pytest.raises(ValueError, match=message):
+            surgery(t, index)
+
 
 def _edge_identity(t, i):
     """Right-hand side of the applicable deletion-contraction case at edge i."""
@@ -380,8 +390,17 @@ class TestKeptPoset:
         for t in trees:
             count_antichains_tree(t)
         assert all(t._poset is not None for t in trees)
-        assert all(t._poset is None for t in _trees_of_size(7))
         assert all(t._poset is None for t in enumerate_rooted_trees(7))
+
+    def test_collision_search_keeps_nothing(self):
+        used = collision_search(8).collisions_at_y1[0][1][0]
+        count_antichains_tree(used)
+        assert used._poset is not None
+        report = collision_search(8)
+        trees = [t for pair in report.full_pairs for t in pair]
+        for groups in (report.collisions_at_y1, report.collisions_at_x1):
+            trees += [t for _, group in groups for t in group]
+        assert used in trees and all(t._poset is None for t in trees)
 
     @pytest.mark.parametrize("make", [path, star])
     def test_bound_refusal_keeps_nothing(self, make):
