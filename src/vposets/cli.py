@@ -3,7 +3,8 @@
 Subcommands: tree-poly, poset-poly, check, counts, census, asymptotics,
 collide.  Inputs are file paths, or "-" for standard input.  Exit status:
 0 success, 1 not a V-poset, 2 parse or usage error, 3 a brute-force, series
-or memory bound exceeded.
+or memory bound exceeded.  Each command imports the modules it runs, so
+`tree-poly` compiles only `polynomial` and `trees`.
 """
 
 from __future__ import annotations
@@ -13,24 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bruteforce
-from .enumeration import CENSUS_BOUND, _connected, asymptotic_constant, census, v_series
 from .errors import NotVPosetError, OracleBoundError, ParseError
-from .polynomial import BivariatePoly
-from .posets import (
-    ForbiddenPattern,
-    antichain_expansion_poset,
-    count_antichains_poset,
-    count_cutsets_poset,
-    count_maximal_antichains_no_basic,
-    count_maximal_antichains_poset,
-    element_status,
-    is_v_poset,
-    parse_poset,
-    poset_poly,
-    BASIC,
-)
-from .trees import _oracle_poset, collision_search, parse_tree, tree_poly, tree_poly_dc
 
 
 def _read_input(path: str) -> str:
@@ -42,7 +26,7 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _print_poly(poly: BivariatePoly, args) -> None:
+def _print_poly(poly, args) -> None:
     if args.json:
         obj: dict = {"polynomial": [list(t) for t in poly.canonical_triples()]}
         if args.eval is not None:
@@ -57,6 +41,8 @@ def _print_poly(poly: BivariatePoly, args) -> None:
 
 
 def _cmd_tree_poly(args) -> int:
+    from .trees import parse_tree, tree_poly, tree_poly_dc
+
     t = parse_tree(_read_input(args.input))
     poly = tree_poly_dc(t) if args.dc else tree_poly(t)
     _print_poly(poly, args)
@@ -64,18 +50,22 @@ def _cmd_tree_poly(args) -> int:
 
 
 def _cmd_poset_poly(args) -> int:
+    from .posets import antichain_expansion_poset, parse_poset, poset_poly
+
     p = parse_poset(_read_input(args.input))
     poly = antichain_expansion_poset(p) if args.expansion else poset_poly(p)
     _print_poly(poly, args)
     return 0
 
 
-def _pattern_text(pattern: ForbiddenPattern) -> str:
+def _pattern_text(pattern) -> str:
     kind = "BOWTIE" if pattern.kind == "bowtie" else "N"
     return f"{kind} {pattern.u + 1} {pattern.v + 1} {pattern.w + 1} {pattern.x + 1}"
 
 
 def _cmd_check(args) -> int:
+    from .posets import ForbiddenPattern, is_v_poset, parse_poset
+
     p = parse_poset(_read_input(args.input))
     certificate = is_v_poset(p)
     if isinstance(certificate, ForbiddenPattern):
@@ -89,18 +79,33 @@ def _cmd_counts(args) -> int:
     # A tree is a V-poset whose leaves are the basic elements, so both kinds
     # of input are checked by the poset oracles, a tree on the poset its own
     # oracles keep, which already holds its certificate and element status.
+    from .bruteforce import SUBSET_BOUND
+    from .polynomial import BivariatePoly
+    from .posets import (
+        BASIC,
+        _oracle_poset,
+        count_antichains_poset,
+        count_cutsets_poset,
+        count_maximal_antichains_no_basic,
+        count_maximal_antichains_poset,
+        element_status,
+        parse_poset,
+        poset_poly,
+    )
+    from .trees import parse_tree, tree_poly
+
     text = _read_input(args.input)
     if text.lstrip().startswith("("):
         t = parse_tree(text)
         n, poly, basics = t.size, tree_poly(t), t.leaf_count
         kind, units, plural, basic, ground = "tree", "vertices", "leaves", "leaf", "vertex"
-        p = _oracle_poset(t) if n <= bruteforce.SUBSET_BOUND else None
+        p = _oracle_poset(t) if n <= SUBSET_BOUND else None
     else:
         p = parse_poset(text)
         n, poly = p.n, poset_poly(p)
         basics = sum(1 for st in element_status(p) if st == BASIC)
         kind, units, plural, basic, ground = "poset", "elements", "basics", "basic", "element"
-    small = n <= bruteforce.SUBSET_BOUND
+    small = n <= SUBSET_BOUND
     print(f"# {kind} with {n} {units}")
     rows = [
         ("P(1,1)", poly.evaluate(1, 1), "maximal antichains",
@@ -124,6 +129,8 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .enumeration import CENSUS_BOUND, _connected, census, v_series
+
     series = v_series(args.max)
     counts = census(min(args.max, CENSUS_BOUND))
     for n in range(1, args.max + 1):
@@ -137,6 +144,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .enumeration import asymptotic_constant
+
     result = asymptotic_constant(order=args.order)
     print(
         json.dumps(
@@ -152,6 +161,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_collide(args) -> int:
+    from .trees import collision_search
+
     report = collision_search(args.max)
     print(f"trees examined: {report.tree_count} (sizes 1..{report.n_max})")
     if report.full_pairs:

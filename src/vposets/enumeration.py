@@ -13,7 +13,8 @@ All series arithmetic is integer-only; the division by n is asserted exact.
 The census builds the posets as build traces by the argument behind q_n: a
 connected V-poset on n >= 2 is a greatest element over any V-poset on n-1,
 or a least element over one with no greatest element, and a V-poset is a
-multiset of connected ones.  Each class arises once, with no isomorphism
+multiset of connected ones, listed by `trees.multisets` as the tree
+generation lists forests.  Each class arises once, with no isomorphism
 search, and the counts cross-check the multiset relation and the exact
 division in `v_series`.  The caches hold traces; each call replays new
 posets, so what the oracles keep on them stays out of the caches.
@@ -30,12 +31,13 @@ The prefactor is C = sqrt(e*R'(rho)) / (sqrt(2*pi*rho) * (2-rho)).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from ._record import Record
 from .errors import OracleBoundError
 from .posets import AddGreatest, AddLeast, BuildTrace, DisjointUnion, Empty, Poset, replay_trace
+from .trees import multisets
 
 CENSUS_BOUND = 8  # each class is built once: 8 takes 8 ms on a 2-core VM
 SERIES_BOUND = 2000  # v_series is near cubic: 4.6 s at 2000 on a 2-core VM
@@ -128,29 +130,6 @@ def _connected_of_size(n: int) -> tuple[BuildTrace, ...]:
     return tuple(map(AddGreatest, below)) + tuple(
         AddLeast(t) for t in below if not isinstance(t, (Empty, AddGreatest))
     )
-
-
-def multisets(
-    pool: Callable[[int], Sequence[object]],
-    total: int,
-    size_cap: int | None = None,
-    index_cap: int | None = None,
-) -> Iterator[tuple[object, ...]]:
-    """Multisets of pool items whose sizes sum to ``total``, each once.
-
-    ``pool(s)`` lists the items of size s.  A multiset is emitted as the
-    sequence nonincreasing in (size, index in the pool), so each unlabeled
-    forest of trees or of connected posets arises exactly once.
-    """
-    if total == 0:
-        yield ()
-        return
-    for s in range(total if size_cap is None else min(total, size_cap), 0, -1):
-        items = pool(s)
-        start = index_cap if (s == size_cap and index_cap is not None) else len(items) - 1
-        for i in range(start, -1, -1):
-            for rest in multisets(pool, total - s, s, i):
-                yield (items[i],) + rest
 
 
 def all_vposets(n: int) -> tuple[Poset, ...]:

@@ -31,8 +31,11 @@ Conventions:
     certificate, its element status and the answers of its one antichain
     sweep when first asked: the antichain count and the subset codes of the
     maximal antichains, P(1,1) of them, never 2**n.  They stay outside
-    equality, hashing, repr and pickling, and the tree oracles in `trees`
-    run on the tree as a V-poset.
+    equality, hashing, repr and pickling.
+  - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
+    tree oracle (`count_*_tree`, `maximal_antichains_tree`,
+    `antichain_expansion_tree`, `count_root_subtrees`) is the poset oracle
+    on it.  The build steps come from `trees`, which needs nothing here.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from . import bruteforce
 from ._record import Record
 from .errors import NotVPosetError, OracleBoundError, ParseError
 from .polynomial import EMPTY, GREATEST, LEAST, BivariatePoly, build_poly
+from .trees import RootedTree, _tree_steps
 
 ISOMORPHISM_BOUND = 8
 LABELED_BOUND = 5
@@ -742,6 +746,115 @@ def minimal_cutsets(p: Poset) -> list[frozenset[int]]:
     """All inclusion-minimal cutsets, by brute force over subsets."""
     codes = bruteforce.minimal_hitting_sets(p.n, _chain_masks(p))
     return [frozenset(_bits(code)) for code in codes]
+
+
+# ----------------------------------------------------------------------
+# rooted trees as V-posets, and their oracles
+
+def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
+    """Poset whose cover graph is the tree; the root becomes the greatest
+    element (orientation "greatest") or the least one ("least").
+
+    Elements are the vertices in canonical preorder.  The strict ancestors
+    of a vertex are the elements above it, and its descendants, the
+    contiguous preorder range after it, are those below; one scan of the
+    string gives both rows of every vertex.  A vertex's parent is its
+    highest ancestor bit, the latest in preorder.
+    """
+    if orientation not in ("greatest", "least"):
+        raise ValueError("orientation must be 'greatest' or 'least'")
+    up: list[int] = []
+    down: list[int] = []
+    open_chain = [0]  # each open vertex with its ancestors, as a mask
+    for ch in t.encoding:
+        if ch == "(":
+            open_chain.append(open_chain[-1] | 1 << len(up))
+            up.append(open_chain[-2])
+            down.append(0)
+        else:
+            v = open_chain.pop().bit_length() - 1
+            down[v] = (1 << len(up)) - (2 << v)  # the vertices opened after v
+    p = Poset._wrap(t.size, tuple(up), down)
+    return p if orientation == "greatest" else p.dual()
+
+
+def _oracle_poset(t: RootedTree) -> Poset:
+    # Refuse before building the poset, so a huge tree costs nothing; then
+    # keep it on the tree, so every oracle asks one poset.  What the tree
+    # already says goes on the poset too, not derived again: its own steps
+    # certify it, and its leaves are the basic elements, under which every
+    # other vertex is upper.
+    bruteforce.check_subset_bound(t.size, "tree")
+    if t._poset is None:
+        p = tree_to_poset(t)
+        object.__setattr__(p, "_cert", _trace(tuple(_tree_steps(t))))
+        object.__setattr__(p, "_status", tuple(UPPER if row else BASIC for row in p._down))
+        object.__setattr__(t, "_poset", p)
+    return t._poset
+
+
+class TreeAntichain(Record):
+    """A maximal antichain with its leaf count and number of vertices below it."""
+
+    __slots__ = _fields = ("vertices", "leaf_count", "below_count")
+
+
+def maximal_antichains_tree(t: RootedTree) -> list[TreeAntichain]:
+    """All maximal antichains, each exactly once, as canonical index sets.
+
+    They are found by subset enumeration, so a tree with more than
+    SUBSET_BOUND vertices raises OracleBoundError.
+    """
+    p = _oracle_poset(t)
+    return [
+        TreeAntichain(
+            vertices=a,
+            leaf_count=sum(not p.down_mask(v) for v in a),
+            below_count=sum(p.down_mask(v).bit_count() for v in a),
+        )
+        for a in maximal_antichains_poset(p)
+    ]
+
+
+def antichain_expansion_tree(t: RootedTree) -> BivariatePoly:
+    """Sum x**leaves(A) * y**below(A) over maximal antichains A.
+
+    Works by exhaustive subset enumeration, independently of the recursion
+    in `tree_poly`, so the two routes can be checked against each other.
+    """
+    return antichain_expansion_poset(_oracle_poset(t))
+
+
+def count_antichains_tree(t: RootedTree) -> int:
+    """Number of antichains, including the empty one, by subset enumeration."""
+    return count_antichains_poset(_oracle_poset(t))
+
+
+def count_maximal_antichains_tree(t: RootedTree, leaf_free: bool = False) -> int:
+    """Number of maximal antichains (optionally only those avoiding leaves,
+    which are the basic elements of the tree as a V-poset)."""
+    p = _oracle_poset(t)
+    return count_maximal_antichains_no_basic(p) if leaf_free else count_maximal_antichains_poset(p)
+
+
+def count_cutsets_tree(t: RootedTree) -> int:
+    """Number of vertex sets meeting every root-to-leaf path."""
+    return count_cutsets_poset(_oracle_poset(t))
+
+
+def count_root_subtrees(t: RootedTree) -> int:
+    """Number of subtrees containing the root, counting the empty subtree.
+
+    A nonempty rooted subtree is a vertex set containing the root and closed
+    under taking parents; the empty set contributes the extra 1 (it pairs
+    with the empty antichain in the antichain/subtree correspondence).  The
+    check builds every such set, independently of the antichains, by
+    doubling over the vertices in preorder: vertex v joins exactly the sets
+    that hold its parent.
+    """
+    # Each vertex's up row holds its strict ancestors; its parent is the highest.
+    parents = [ancestors.bit_length() - 1 for ancestors in _oracle_poset(t)._up]
+    return bruteforce.count_parent_closed(parents) + 1
 
 
 # ----------------------------------------------------------------------

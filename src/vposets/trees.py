@@ -7,38 +7,24 @@ makes antichain output stable across runs.
 
 A tree is a V-poset: its root is a greatest element over the union of the
 branches.  `tree_poly` reads the build steps off the string in one scan and
-hands them to the evaluator that `poset_poly` uses; each brute-force tree
-oracle is the poset oracle on `tree_to_poset`, whose rows are the vertices'
-ancestor and descendant masks from another scan of the string.  `tree_poly_dc`
-(deletion-contraction, on minors cut from the branch strings) and
-`antichain_expansion_tree` (one monomial per maximal antichain) are the
-independent routes to the same polynomial.
+hands them to the evaluator that `poset_poly` uses, so this module needs
+only `polynomial`.  `tree_poly_dc` (deletion-contraction, on minors cut from
+the branch strings) is an independent route to the same polynomial.  Each
+brute-force tree oracle is the poset oracle on `tree_to_poset`; both live
+in `posets`.  `multisets` lists forests here and, for the census, multisets
+of connected V-posets in `enumeration`.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
-from . import bruteforce
 from ._record import Record
-from .enumeration import multisets
 from .errors import OracleBoundError, ParseError
 from .polynomial import EMPTY, GREATEST, BivariatePoly, build_poly
-from .posets import (
-    BASIC,
-    UPPER,
-    Poset,
-    _trace,
-    antichain_expansion_poset,
-    count_antichains_poset,
-    count_cutsets_poset,
-    count_maximal_antichains_no_basic,
-    count_maximal_antichains_poset,
-    maximal_antichains_poset,
-)
 
 GENERATION_BOUND = 12
 # Deletion-contraction's work bound: the characters of the minors it splits
@@ -158,6 +144,8 @@ def path(n: int) -> RootedTree:
 def _cut_branch(t: RootedTree, index: int) -> tuple[list[str], str]:
     """The other branch strings of ``t``, still sorted, and branch ``index``."""
     kids = _branches(t.encoding)
+    if not kids:
+        raise ValueError(f"branch index {index}: the tree is a single vertex, with no branches")
     if not 0 <= index < len(kids):
         raise ValueError(f"branch index {index} out of range 0..{len(kids) - 1}")
     branch = kids.pop(index)
@@ -253,119 +241,30 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
 
 
 # ----------------------------------------------------------------------
-# the order: strict ancestors in canonical preorder
-
-def tree_to_poset(t: RootedTree, orientation: str = "greatest") -> Poset:
-    """Poset whose cover graph is the tree; the root becomes the greatest
-    element (orientation "greatest") or the least one ("least").
-
-    Elements are the vertices in canonical preorder.  The strict ancestors
-    of a vertex are the elements above it, and its descendants, the
-    contiguous preorder range after it, are those below; one scan of the
-    string gives both rows of every vertex.  A vertex's parent is its
-    highest ancestor bit, the latest in preorder.
-    """
-    if orientation not in ("greatest", "least"):
-        raise ValueError("orientation must be 'greatest' or 'least'")
-    up: list[int] = []
-    down: list[int] = []
-    open_chain = [0]  # each open vertex with its ancestors, as a mask
-    for ch in t.encoding:
-        if ch == "(":
-            open_chain.append(open_chain[-1] | 1 << len(up))
-            up.append(open_chain[-2])
-            down.append(0)
-        else:
-            v = open_chain.pop().bit_length() - 1
-            down[v] = (1 << len(up)) - (2 << v)  # the vertices opened after v
-    p = Poset._wrap(t.size, tuple(up), down)
-    return p if orientation == "greatest" else p.dual()
-
-
-# ----------------------------------------------------------------------
-# brute-force oracles: the poset oracles on the tree as a V-poset
-
-def _oracle_poset(t: RootedTree) -> Poset:
-    # Refuse before building the poset, so a huge tree costs nothing; then
-    # keep it on the tree, so every oracle asks one poset.  What the tree
-    # already says goes on the poset too, not derived again: its own steps
-    # certify it, and its leaves are the basic elements, under which every
-    # other vertex is upper.
-    bruteforce.check_subset_bound(t.size, "tree")
-    if t._poset is None:
-        p = tree_to_poset(t)
-        object.__setattr__(p, "_cert", _trace(tuple(_tree_steps(t))))
-        object.__setattr__(p, "_status", tuple(UPPER if row else BASIC for row in p._down))
-        object.__setattr__(t, "_poset", p)
-    return t._poset
-
-
-class TreeAntichain(Record):
-    """A maximal antichain with its leaf count and number of vertices below it."""
-
-    __slots__ = _fields = ("vertices", "leaf_count", "below_count")
-
-
-def maximal_antichains_tree(t: RootedTree) -> list[TreeAntichain]:
-    """All maximal antichains, each exactly once, as canonical index sets.
-
-    They are found by subset enumeration, so a tree with more than
-    SUBSET_BOUND vertices raises OracleBoundError.
-    """
-    p = _oracle_poset(t)
-    return [
-        TreeAntichain(
-            vertices=a,
-            leaf_count=sum(not p.down_mask(v) for v in a),
-            below_count=sum(p.down_mask(v).bit_count() for v in a),
-        )
-        for a in maximal_antichains_poset(p)
-    ]
-
-
-def antichain_expansion_tree(t: RootedTree) -> BivariatePoly:
-    """Sum x**leaves(A) * y**below(A) over maximal antichains A.
-
-    Works by exhaustive subset enumeration, independently of the recursion
-    in `tree_poly`, so the two routes can be checked against each other.
-    """
-    return antichain_expansion_poset(_oracle_poset(t))
-
-
-def count_antichains_tree(t: RootedTree) -> int:
-    """Number of antichains, including the empty one, by subset enumeration."""
-    return count_antichains_poset(_oracle_poset(t))
-
-
-def count_maximal_antichains_tree(t: RootedTree, leaf_free: bool = False) -> int:
-    """Number of maximal antichains (optionally only those avoiding leaves,
-    which are the basic elements of the tree as a V-poset)."""
-    p = _oracle_poset(t)
-    return count_maximal_antichains_no_basic(p) if leaf_free else count_maximal_antichains_poset(p)
-
-
-def count_cutsets_tree(t: RootedTree) -> int:
-    """Number of vertex sets meeting every root-to-leaf path."""
-    return count_cutsets_poset(_oracle_poset(t))
-
-
-def count_root_subtrees(t: RootedTree) -> int:
-    """Number of subtrees containing the root, counting the empty subtree.
-
-    A nonempty rooted subtree is a vertex set containing the root and closed
-    under taking parents; the empty set contributes the extra 1 (it pairs
-    with the empty antichain in the antichain/subtree correspondence).  The
-    check builds every such set, independently of the antichains, by
-    doubling over the vertices in preorder: vertex v joins exactly the sets
-    that hold its parent.
-    """
-    # Each vertex's up row holds its strict ancestors; its parent is the highest.
-    parents = [ancestors.bit_length() - 1 for ancestors in _oracle_poset(t)._up]
-    return bruteforce.count_parent_closed(parents) + 1
-
-
-# ----------------------------------------------------------------------
 # exhaustive generation
+
+def multisets(
+    pool: Callable[[int], Sequence[object]],
+    total: int,
+    size_cap: int | None = None,
+    index_cap: int | None = None,
+) -> Iterator[tuple[object, ...]]:
+    """Multisets of pool items whose sizes sum to ``total``, each once.
+
+    ``pool(s)`` lists the items of size s.  A multiset is emitted as the
+    sequence nonincreasing in (size, index in the pool), so each unlabeled
+    forest of trees or of connected posets arises exactly once.
+    """
+    if total == 0:
+        yield ()
+        return
+    for s in range(total if size_cap is None else min(total, size_cap), 0, -1):
+        items = pool(s)
+        start = index_cap if (s == size_cap and index_cap is not None) else len(items) - 1
+        for i in range(start, -1, -1):
+            for rest in multisets(pool, total - s, s, i):
+                yield (items[i],) + rest
+
 
 @lru_cache(maxsize=GENERATION_BOUND)
 def _trees_of_size(n: int) -> tuple[str, ...]:

@@ -39,7 +39,7 @@ from vposets import (
 )
 from vposets import bruteforce
 from vposets.posets import BASIC
-from vposets.trees import _oracle_poset
+from vposets.posets import _oracle_poset
 
 from helpers import BOWTIE_POSET, N_POSET, parents_of
 

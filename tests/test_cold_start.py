@@ -1,8 +1,9 @@
-"""numpy is loaded only by the exhaustive oracles, on their first sweep, and
-neither the package nor its CLI commands load dataclasses, inspect or typing.
+"""numpy is loaded only by the exhaustive oracles, on their first sweep,
+neither the package nor its CLI commands load dataclasses, inspect or typing,
+and each entry point loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, since this test session has long
-since imported all of them."""
+since imported all of them.  Module names are checked, not times."""
 
 import os
 import subprocess
@@ -16,12 +17,28 @@ import vposets
 from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_POLY, FIGURE_TREE_TEXT
 
 
-def run_fresh(code: str) -> None:
+def run_fresh(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules that ``code`` adds to a fresh interpreter.  Those loaded
+    before it runs, by the interpreter's own site among them, do not count."""
+    return set(run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    ).split())
+
+
+def package_modules(added: set[str]) -> set[str]:
+    return {name for name in added if name.partition(".")[0] == "vposets"}
 
 
 def test_no_numpy_without_a_sweep():
@@ -46,6 +63,27 @@ def test_no_numpy_without_a_sweep():
     )
 
 
+def test_tree_path_loads_the_tree_modules():
+    added = loaded_by(
+        "import vposets\n"
+        f"assert str(vposets.tree_poly(vposets.parse_tree({FIGURE_TREE_TEXT!r}))) == "
+        f"{str(FIGURE_TREE_POLY)!r}\n"
+    )
+    assert package_modules(added) == {
+        "vposets", "vposets.errors", "vposets.polynomial", "vposets.trees", "vposets._record",
+    }
+
+
+def test_submodules_resolve_on_first_access():
+    added = loaded_by(
+        "import vposets\n"
+        "assert vposets.posets.BASIC == 'basic'\n"
+        "assert vposets.bruteforce.SUBSET_BOUND == 20\n"
+    )
+    assert {"vposets.posets", "vposets.bruteforce"} <= added
+    assert "vposets.enumeration" not in added
+
+
 def test_no_dataclasses_inspect_or_typing(tmp_path):
     # Compared with the modules loaded before the import, so that whatever
     # the interpreter's own site loaded does not count.  The CLI commands
@@ -66,6 +104,24 @@ def test_no_dataclasses_inspect_or_typing(tmp_path):
         "loaded &= {'numpy', 'dataclasses', 'inspect', 'typing'}\n"
         "assert not loaded, sorted(loaded)\n"
     )
+
+
+# Each command with the package modules it must not load.
+COMMAND_MODULES = [
+    ("tree-poly", "small.tree", {"vposets.posets", "vposets.enumeration", "vposets.bruteforce"}),
+    ("check", "small.poset", {"vposets.enumeration"}),
+    ("poset-poly", "small.poset", {"vposets.enumeration"}),
+]
+
+
+@pytest.mark.parametrize("command, source, unused", COMMAND_MODULES)
+def test_command_loads_only_what_it_runs(tmp_path, command, source, unused):
+    (tmp_path / "small.tree").write_text(FIGURE_TREE_TEXT + "\n")
+    (tmp_path / "small.poset").write_text("4\n1 3\n2 3\n3 4\n")
+    args = [command, str(tmp_path / source)]
+    added = loaded_by(f"import vposets.cli\nassert vposets.cli.main({args!r}) == 0\n")
+    assert "vposets.cli" in added
+    assert not package_modules(added) & unused
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from vposets import (
 )
 from vposets import posets
 from vposets.polynomial import build_poly
-from vposets.trees import _oracle_poset
+from vposets.posets import _oracle_poset
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -211,7 +211,7 @@ class TestDeletionContraction:
                 assert delete_root_branch(t, i) == RootedTree(rest)
 
     @pytest.mark.parametrize("t, index, message", [
-        (path(1), 0, r"branch index 0 out of range 0\.\.-1"),
+        (path(1), 0, r"branch index 0: the tree is a single vertex, with no branches"),
         (star(3), 5, r"branch index 5 out of range 0\.\.1"),
         (star(3), -1, r"branch index -1 out of range 0\.\.1"),
     ])
@@ -219,6 +219,14 @@ class TestDeletionContraction:
     def test_surgery_bad_index(self, surgery, t, index, message):
         with pytest.raises(ValueError, match=message):
             surgery(t, index)
+
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    @pytest.mark.parametrize("surgery", [contract_root_edge, delete_root_branch])
+    def test_surgery_on_one_vertex(self, surgery, index):
+        # A single vertex has no branch to name a range of.
+        with pytest.raises(ValueError, match="no branches") as caught:
+            surgery(star(1), index)
+        assert "out of range" not in str(caught.value)
 
 
 def _edge_identity(t, i):
