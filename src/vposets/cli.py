@@ -3,7 +3,8 @@
 Subcommands: tree-poly, poset-poly, check, counts, census, asymptotics,
 collide.  Inputs are file paths, or "-" for standard input.  Exit status:
 0 success, 1 not a V-poset, 2 parse or usage error, 3 a brute-force, series
-or memory bound exceeded.  Each command imports the modules it runs, so
+or memory bound exceeded, 141 (128 + SIGPIPE) when the reader closes
+standard output early.  Each command imports the modules it runs, so
 `tree-poly` compiles only `polynomial` and `trees`.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -245,7 +247,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # exact answers can run past 4300 digits
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone: what is still buffered goes to the null
+        # device, so the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NotVPosetError as exc:
         print(f"error: not a V-poset: {_pattern_text(exc.pattern)}", file=sys.stderr)
         return 1

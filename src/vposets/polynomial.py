@@ -24,17 +24,20 @@ and any k >= 0 replaces the top k values by their disjoint union (the
 product).  A first pass finds the sizes and m(root) = P(1,1), where m is 1
 for the empty poset, multiplies over unions and grows by 1 when an element
 is added to a nonempty value; it bounds every coefficient and partial
-product.  The second pass works on packed rows, one per x-degree with a
-nonzero term: the pair (o, r) holds the coefficients of y^o, y^(o+1), ...
-in the fixed w-bit fields of the Python integer r (Kronecker substitution
-in y), and its lowest field is nonzero, so a row carries its own y-offset
-and no zero padding below its first term.  A row product adds the offsets
-and is one big-integer multiplication of the packed parts; a sum shifts
-the part with the higher offset up by w bits per degree of difference.
-Fields of w >= bit_length(m(root)) bits never carry into each other.  A
-single element stays an x factor, applied as a row shift.  w is rounded up
-to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so most packed rows
-become coefficient rows through machine-word views of their bytes.
+product.  The second pass works on packed rows, kept from the highest
+x-degree down to 0 (None where a degree has no term): the pair (o, r)
+holds the coefficients of y^o, y^(o+1), ... in the fixed w-bit fields of
+the Python integer r (Kronecker substitution in y), and its lowest field is
+nonzero, so a row carries its own y-offset and no zero padding below its
+first term.  A row product adds the offsets and is one big-integer
+multiplication of the packed parts; a sum shifts the part with the higher
+offset up by w bits per degree of difference.  Fields of
+w >= bit_length(m(root)) bits never carry into each other.  A single
+element stays an x factor, applied by appending empty rows, and an added
+element's term goes into the last row, so neither copies the row list.  w
+is rounded up to 8, 16, 32 or 64 bits, or beyond that to whole bytes, so
+most packed rows become coefficient rows through machine-word views of
+their bytes.
 """
 
 from __future__ import annotations
@@ -273,7 +276,9 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
     (bound,) = bounds
     width = _field_bytes(bound) * 8
     # Second pass: a value is an int p for x**p (an antichain), else a list
-    # of packed rows by x-degree, each None or (y-offset, packed).
+    # of packed rows from the highest x-degree down to 0, each None or
+    # (y-offset, packed), so an x factor appends and an add step writes the
+    # last row.
     stack: list = []
     adds = iter(below)
     for step in steps:
@@ -284,13 +289,13 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             if s:
                 rows = stack[-1]
                 if rows.__class__ is int:
-                    rows = [None] * rows + [(0, 1)]
-                row = rows[0]
+                    rows = [(0, 1)] + [None] * rows
+                row = rows[-1]
                 if row is None:
-                    rows[0] = (s, 1)
+                    rows[-1] = (s, 1)
                 else:
                     off, packed = row
-                    rows[0] = (off, packed + (1 << (width * (s - off))))
+                    rows[-1] = (off, packed + (1 << (width * (s - off))))
                 stack[-1] = rows
             else:
                 stack[-1] = 1
@@ -302,7 +307,11 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
                 else:
                     rows = value if rows is None else _mul_rows(rows, value, width)
             del stack[len(stack) - step:]
-            stack.append(points if rows is None else [None] * points + rows)
+            if rows is None:
+                rows = points
+            else:
+                rows += [None] * points
+            stack.append(rows)
     rows = stack[0]
     if rows.__class__ is int:
         return BivariatePoly.monomial(1, rows, 0)
@@ -310,9 +319,10 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
 
 
 def _mul_rows(a: list, b: list, width: int) -> list:
-    # Row k of the product is sum(a[i] * b[k - i]); no field can carry.  A
-    # product adds the offsets, and a sum shifts the part with the higher
-    # offset up to the lower one.
+    # Row k of the product is sum(a[i] * b[k - i]); no field can carry.  The
+    # lists may run either way in x-degree, since reversed lists convolve to
+    # the reversed list.  A product adds the offsets, and a sum shifts the
+    # part with the higher offset up to the lower one.
     out: list = [None] * (len(a) + len(b) - 1)
     nonzero_b = [(j, row[0], row[1]) for j, row in enumerate(b) if row is not None]
     for i, row_a in enumerate(a):
@@ -347,11 +357,12 @@ def _field_bytes(bound: int) -> int:
 
 
 def _unpack_rows(rows: list, field_bytes: int) -> BivariatePoly:
-    """Coefficient rows from packed ones, each read from its y-offset up."""
+    """Coefficient rows from packed ones kept from the highest x-degree
+    down, each read from its y-offset up."""
     width = 8 * field_bytes
     fmt = _WORD_FORMATS.get(field_bytes)
     out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(reversed(rows)):
         if row is None:
             continue
         off, packed = row

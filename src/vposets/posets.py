@@ -447,26 +447,29 @@ class ForbiddenPattern(Record):
 
 
 def find_forbidden(p: Poset) -> ForbiddenPattern | None:
-    """Scan all quadruples for an induced N or bowtie; None when clean."""
+    """The first induced N or bowtie in (u, v, x, w) index order; None when clean."""
     return _forbidden_in(p, (1 << p.n) - 1)
 
 
 def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
-    # The first quadruple inside ``live`` in (u, v, x, w) index order.  A u
-    # with fewer than two live elements below it has no x and w: skip it.
+    # The first quadruple inside ``live`` in (u, v, x, w) index order.  The
+    # x below u with a w below u incomparable to them form ``xs`` (empty: no
+    # quadruple at u); v is the lowest element above one of them that is
+    # incomparable to u, x the lowest of ``xs`` below v, w the lowest one for x.
     up, down = p._up, p._down
     for u in _bits(live):
         du = down[u] & live
-        if not du & (du - 1):
-            continue
-        for v in _bits(live & ~(up[u] | down[u] | 1 << u)):
-            common = du & down[v]
-            for x in _bits(common):
-                loose = du & ~(up[x] | down[x] | 1 << x)
-                if loose:
-                    w = (loose & -loose).bit_length() - 1
-                    kind = "bowtie" if p.less(w, v) else "N"
-                    return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
+        xs = above = 0
+        for x in _bits(du):
+            if du & ~(up[x] | down[x] | 1 << x):
+                xs |= 1 << x
+                above |= up[x]
+        if xs and (vs := above & live & ~(up[u] | down[u] | 1 << u)):
+            v = next(_bits(vs))
+            x = next(_bits(down[v] & xs))
+            w = next(_bits(du & ~(up[x] | down[x] | 1 << x)))
+            kind = "bowtie" if p.less(w, v) else "N"
+            return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
     return None
 
 

@@ -36,9 +36,10 @@ DC_BOUND = 2_000_000
 
 
 def _canonical(branches: list[str]) -> str:
-    """The string of a vertex over its branches' strings, sorted in place."""
+    """The string of a vertex over its branches' strings, sorted in place,
+    built by one join, so each branch string is copied once."""
     branches.sort()
-    return "(" + "".join(branches) + ")"
+    return "".join(["(", *branches, ")"])
 
 
 def _branches(encoding: str) -> list[str]:

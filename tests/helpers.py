@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from hypothesis import strategies as st
 
+import vposets
 from vposets import BivariatePoly, Poset, RootedTree
+
+# The environment of a `python -m vposets.cli` child: it imports the package
+# from where the tests do.
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
 
 # Six-vertex example tree: root with a two-leaf branch and a one-leaf branch.
 FIGURE_TREE_TEXT = "((()())(()))"

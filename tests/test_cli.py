@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,7 @@ from vposets import enumeration
 from vposets.cli import main
 from vposets.enumeration import SERIES_BOUND, q_series
 
-from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
+from helpers import CLI_ENV, FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
 
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
 
@@ -286,6 +288,23 @@ class TestOutOfMemory:
         assert main(["check", poset_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: out of memory\n"
+
+
+class TestClosedPipe:
+    def test_reader_closes_after_ten_bytes(self, tmp_path):
+        # The polynomial of a 20000-vertex path runs far past a pipe's
+        # buffer, so the child is still writing when the reader goes.
+        f = tmp_path / "path.tree"
+        f.write_text("(" * 20000 + ")" * 20000)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "vposets.cli", "tree-poly", str(f)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+        )
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.communicate(timeout=60)[1].decode()
+        assert child.returncode == 141, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 class TestUsageErrors:

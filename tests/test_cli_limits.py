@@ -9,24 +9,19 @@ only; no row may leave a traceback.  Rows that sweep subsets load numpy
 and set no MB: their address space depends on the BLAS thread count.
 """
 
-import os
 import random
 import resource
 import subprocess
 import sys
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import pytest
 
-import vposets
 from vposets.bruteforce import SUBSET_BOUND
 from vposets.enumeration import CENSUS_BOUND, SERIES_BOUND
 from vposets.trees import GENERATION_BOUND
 
-from helpers import chain_text, tree_of
-
-ENV = {**os.environ, "PYTHONPATH": str(Path(vposets.__file__).resolve().parents[1])}
+from helpers import CLI_ENV, chain_text, tree_of
 
 with localcontext() as ctx:  # str() of an int past 4300 digits raises by default
     ctx.prec = 20000
@@ -57,7 +52,8 @@ OOM = ("error: out of memory",)
 PATH = "(" * 20000 + ")" * 20000  # a path of 20000 vertices
 
 ROWS = [
-    # Long chains and tall paths, past the default recursion limit.
+    # Long chains, tall paths and a tall caterpillar, past the default
+    # recursion limit.
     row("check-chain-2000", lambda: chain_text(2000), "check FILE", 0, 60),
     row("poset-poly-chain-2000", lambda: chain_text(2000), "poset-poly FILE", 0, 60),
     row("counts-chain-5000", lambda: chain_text(5000), "counts FILE", 0, 10),
@@ -67,6 +63,8 @@ ROWS = [
         expect=(f"P(2,2) = {TWO_TO_20000}\n",)),
     row("tree-poly-eval-json-path-20000", lambda: PATH,
         "tree-poly --eval 2 2 --json FILE", 0, 60),
+    row("tree-poly-caterpillar-100000", lambda: "(()" * 100000 + ")" * 100000,
+        "tree-poly FILE", 0, 10),
     # Wide antichains: components wait on the peel stack shifted.
     row("check-antichain-50000", lambda: "50000\n", "check FILE", 0, 60, mb=100,
         expect=("VPOSET (union" + " (g empty)" * 50000 + ")\n",)),
@@ -81,13 +79,17 @@ ROWS = [
     row("counts-count-1e9", lambda: f"{10**9}\n", "counts FILE", 3, 60, mb=200, expect=OOM),
     row("poset-poly-count-1e9", lambda: f"{10**9}\n", "poset-poly FILE", 3, 60, mb=200,
         expect=OOM),
-    # Forbidden patterns: the witness scan skips elements with one below.
+    # Forbidden patterns: the witness scan costs a few row operations per live
+    # relation, also when every u has a chain of two below it.
     row("check-fence-20000", lambda: fence(10000), "check FILE", 1, 10, expect=("NOT-VPOSET N ",)),
     row("check-crown-20000", lambda: fence(10000) + "10000 20000\n1 20000\n", "check FILE", 1, 10,
         expect=("NOT-VPOSET N ",)),
     row("check-k100-100", lambda: "200\n" + "".join(
         f"{i} {100 + j}\n" for i in range(1, 101) for j in range(1, 101)), "check FILE", 1, 10,
         expect=("NOT-VPOSET BOWTIE ",)),
+    row("check-chains-under-one-12001", lambda: "12001\n" + "".join(
+        f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}\n{3 * i + 1} 12001\n"
+        for i in range(4000)), "check FILE", 1, 10, expect=("NOT-VPOSET N 12001 2 4 1\n",)),
     # Wide unions: a spider of 1000 two-vertex legs and 1000 disjoint 2-chains.
     row("tree-poly-spider-1000", lambda: "(" + "(())" * 1000 + ")", "tree-poly FILE", 0, 60),
     row("poset-poly-two-chains-1000", lambda: "2000\n" + "".join(
@@ -134,7 +136,7 @@ def test_limit(tmp_path, make, argv, status, seconds, mb, expect):
 
     run = subprocess.run(
         [sys.executable, "-m", "vposets.cli", *args],
-        capture_output=True, text=True, timeout=seconds, env=ENV,
+        capture_output=True, text=True, timeout=seconds, env=CLI_ENV,
         preexec_fn=limit_address_space if mb else None,
     )
     assert "Traceback" not in run.stderr, run.stderr

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 import re
 import time
 
@@ -56,6 +57,7 @@ from vposets.posets import (
     _components,
     _element_signatures,
     _extreme,
+    _forbidden_in,
     _peel,
     _trace,
 )
@@ -721,24 +723,28 @@ def fence(m):
 
 
 class TestWitnessScan:
-    """The scan skips any u with fewer than two live elements below it,
-    which cannot start a quadruple, so it finds the same first witness."""
+    """For each u the scan collects the x below u that have an incomparable
+    w below u, and picks v, x and w as lowest bits; on the full mask, the
+    peel's stuck mask and random live masks it finds the witness that
+    walking every v incomparable to u finds first."""
 
-    def assert_same_witness(self, p):
+    def assert_same_witness(self, p, live):
         assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
+        assert _forbidden_in(p, live) == reference_forbidden(p, live)
         trace, stuck = _peel(p)
         if trace is None:
             assert is_v_poset(p) == reference_forbidden(p, stuck)
 
     @pytest.mark.parametrize("n", range(6))
     def test_all_labeled_posets(self, n):
+        rng = random.Random(n)
         for p in all_labeled_posets(n):
-            self.assert_same_witness(p)
+            self.assert_same_witness(p, rng.getrandbits(n))
 
     @settings(max_examples=300, deadline=None)
-    @given(strict_orders())
-    def test_random_orders(self, p):
-        self.assert_same_witness(p)
+    @given(strict_orders(), st.data())
+    def test_random_orders(self, p, data):
+        self.assert_same_witness(p, data.draw(st.integers(0, (1 << p.n) - 1)))
 
     def test_long_fence(self):
         # The limit is loose for a loaded machine: this takes well under a
