@@ -3,32 +3,35 @@
 Everything here inspects all subsets of a small ground set, so the callers
 refuse larger inputs first: above SUBSET_BOUND elements, or above
 `posets.LABELED_BOUND` for the strict orders.  Each question is one
-exhaustive pass: `antichain_sweep` builds every antichain,
-`hitting_flags` records, for every subset code, which chain bitmasks it
-meets, and `count_parent_closed` builds every parent-closed vertex set,
-each by doubling over the elements; `strict_orders` filters every relation
-on a few elements.  They stay independent of the recursive polynomial
-definitions they are used to cross-check, and answer in plain Python ints
-and lists.
-SUBSET_BOUND is below 32, so an antichain's neighbourhood union and its
-subset code share one int64 word.
+exhaustive pass, and each answers in plain Python ints and lists, apart
+from the recursive polynomial definitions it is used to cross-check.
 
-This is the only module that touches numpy.  It loads numpy on the first
-sweep, inside the function that runs it, so the polynomial, recognition,
-enumeration and every CLI command that sweeps no subset start without it.
+`antichain_sweep` builds every antichain as a row of a numpy table, by
+doubling over the elements, and `member_sums` sums columns over them.
+SUBSET_BOUND is below 32, so an antichain's neighbourhood union and its
+subset code share one int64 word.  Every other family of subsets is one
+Python int, a bitmap with bit c set when the subset with code c belongs:
+the sets meeting every chain, the parent-closed vertex sets and the strict
+orders among all relations are each built with a few shifts and masks of
+that int per element, and `_codes` lists a bitmap's codes.
+
+numpy loads only in those two antichain functions, inside each, so the
+polynomial, recognition, enumeration, the cutset, root-subtree and
+labeled-poset oracles and every CLI command that lists no antichain start
+without it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 from .errors import OracleBoundError
 
 SUBSET_BOUND = 20
 
 _LOW = (1 << 32) - 1
-_CHUNK = 31  # chain masks per int32 hit word
 
 
 def check_subset_bound(n: int, what: str = "input") -> None:
@@ -79,91 +82,93 @@ def member_sums(codes: Sequence[int], columns: Sequence[Sequence[int]]) -> list[
     return list(zip(*sums.tolist()))
 
 
-def hitting_flags(n: int, masks: Iterable[int]) -> np.ndarray:
-    """Flag per subset code 0..2**n-1: meets every one of the given bitmasks.
+def _inside(n: int, mask: int) -> int:
+    """The bitmap of the subset codes of ``mask``'s members below n, by
+    doubling: each member k adds, 2**k codes higher, the codes so far."""
+    inside = 1  # the empty set
+    for k in range(n):
+        if mask >> k & 1:
+            inside |= inside << (1 << k)
+    return inside
 
-    One doubling sweep over the elements per chunk of 31 masks: entry c of
-    an int32 table holds, as bits, the masks that subset c meets, and
-    element k ORs in the masks that contain k.
-    """
-    import numpy as np
 
-    masks = list(masks)
-    flags = np.ones(1 << n, dtype=bool)
-    for start in range(0, len(masks), _CHUNK):
-        chunk = masks[start : start + _CHUNK]
-        meets = [0] * n  # per element, the masks of the chunk that contain it
-        for j, mask in enumerate(chunk):
-            for k in range(n):
-                meets[k] |= ((mask >> k) & 1) << j
-        hit = np.empty(1 << n, dtype=np.int32)
-        hit[0] = 0
-        for k in range(n):
-            np.bitwise_or(hit[: 1 << k], meets[k], out=hit[1 << k : 2 << k])
-        flags &= hit == (1 << len(chunk)) - 1
-    return flags
+@cache
+def _holding(n: int) -> tuple[int, ...]:
+    """Per element k < n, the bitmap of the codes below 2**n that hold k;
+    kept per n, which stops at SUBSET_BOUND (about 5 MB for every n)."""
+    full, everyone = (1 << (1 << n)) - 1, (1 << n) - 1
+    return tuple(full ^ _inside(n, everyone ^ 1 << k) for k in range(n))
+
+
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _codes(bitmap: int) -> list[int]:
+    """The codes of a bitmap in ascending order: a byte scan finds its
+    nonzero bytes, and only those are split into bits."""
+    data = bitmap.to_bytes((bitmap.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    codes = []
+    i = marks.find(1)
+    while i >= 0:
+        codes += [8 * i + j for j in range(8) if data[i] >> j & 1]
+        i = marks.find(1, i + 1)
+    return codes
+
+
+def _hitting(n: int, masks: Iterable[int]) -> int:
+    """The bitmap of the subset codes of 0..n-1 that meet every given
+    bitmask: those inside no mask's complement."""
+    everyone = (1 << n) - 1
+    missing = 0
+    for mask in masks:
+        missing |= _inside(n, everyone ^ mask)
+    return ((1 << (1 << n)) - 1) ^ missing
 
 
 def count_hitting_sets(n: int, masks: Iterable[int]) -> int:
     """Number of subsets of 0..n-1 that meet every given bitmask."""
-    return int(hitting_flags(n, masks).sum())
+    return _hitting(n, masks).bit_count()
 
 
 def minimal_hitting_sets(n: int, masks: Iterable[int]) -> list[int]:
     """The inclusion-minimal subsets meeting every given bitmask, as
     ascending subset codes: those no one-element removal keeps hitting.
 
-    One pass per element v over the flag table, viewed as blocks of
-    2 * 2**v codes: the upper half of a block holds v, and the code 2**v
-    below each is the same set without it.
+    Shifting the hitting bitmap 2**v codes up and keeping the codes that
+    hold v marks the hitting sets that still hit without v.
     """
-    import numpy as np
-
-    flags = hitting_flags(n, masks)
-    minimal = flags.copy()
-    for v in range(n):
-        minimal.reshape(-1, 2, 1 << v)[:, 1] &= ~flags.reshape(-1, 2, 1 << v)[:, 0]
-    return np.flatnonzero(minimal).tolist()
+    hit = _hitting(n, masks)
+    minimal = hit
+    for v, holding in enumerate(_holding(n)):
+        minimal &= ~((hit << (1 << v)) & holding)
+    return _codes(minimal)
 
 
 def count_parent_closed(parents: Sequence[int]) -> int:
     """Number of vertex sets holding vertex 0 and closed under taking
     parents, where ``parents[v] < v`` is the parent of each vertex v >= 1.
 
-    One doubling sweep over the vertices: vertex v joins exactly the sets
-    that hold its parent.
+    One doubling sweep over the vertices on the bitmap of the closed sets:
+    vertex v joins exactly the sets that hold its parent.
     """
-    import numpy as np
-
-    table = np.empty(1 << (len(parents) - 1), dtype=np.int32)  # filled up to ``count``
-    table[0] = 1  # vertex 0 alone
-    count = 1
+    holding = _holding(len(parents))
+    closed = 1 << 1  # vertex 0 alone
     for v, parent in enumerate(parents[1:], 1):
-        sets = table[:count]
-        held = sets[(sets & 1 << parent) != 0]
-        np.bitwise_or(held, 1 << v, out=table[count : count + len(held)])
-        count += len(held)
-    return count
+        closed |= (closed & holding[parent]) << (1 << v)
+    return closed.bit_count()
 
 
 def strict_orders(n: int) -> list[list[tuple[int, int]]]:
     """The pair lists (u, v), meaning u < v, of every strict partial order
-    on 0..n-1, from one filter over all 2**(n*(n-1)) relations: no
-    antisymmetry violation and no transitivity gap."""
-    import numpy as np
-
+    on 0..n-1, from one filter over the bitmap of all 2**(n*(n-1))
+    relations: no antisymmetry violation and no transitivity gap."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    m = len(pairs)
-    codes = np.arange(1 << m, dtype=np.int64)
-    rel = ((codes[:, None] >> np.arange(m)) & 1).astype(bool)
-    ok = np.ones(1 << m, dtype=bool)
+    holding = dict(zip(pairs, _holding(len(pairs))))
+    ok = (1 << (1 << len(pairs))) - 1
     for i in range(n):
         for j in range(i + 1, n):
-            ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, i)]])
+            ok &= ~(holding[i, j] & holding[j, i])
     for i, j, k in itertools.permutations(range(n), 3):
-        ok &= ~(rel[:, index[(i, j)]] & rel[:, index[(j, k)]] & ~rel[:, index[(i, k)]])
-    return [
-        [pairs[k] for k in np.flatnonzero(rel[code]).tolist()]
-        for code in np.flatnonzero(ok).tolist()
-    ]
+        ok &= ~(holding[i, j] & holding[j, k] & ~holding[i, k])
+    return [[pairs[k] for k in range(len(pairs)) if code >> k & 1] for code in _codes(ok)]

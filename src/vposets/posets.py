@@ -456,18 +456,34 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
     # x below u with a w below u incomparable to them form ``xs`` (empty: no
     # quadruple at u); v is the lowest element above one of them that is
     # incomparable to u, x the lowest of ``xs`` below v, w the lowest one for x.
+    # A u whose live down set has a greatest element m has m's ``xs`` and
+    # up-row union, as m is comparable to everything below u; so each u
+    # takes the root of that descent, and each root's down set is walked once.
     up, down = p._up, p._down
+    groups: dict[int, list[int]] = defaultdict(list)
     for u in _bits(live):
-        du = down[u] & live
-        xs = above = 0
-        for x in _bits(du):
-            if du & ~(up[x] | down[x] | 1 << x):
-                xs |= 1 << x
-                above |= up[x]
+        groups[(down[u] & live).bit_count()].append(u)
+    root: dict[int, int] = {}
+    for k in sorted(groups):
+        smaller = _mask(groups[k - 1]) if k - 1 in groups else 0
+        for u in groups[k]:
+            m = (down[u] & smaller).bit_length() - 1  # the greatest below u, if any
+            root[u] = root[m] if m >= 0 else u
+    walked: dict[int, tuple[int, int]] = {}
+    for u in _bits(live):
+        if (r := root[u]) not in walked:
+            dr = down[r] & live
+            xs = above = 0
+            for x in _bits(dr):
+                if dr & ~(up[x] | down[x] | 1 << x):
+                    xs |= 1 << x
+                    above |= up[x]
+            walked[r] = xs, above
+        xs, above = walked[r]
         if xs and (vs := above & live & ~(up[u] | down[u] | 1 << u)):
             v = next(_bits(vs))
             x = next(_bits(down[v] & xs))
-            w = next(_bits(du & ~(up[x] | down[x] | 1 << x)))
+            w = next(_bits(down[u] & live & ~(up[x] | down[x] | 1 << x)))
             kind = "bowtie" if p.less(w, v) else "N"
             return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
     return None

@@ -32,6 +32,7 @@ from vposets import (
     minimal_cutsets,
     parse_poset,
     parse_tree,
+    path,
     poset_poly,
     star,
     tree_poly,
@@ -161,7 +162,9 @@ def layers(*sizes):
 
 
 def test_more_chains_than_one_hit_word():
-    # A cutset of complete layers holds a whole layer.
+    # A cutset of complete layers holds a whole layer, and a minimal one is
+    # a layer: 625 chains on 20 elements, the most the subset bound allows
+    # for four layers.
     bipartite = layers(6, 6)
     assert len(maximal_chains(bipartite)) == 36
     assert_engine_matches(bipartite)
@@ -169,6 +172,7 @@ def test_more_chains_than_one_hit_word():
     four = layers(5, 5, 5, 5)
     assert len(maximal_chains(four)) == 625
     assert count_cutsets_poset(four) == 2**20 - (2**5 - 1) ** 4 == 125055
+    assert minimal_cutsets(four) == [frozenset(range(5 * i, 5 * i + 5)) for i in range(4)]
 
 
 def test_star_at_the_bound():
@@ -179,6 +183,8 @@ def test_star_at_the_bound():
     assert antichain_expansion_tree(t) == tree_poly(t)
     # The root alone, and all the leaves.
     assert minimal_cutsets(tree_to_poset(t)) == [frozenset({0}), frozenset(range(1, 20))]
+    # Every vertex of a path lies on its one chain.
+    assert minimal_cutsets(tree_to_poset(path(20))) == [frozenset({v}) for v in range(20)]
 
 
 def test_root_subtrees_by_subset_loop():

@@ -79,8 +79,10 @@ ROWS = [
     row("counts-count-1e9", lambda: f"{10**9}\n", "counts FILE", 3, 60, mb=200, expect=OOM),
     row("poset-poly-count-1e9", lambda: f"{10**9}\n", "poset-poly FILE", 3, 60, mb=200,
         expect=OOM),
-    # Forbidden patterns: the witness scan costs a few row operations per live
-    # relation, also when every u has a chain of two below it.
+    # Forbidden patterns: the witness scan walks a live down set only where it
+    # has no greatest element, and an element above such a descent reuses
+    # that walk, so the scan costs a few row operations per live relation,
+    # also when every u has a chain of two below it or a long chain.
     row("check-fence-20000", lambda: fence(10000), "check FILE", 1, 10, expect=("NOT-VPOSET N ",)),
     row("check-crown-20000", lambda: fence(10000) + "10000 20000\n1 20000\n", "check FILE", 1, 10,
         expect=("NOT-VPOSET N ",)),
@@ -90,6 +92,9 @@ ROWS = [
     row("check-chains-under-one-12001", lambda: "12001\n" + "".join(
         f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}\n{3 * i + 1} 12001\n"
         for i in range(4000)), "check FILE", 1, 10, expect=("NOT-VPOSET N 12001 2 4 1\n",)),
+    row("check-long-chain-5003", lambda: "5003\n" + "".join(
+        f"{i} {i + 1}\n" for i in range(1, 5001)) + "1 5002\n5003 5001\n", "check FILE", 1, 10,
+        expect=("NOT-VPOSET N 5001 5002 5003 1\n",)),
     # Wide unions: a spider of 1000 two-vertex legs and 1000 disjoint 2-chains.
     row("tree-poly-spider-1000", lambda: "(" + "(())" * 1000 + ")", "tree-poly FILE", 0, 60),
     row("poset-poly-two-chains-1000", lambda: "2000\n" + "".join(

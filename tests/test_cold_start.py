@@ -1,4 +1,4 @@
-"""numpy is loaded only by the exhaustive oracles, on their first sweep,
+"""numpy is loaded only by the antichain oracles, on their first sweep,
 neither the package nor its CLI commands load dataclasses, inspect or typing,
 and each entry point loads only the package modules it runs.
 
@@ -128,10 +128,7 @@ def test_command_loads_only_what_it_runs(tmp_path, command, source, unused):
     "call, answer",
     [
         ("count_antichains_tree(star(5))", "2**4 + 1"),
-        ("count_root_subtrees(star(5))", "2**4 + 1"),
-        ("minimal_cutsets(tree_to_poset(star(5)))", "[{0}, {1, 2, 3, 4}]"),
         ("antichain_expansion_poset(tree_to_poset(star(5)))", "tree_poly(star(5))"),
-        ("len(all_labeled_posets(3))", "19"),
     ],
 )
 def test_first_sweep_loads_numpy(call, answer):
@@ -141,4 +138,24 @@ def test_first_sweep_loads_numpy(call, answer):
         "assert 'numpy' not in sys.modules\n"
         f"assert {call} == {answer}\n"
         "assert 'numpy' in sys.modules\n"
+    )
+
+
+# The cutset, root-subtree and labeled-poset oracles keep their subset
+# families as integer bitmaps and list no antichain.
+@pytest.mark.parametrize(
+    "call, answer",
+    [
+        ("count_root_subtrees(star(5))", "2**4 + 1"),
+        ("count_cutsets_tree(star(5))", "2**4 + 1"),
+        ("minimal_cutsets(tree_to_poset(star(5)))", "[{0}, {1, 2, 3, 4}]"),
+        ("len(all_labeled_posets(3))", "19"),
+    ],
+)
+def test_bitmap_sweep_leaves_numpy_unloaded(call, answer):
+    run_fresh(
+        "import sys\n"
+        "from vposets import *\n"
+        f"assert {call} == {answer}\n"
+        "assert 'numpy' not in sys.modules\n"
     )
