@@ -11,9 +11,9 @@ doubling over the elements, and `member_sums` sums columns over them.
 SUBSET_BOUND is below 32, so an antichain's neighbourhood union and its
 subset code share one int64 word.  Every other family of subsets is one
 Python int, a bitmap with bit c set when the subset with code c belongs:
-the sets meeting every chain, the parent-closed vertex sets and the strict
-orders among all relations are each built with a few shifts and masks of
-that int per element, and `_codes` lists a bitmap's codes.
+the cutsets come from one pass up the lower covers, and the parent-closed
+vertex sets and the strict orders among all relations from a few shifts
+and masks per element; `_codes` lists a bitmap's codes.
 
 numpy loads only in those two antichain functions, inside each, so the
 polynomial, recognition, enumeration, the cutset, root-subtree and
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from functools import cache
+from functools import cache, reduce
+from operator import and_
 
 from .errors import OracleBoundError
 
@@ -82,22 +83,18 @@ def member_sums(codes: Sequence[int], columns: Sequence[Sequence[int]]) -> list[
     return list(zip(*sums.tolist()))
 
 
-def _inside(n: int, mask: int) -> int:
-    """The bitmap of the subset codes of ``mask``'s members below n, by
-    doubling: each member k adds, 2**k codes higher, the codes so far."""
-    inside = 1  # the empty set
-    for k in range(n):
-        if mask >> k & 1:
-            inside |= inside << (1 << k)
-    return inside
-
-
 @cache
 def _holding(n: int) -> tuple[int, ...]:
-    """Per element k < n, the bitmap of the codes below 2**n that hold k;
+    """Per element k < n, the bitmap of the codes below 2**n that hold k: a
+    run of 2**k codes without k and 2**k with it, doubled up to 2**n codes;
     kept per n, which stops at SUBSET_BOUND (about 5 MB for every n)."""
-    full, everyone = (1 << (1 << n)) - 1, (1 << n) - 1
-    return tuple(full ^ _inside(n, everyone ^ 1 << k) for k in range(n))
+    rows = []
+    for k in range(n):
+        row = ((1 << (1 << k)) - 1) << (1 << k)
+        for j in range(k + 1, n):
+            row |= row << (1 << j)
+        rows.append(row)
+    return tuple(rows)
 
 
 _NONZERO = bytes([0] + [1] * 255)
@@ -116,32 +113,29 @@ def _codes(bitmap: int) -> list[int]:
     return codes
 
 
-def _hitting(n: int, masks: Iterable[int]) -> int:
-    """The bitmap of the subset codes of 0..n-1 that meet every given
-    bitmask: those inside no mask's complement."""
-    everyone = (1 << n) - 1
-    missing = 0
-    for mask in masks:
-        missing |= _inside(n, everyone ^ mask)
-    return ((1 << (1 << n)) - 1) ^ missing
+def cutsets(below: Sequence[int], order: Iterable[int]) -> int:
+    """The bitmap of the subset codes meeting every maximal chain of an order
+    on 0..n-1, from its lower-cover rows, in one pass up an ``order`` that
+    lists each element after its lower covers.  An element's bitmap holds the
+    codes that meet every cover path up to it from a minimal element: those
+    that hold it, and those in every one of its lower covers' bitmaps.  The
+    cutsets are in every maximal element's bitmap."""
+    n = len(below)
+    holding, hit, tops = _holding(n), [0] * n, (1 << n) - 1
+    for v in order:
+        lower = [hit[u] for u in range(n) if below[v] >> u & 1]
+        hit[v] = holding[v] | (reduce(and_, lower) if lower else 0)
+        tops &= ~below[v]
+    return reduce(and_, [hit[v] for v in range(n) if tops >> v & 1], (1 << (1 << n)) - 1)
 
 
-def count_hitting_sets(n: int, masks: Iterable[int]) -> int:
-    """Number of subsets of 0..n-1 that meet every given bitmask."""
-    return _hitting(n, masks).bit_count()
-
-
-def minimal_hitting_sets(n: int, masks: Iterable[int]) -> list[int]:
-    """The inclusion-minimal subsets meeting every given bitmask, as
-    ascending subset codes: those no one-element removal keeps hitting.
-
-    Shifting the hitting bitmap 2**v codes up and keeping the codes that
-    hold v marks the hitting sets that still hit without v.
-    """
-    hit = _hitting(n, masks)
-    minimal = hit
+def minimal_codes(n: int, family: int) -> list[int]:
+    """The inclusion-minimal members, ascending, of a bitmap of subset codes
+    of 0..n-1 closed under supersets, as the cutsets are: shifted 2**v codes
+    up, and kept where v is held, it marks the members that stay without v."""
+    minimal = family
     for v, holding in enumerate(_holding(n)):
-        minimal &= ~((hit << (1 << v)) & holding)
+        minimal &= ~((family << (1 << v)) & holding)
     return _codes(minimal)
 
 

@@ -26,7 +26,7 @@ Conventions:
     member whose down row is one smaller and is a chain, and that member is
     its top; a twin below x is that top when its up row is one larger than
     x's.  Up rows are the dual.
-  - The brute-force oracles hand rows and chain masks to the exhaustive
+  - The brute-force oracles hand rows and cover rows to the exhaustive
     sweeps of `bruteforce` and read back plain ints.  A poset keeps its
     certificate, its element status and the answers of its one antichain
     sweep when first asked: the antichain count and the subset codes of the
@@ -200,13 +200,8 @@ class Poset:
         return sum(r.bit_count() for r in self._up)
 
     def covers(self) -> list[tuple[int, int]]:
-        """All (u, v) where v covers u (u < v with nothing in between)."""
-        out = []
-        for u in range(self.n):
-            for v in _bits(self._up[u]):
-                if not (self._up[u] & self._down[v]):
-                    out.append((u, v))
-        return out
+        """All (u, v) where v covers u (u < v with nothing in between), by u, then v."""
+        return [(u, v) for u, row in enumerate(_cover_rows(self)) for v in _bits(row)]
 
     def greatest_element(self) -> int | None:
         return _extreme(self._up, self._down, (1 << self.n) - 1) if self.n else None
@@ -246,6 +241,23 @@ class Poset:
 
     def __reduce__(self):
         return Poset, (self.n, self._up)
+
+
+def _cover_rows(p: Poset) -> list[int]:
+    """Per element, the mask of its upper covers, the minimal members of its
+    up row: a step down from the lowest member left reaches one, and the
+    members above it leave the search.  Lower covers: ``_cover_rows(p.dual())``."""
+    rows = []
+    for left in p._up:
+        row = 0
+        while left:
+            v = (left & -left).bit_length() - 1
+            while p._down[v] & left:
+                v = (p._down[v] & left).bit_length() - 1
+            row |= 1 << v
+            left &= ~(p._up[v] | 1 << v)
+        rows.append(row)
+    return rows
 
 
 def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | None:
@@ -695,24 +707,19 @@ def maximal_antichains_poset(p: Poset) -> list[frozenset[int]]:
     return [frozenset(_bits(code)) for code in _sweep_facts(p)[1]]
 
 
-def _chain_walk(p: Poset) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every maximal chain as its bitmask and its cover path, depth-first
-    along the covers from each minimal element in turn, first cover first."""
-    above: list[list[int]] = [[] for _ in range(p.n)]
-    for u, v in p.covers():
-        above[u].append(v)
-    stack = [(u, 1 << u, (u,)) for u in reversed(range(p.n)) if not p._down[u]]
-    while stack:
-        u, mask, path = stack.pop()
-        if above[u]:
-            stack.extend((v, mask | 1 << v, path + (v,)) for v in reversed(above[u]))
-        else:
-            yield mask, path
-
-
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
-    """All maximal chains, as cover paths from a minimal to a maximal element."""
-    return [path for _, path in _chain_walk(p)]
+    """All maximal chains, each as its cover path from a minimal to a maximal
+    element, in lexicographic order: depth-first along the upper covers from
+    each minimal element in turn, lowest cover first."""
+    above, chains = _cover_rows(p), []
+    stack = [(u,) for u in reversed(range(p.n)) if not p._down[u]]
+    while stack:
+        path = stack.pop()
+        if above[path[-1]]:
+            stack.extend([path + (v,) for v in _bits(above[path[-1]])][::-1])
+        else:
+            chains.append(path)
+    return chains
 
 
 def antichain_expansion_poset(p: Poset) -> BivariatePoly:
@@ -751,20 +758,21 @@ def count_maximal_antichains_no_basic(p: Poset) -> int:
     return sum(not code & basic for code in codes)
 
 
-def _chain_masks(p: Poset) -> list[int]:
+def _cutsets(p: Poset) -> int:
+    # The cutsets' bitmap; ascending down-row sizes give a linear extension.
     bruteforce.check_subset_bound(p.n, "poset")
-    return [mask for mask, _ in _chain_walk(p)]
+    order = sorted(range(p.n), key=lambda v: p._down[v].bit_count())
+    return bruteforce.cutsets(_cover_rows(p.dual()), order)
 
 
 def count_cutsets_poset(p: Poset) -> int:
     """Number of element sets meeting every maximal chain."""
-    return bruteforce.count_hitting_sets(p.n, _chain_masks(p))
+    return _cutsets(p).bit_count()
 
 
 def minimal_cutsets(p: Poset) -> list[frozenset[int]]:
     """All inclusion-minimal cutsets, by brute force over subsets."""
-    codes = bruteforce.minimal_hitting_sets(p.n, _chain_masks(p))
-    return [frozenset(_bits(code)) for code in codes]
+    return [frozenset(_bits(code)) for code in bruteforce.minimal_codes(p.n, _cutsets(p))]
 
 
 # ----------------------------------------------------------------------
@@ -880,16 +888,14 @@ def count_root_subtrees(t: RootedTree) -> int:
 # isomorphism and exhaustive generation
 
 def _element_signatures(p: Poset):
-    base = [(p.up_mask(u).bit_count(), p.down_mask(u).bit_count()) for u in range(p.n)]
-    above = defaultdict(list)
-    below = defaultdict(list)
-    for u, v in p.covers():
-        above[u].append(base[v])
-        below[v].append(base[u])
-    return tuple(
-        (base[u], tuple(sorted(above[u])), tuple(sorted(below[u])))
-        for u in range(p.n)
+    # Per element: its up and down row sizes, then those of its upper and of
+    # its lower covers, sorted.
+    base = [(up.bit_count(), down.bit_count()) for up, down in zip(p._up, p._down)]
+    above, below = (
+        [tuple(sorted(base[v] for v in _bits(row))) for row in _cover_rows(q)]
+        for q in (p, p.dual())
     )
+    return tuple(zip(base, above, below))
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:

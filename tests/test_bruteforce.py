@@ -84,6 +84,27 @@ def reference(p):
     }
 
 
+def cover_reference(p):
+    """The covers and the maximal chains by definition: the pairs u < v with
+    nothing between, and the maximal sets of pairwise comparable elements,
+    each listed bottom-up, in lexicographic order."""
+    n = p.n
+
+    def between(u, v):
+        return any(p.less(u, w) and p.less(w, v) for w in range(n))
+
+    covers = [(u, v) for u in range(n) for v in range(n) if p.less(u, v) and not between(u, v)]
+    chains = []
+    for code in range(1, 1 << n):
+        chain = members(code, n)
+        outside = [w for w in range(n) if not (code >> w) & 1]
+        if all(p.comparable(u, v) for u, v in combinations(chain, 2)) and not any(
+            all(p.comparable(u, w) for u in chain) for w in outside
+        ):
+            chains.append(tuple(sorted(chain, key=lambda u: p.down_mask(u).bit_count())))
+    return covers, sorted(chains)
+
+
 def fresh(p):
     """An equal poset that has answered nothing yet."""
     return Poset(p.n, [p.up_mask(u) for u in range(p.n)])
@@ -132,6 +153,18 @@ def test_random_posets(p):
     assert_engine_matches(p)
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+def test_covers_and_chains_by_definition(n):
+    for p in all_labeled_posets(n):
+        assert (p.covers(), maximal_chains(p)) == cover_reference(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets())
+def test_random_covers_and_chains_by_definition(p):
+    assert (p.covers(), maximal_chains(p)) == cover_reference(p)
+
+
 def test_antichain_worst_case_at_the_bound():
     # Twenty incomparable elements: every one of the 2**20 subsets is an antichain.
     assert count_antichains_poset(parse_poset("20")) == 2**20
@@ -164,7 +197,7 @@ def layers(*sizes):
 def test_more_chains_than_one_hit_word():
     # A cutset of complete layers holds a whole layer, and a minimal one is
     # a layer: 625 chains on 20 elements, the most the subset bound allows
-    # for four layers.
+    # for four layers, and 1458 on seven.
     bipartite = layers(6, 6)
     assert len(maximal_chains(bipartite)) == 36
     assert_engine_matches(bipartite)
@@ -173,6 +206,10 @@ def test_more_chains_than_one_hit_word():
     assert len(maximal_chains(four)) == 625
     assert count_cutsets_poset(four) == 2**20 - (2**5 - 1) ** 4 == 125055
     assert minimal_cutsets(four) == [frozenset(range(5 * i, 5 * i + 5)) for i in range(4)]
+    seven = layers(3, 3, 3, 3, 3, 3, 2)
+    assert seven.n == 20 and len(maximal_chains(seven)) == 1458
+    assert count_cutsets_poset(seven) == 2**20 - 7**6 * 3
+    assert minimal_cutsets(seven) == [frozenset(range(3 * i, min(3 * i + 3, 20))) for i in range(7)]
 
 
 def test_star_at_the_bound():
