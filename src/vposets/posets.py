@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import bruteforce
@@ -204,10 +204,12 @@ class Poset:
         return [(u, v) for u, row in enumerate(_cover_rows(self)) for v in _bits(row)]
 
     def greatest_element(self) -> int | None:
-        return _extreme(self._up, self._down, (1 << self.n) - 1) if self.n else None
+        """The element with all n - 1 others below it, or None."""
+        return next((u for u, row in enumerate(self._down) if row.bit_count() == self.n - 1), None)
 
     def least_element(self) -> int | None:
-        return _extreme(self._down, self._up, (1 << self.n) - 1) if self.n else None
+        """The element with all n - 1 others above it, or None."""
+        return next((u for u, row in enumerate(self._up) if row.bit_count() == self.n - 1), None)
 
     # ------------------------------------------------------------------
     # derived posets
@@ -260,28 +262,39 @@ def _cover_rows(p: Poset) -> list[int]:
     return rows
 
 
-def _extreme(ahead: Sequence[int], behind: Sequence[int], live: int) -> int | None:
-    # The greatest element of a nonempty ``live`` over (up, down) rows, the
-    # least one over (down, up), or None: the climb reaches the only candidate.
-    u = live.bit_length() - 1
-    while ahead[u] & live:
-        u = (ahead[u] & live).bit_length() - 1
-    return u if behind[u] & live == live ^ (1 << u) else None
+def _sizes(rows: Sequence[int], members: int) -> dict[int, int]:
+    """Per row size k, the mask of the members whose row holds k members."""
+    table: dict[int, int] = {}
+    for u, digit in enumerate(bin(members)[:1:-1]):  # `_bits` copies a wide mask per member
+        if digit == "1":
+            k = (rows[u] & members).bit_count()
+            table[k] = table.get(k, 0) | 1 << u
+    return table
 
 
 def _components(p: Poset, live: int) -> Iterator[tuple[int, int]]:
     """Components of the comparability graph on ``live``, by least element
-    k, each as (mask >> k, k): a singleton high up then costs one bit."""
+    k, each as (mask >> k, k): a singleton high up then costs one bit.  Each
+    flooding round ORs the rows of the elements last added, or keeps the
+    elements left that touch the component, whichever are fewer."""
     up, down = p._up, p._down
+    left = live.bit_count()  # live elements in no component yet
     while live:
         low = (live & -live).bit_length() - 1
         seen = frontier = 1 << low
-        while frontier and seen != live:
+        new, left = 1, left - 1
+        while new and left:
             grown = 0
-            for v in _bits(frontier):
-                grown |= up[v] | down[v]
+            if new <= left:
+                for v in _bits(frontier):
+                    grown |= up[v] | down[v]
+            else:
+                for v in _bits(live & ~seen):
+                    if (up[v] | down[v]) & seen:
+                        grown |= 1 << v
             frontier = grown & live & ~seen
             seen |= frontier
+            left -= (new := frontier.bit_count())
         live ^= seen
         yield seen >> low, low
 
@@ -472,14 +485,11 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
     # up-row union, as m is comparable to everything below u; so each u
     # takes the root of that descent, and each root's down set is walked once.
     up, down = p._up, p._down
-    groups: dict[int, list[int]] = defaultdict(list)
-    for u in _bits(live):
-        groups[(down[u] & live).bit_count()].append(u)
+    sizes = _sizes(down, live)
     root: dict[int, int] = {}
-    for k in sorted(groups):
-        smaller = _mask(groups[k - 1]) if k - 1 in groups else 0
-        for u in groups[k]:
-            m = (down[u] & smaller).bit_length() - 1  # the greatest below u, if any
+    for k in sorted(sizes):
+        for u in _bits(sizes[k]):
+            m = (down[u] & sizes.get(k - 1, 0)).bit_length() - 1  # the greatest below u, if any
             root[u] = root[m] if m >= 0 else u
     walked: dict[int, tuple[int, int]] = {}
     for u in _bits(live):
@@ -505,28 +515,32 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
     """The construction trace and 0, or None and a component with neither
     a greatest nor a least element.  A live mask loses its greatest, else
     its least, element; a mask with neither splits into components, and one
-    component is stuck.  The steps come out in reverse post-order.  Pending
-    components wait shifted, as `_components` yields them: each costs its span."""
-    up, down = p._up, p._down
+    is stuck.  Steps come out in reverse post-order.  A mask of s members
+    waits shifted, as `_components` yields it, with the counts of elements
+    taken above and below it; the rest lie apart from it.  So its greatest
+    is the member whose down row holds s - 1 + below: one AND with `_sizes`."""
+    full = (1 << p.n) - 1
+    by_down, by_up = _sizes(p._down, full), _sizes(p._up, full)
     steps: list[int] = []
-    todo = [((1 << p.n) - 1, 0)]
+    todo = [(full, 0, 0, 0)]
     while todo:
-        live, low = todo.pop()
+        live, low, above, below = todo.pop()
+        s = live.bit_count()
         live <<= low
         if not live:
             steps.append(EMPTY)
-        elif (u := _extreme(up, down, live)) is not None:
+        elif u := live & by_down.get(s - 1 + below, 0):
             steps.append(GREATEST)
-            todo.append((live ^ (1 << u), 0))
-        elif (u := _extreme(down, up, live)) is not None:
+            todo.append((live ^ u, 0, above + 1, below))
+        elif u := live & by_up.get(s - 1 + above, 0):
             steps.append(LEAST)
-            todo.append((live ^ (1 << u), 0))
+            todo.append((live ^ u, 0, above, below + 1))
         else:
             comps = list(_components(p, live))
             if len(comps) == 1:
                 return None, live
             steps.append(len(comps))
-            todo += comps
+            todo += [(c, k, above, below) for c, k in comps]
     return _trace(tuple(reversed(steps))), 0
 
 
@@ -577,7 +591,7 @@ def _mask(members: list[int]) -> int:
     return int(digits, 2)
 
 
-def _chain_tops(rows: Sequence[int], sizes: Sequence[int]) -> list[int | None]:
+def _chain_tops(rows: Sequence[int]) -> list[int | None]:
     """For rows that are all down rows or all up rows: per element v, the
     top member of ``rows[v]`` when that row is a nonempty chain, -1 when it
     is empty, and None when it is not a chain.
@@ -588,13 +602,11 @@ def _chain_tops(rows: Sequence[int], sizes: Sequence[int]) -> list[int | None]:
     member can match it, as each would lie below the other.  Taking the
     elements by ascending row size decides t before v.
     """
-    groups: dict[int, list[int]] = defaultdict(list)
-    for v, k in enumerate(sizes):
-        groups[k].append(v)
+    sizes = _sizes(rows, (1 << len(rows)) - 1)
     tops: list[int | None] = [None] * len(rows)
-    for k in sorted(groups):
-        smaller = _mask(groups[k - 1]) if k - 1 in groups else 0
-        for v in groups[k]:
+    for k in sorted(sizes):
+        smaller = sizes.get(k - 1, 0)
+        for v in _bits(sizes[k]):
             t = (rows[v] & smaller).bit_length() - 1
             if k == 0:
                 tops[v] = -1
@@ -619,15 +631,13 @@ def element_status(p: Poset) -> list[str]:
     """
     if p._status is None:
         n, up, down = p.n, p._up, p._down
-        up_sizes = [row.bit_count() for row in up]
-        below = _chain_tops(down, [row.bit_count() for row in down])
-        above = _chain_tops(up, up_sizes)
+        below, above = _chain_tops(down), _chain_tops(up)
         basic = [
             x
             for x, t in enumerate(below)
             if t is not None
             and above[x] is not None
-            and not (t >= 0 and up_sizes[t] == up_sizes[x] + 1)
+            and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
         ]
         mask, is_basic = _mask(basic), set(basic)
         status = []

@@ -19,7 +19,8 @@ import pytest
 
 from vposets.bruteforce import SUBSET_BOUND
 from vposets.enumeration import CENSUS_BOUND, SERIES_BOUND
-from vposets.trees import GENERATION_BOUND
+from vposets.posets import tree_to_poset
+from vposets.trees import GENERATION_BOUND, parse_tree
 
 from helpers import CLI_ENV, chain_text, tree_of
 
@@ -36,6 +37,13 @@ def mirrored(n):
 def fence(m):
     """2m elements, maximum m + i above minima i and i + 1.  It holds an N."""
     return f"{2 * m}\n" + "".join(f"{i} {m + i}\n{i + 1} {m + i}\n" for i in range(1, m))
+
+
+def caterpillar(h):
+    """The caterpillar with an h-vertex spine as a poset file: its covers,
+    numbered in preorder from 1, the root greatest."""
+    p = tree_to_poset(parse_tree("(()" * h + ")" * h))
+    return f"{p.n}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in p.covers())
 
 
 def random_tree(n, seed):
@@ -65,6 +73,13 @@ ROWS = [
         "tree-poly --eval 2 2 --json FILE", 0, 60),
     row("tree-poly-caterpillar-100000", lambda: "(()" * 100000 + ")" * 100000,
         "tree-poly FILE", 0, 10),
+    # Recognition finds a greatest or least element by its row size, and
+    # floods a component split off beside a few elements through their rows,
+    # so a chain labelled downward and a caterpillar cost a few row
+    # operations per element.
+    row("check-chain-down-20000", lambda: "20000\n" + "".join(
+        f"{i + 1} {i}\n" for i in range(1, 20000)), "check FILE", 0, 10),
+    row("check-caterpillar-20000", lambda: caterpillar(10000), "check FILE", 0, 10),
     # Wide antichains: components wait on the peel stack shifted.
     row("check-antichain-50000", lambda: "50000\n", "check FILE", 0, 60, mb=100,
         expect=("VPOSET (union" + " (g empty)" * 50000 + ")\n",)),

@@ -56,7 +56,6 @@ from vposets.posets import (
     _bits,
     _components,
     _element_signatures,
-    _extreme,
     _forbidden_in,
     _peel,
     _trace,
@@ -672,6 +671,16 @@ def reference_forbidden(p, live):
     return None
 
 
+def reference_extreme(ahead, behind, live):
+    """The greatest element of a nonempty ``live`` over (up, down) rows, the
+    least one over (down, up), or None: climbing to a higher live element
+    until none is left reaches the only candidate."""
+    u = live.bit_length() - 1
+    while ahead[u] & live:
+        u = (ahead[u] & live).bit_length() - 1
+    return u if behind[u] & live == live ^ (1 << u) else None
+
+
 def reference_peel(p):
     """The peel that splits every live mask into components first, and
     stacks each component complemented so that it is not split again."""
@@ -687,16 +696,52 @@ def reference_peel(p):
                 steps.append(len(comps) or EMPTY)
                 todo += comps
                 continue
-        u = _extreme(p._up, p._down, live)
+        u = reference_extreme(p._up, p._down, live)
         if u is not None:
             steps.append(GREATEST)
         else:
-            u = _extreme(p._down, p._up, live)
+            u = reference_extreme(p._down, p._up, live)
             if u is None:
                 return None, live
             steps.append(LEAST)
         todo.append((live ^ (1 << u), 0))
     return _trace(tuple(reversed(steps))), 0
+
+
+def reference_components(p, live):
+    """The components of the comparability graph on ``live``, each found by
+    a plain breadth-first search from its least element, as (mask >> k, k)."""
+    comps = []
+    left = set(_bits(live))
+    while left:
+        low = min(left)
+        seen, queue = {low}, [low]
+        for v in queue:
+            for w in _bits(p.comp_mask(v)):
+                if w in left and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        left -= seen
+        comps.append((sum(1 << v for v in seen) >> low, low))
+    return comps
+
+
+class TestComponents:
+    """Flooding by the smaller side finds the components a plain
+    breadth-first search finds, in the same order."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        rng = random.Random(n)
+        for p in all_labeled_posets(n):
+            live = rng.getrandbits(n)
+            assert list(_components(p, live)) == reference_components(p, live)
+
+    @settings(max_examples=300, deadline=None)
+    @given(strict_orders(), st.data())
+    def test_random_orders(self, p, data):
+        live = data.draw(st.integers(0, (1 << p.n) - 1))
+        assert list(_components(p, live)) == reference_components(p, live)
 
 
 class TestPeel:
