@@ -13,7 +13,8 @@ subset code share one int64 word.  Every other family of subsets is one
 Python int, a bitmap with bit c set when the subset with code c belongs:
 the cutsets come from one pass up the lower covers, and the parent-closed
 vertex sets and the strict orders among all relations from a few shifts
-and masks per element; `_codes` lists a bitmap's codes.
+and masks per element.  `_bits` lists the set bits of any mask, here and
+in `posets`.
 
 numpy loads only in those two antichain functions, inside each, so the
 polynomial, recognition, enumeration, the cutset, root-subtree and
@@ -24,7 +25,7 @@ without it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, reduce
 from operator import and_
 
@@ -33,6 +34,23 @@ from .errors import OracleBoundError
 SUBSET_BOUND = 20
 
 _LOW = (1 << 32) - 1
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative mask, ascending.  Up to
+    64 of them are taken off as lowest bits; past that, each of those steps
+    would copy the whole mask, so one scan of its binary digits finds them."""
+    if mask.bit_count() <= 64:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def check_subset_bound(n: int, what: str = "input") -> None:
@@ -97,22 +115,6 @@ def _holding(n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-_NONZERO = bytes([0] + [1] * 255)
-
-
-def _codes(bitmap: int) -> list[int]:
-    """The codes of a bitmap in ascending order: a byte scan finds its
-    nonzero bytes, and only those are split into bits."""
-    data = bitmap.to_bytes((bitmap.bit_length() + 7) // 8, "little")
-    marks = data.translate(_NONZERO)
-    codes = []
-    i = marks.find(1)
-    while i >= 0:
-        codes += [8 * i + j for j in range(8) if data[i] >> j & 1]
-        i = marks.find(1, i + 1)
-    return codes
-
-
 def cutsets(below: Sequence[int], order: Iterable[int]) -> int:
     """The bitmap of the subset codes meeting every maximal chain of an order
     on 0..n-1, from its lower-cover rows, in one pass up an ``order`` that
@@ -123,10 +125,10 @@ def cutsets(below: Sequence[int], order: Iterable[int]) -> int:
     n = len(below)
     holding, hit, tops = _holding(n), [0] * n, (1 << n) - 1
     for v in order:
-        lower = [hit[u] for u in range(n) if below[v] >> u & 1]
+        lower = [hit[u] for u in _bits(below[v])]
         hit[v] = holding[v] | (reduce(and_, lower) if lower else 0)
         tops &= ~below[v]
-    return reduce(and_, [hit[v] for v in range(n) if tops >> v & 1], (1 << (1 << n)) - 1)
+    return reduce(and_, [hit[v] for v in _bits(tops)], (1 << (1 << n)) - 1)
 
 
 def minimal_codes(n: int, family: int) -> list[int]:
@@ -136,7 +138,7 @@ def minimal_codes(n: int, family: int) -> list[int]:
     minimal = family
     for v, holding in enumerate(_holding(n)):
         minimal &= ~((family << (1 << v)) & holding)
-    return _codes(minimal)
+    return list(_bits(minimal))
 
 
 def count_parent_closed(parents: Sequence[int]) -> int:
@@ -165,4 +167,4 @@ def strict_orders(n: int) -> list[list[tuple[int, int]]]:
             ok &= ~(holding[i, j] & holding[j, i])
     for i, j, k in itertools.permutations(range(n), 3):
         ok &= ~(holding[i, j] & holding[j, k] & ~holding[i, k])
-    return [[pairs[k] for k in range(len(pairs)) if code >> k & 1] for code in _codes(ok)]
+    return [[pairs[k] for k in _bits(code)] for code in _bits(ok)]

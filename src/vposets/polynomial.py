@@ -54,7 +54,7 @@ from operator import itemgetter
 class BivariatePoly:
     """A polynomial in x and y with exact integer coefficients."""
 
-    __slots__ = ("_rows", "_hash")
+    __slots__ = ("_rows",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         by_degree: dict[int, dict[int, int]] = {}
@@ -74,14 +74,12 @@ class BivariatePoly:
                 coeffs[j - low] = c
             rows.append((i, low, tuple(coeffs)))
         self._rows = tuple(rows)
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, int, tuple[int, ...]], ...]) -> BivariatePoly:
         """Wrap rows already in canonical form; the tuple is taken over."""
         poly = object.__new__(cls)
         poly._rows = rows
-        poly._hash = None
         return poly
 
     # ------------------------------------------------------------------
@@ -207,9 +205,7 @@ class BivariatePoly:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._rows)
-        return self._hash
+        return hash(self._rows)
 
     def __str__(self) -> str:
         # Signed terms by y-exponent, collected and sorted as in

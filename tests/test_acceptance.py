@@ -29,7 +29,6 @@ from vposets import (
     delete_root_branch,
     element_status,
     enumerate_rooted_trees,
-    find_forbidden,
     impossibility_search,
     maximal_antichains_poset,
     maximal_antichains_tree,
@@ -47,7 +46,7 @@ from vposets import (
     v_series,
     w_value,
 )
-from vposets.posets import BASIC, LOWER
+from vposets.posets import BASIC, LOWER, _forbidden_in
 
 from helpers import (
     FIGURE_POSET_POLY,
@@ -180,7 +179,7 @@ def test_criterion_07_recogniser_equivalence():
             posets = all_labeled_posets(n)
             totals.append(len(posets))
             for p in posets:
-                assert (find_forbidden(p) is None) == (decompose(p) is not None)
+                assert (_forbidden_in(p, (1 << p.n) - 1) is None) == (decompose(p) is not None)
         assert totals == [1, 1, 3, 19, 219, 4231]
 
 

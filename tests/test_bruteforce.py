@@ -1,6 +1,7 @@
 """The antichain and cutset oracles against a plain loop over all subsets,
 and the answers a poset or tree keeps against those of a fresh object."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,7 @@ from vposets import (
     tree_to_poset,
 )
 from vposets import bruteforce
+from vposets import posets as posets_module
 from vposets.posets import BASIC
 from vposets.posets import _oracle_poset
 
@@ -222,6 +224,25 @@ def test_star_at_the_bound():
     assert minimal_cutsets(tree_to_poset(t)) == [frozenset({0}), frozenset(range(1, 20))]
     # Every vertex of a path lies on its one chain.
     assert minimal_cutsets(tree_to_poset(path(20))) == [frozenset({v}) for v in range(20)]
+
+
+@pytest.mark.parametrize("mask", [
+    0, 1, 1 << 9999,                       # 0 and 1 set bits
+    (1 << 64) - 1, (1 << 65) - 1,          # 64 and 65 set bits, the switch
+    (1 << 64) - 1 << 9000,                 # 64 high up, walked bit by bit
+    ((1 << 65) - 1 << 100) | 1 << 9999,    # 65 low and one far above
+    sum(1 << v for v in range(0, 10000, 97)),  # sparse, 104 set bits
+    (1 << 10000) - 1,                      # full
+    random.Random(1).getrandbits(10000),   # about half full
+])
+def test_bits_lists_every_set_bit(mask):
+    assert list(bruteforce._bits(mask)) == [
+        i for i in range(mask.bit_length()) if mask >> i & 1
+    ]
+
+
+def test_one_set_bit_lister():
+    assert posets_module._bits is bruteforce._bits
 
 
 def test_root_subtrees_by_subset_loop():

@@ -1,5 +1,6 @@
 """Unit tests for posets: parsing, recognition, status, polynomials, oracles."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -37,6 +38,7 @@ from vposets import (
     maximal_chains,
     minimal_cutsets,
     parse_poset,
+    parse_tree,
     path,
     poset_isomorphic,
     poset_poly,
@@ -195,6 +197,16 @@ class TestForbidden:
 
     def test_figure_poset_clean(self, fig):
         assert find_forbidden(fig) is None
+
+    def test_parsed_caterpillar(self):
+        # The limit is loose for a loaded machine: the peel answers in a
+        # fraction of a second, while the witness scan over every spine
+        # vertex's down set takes about 30 s.
+        h = 4000
+        p = tree_to_poset(parse_tree("(()" * h + ")" * h))
+        start = time.perf_counter()
+        assert find_forbidden(p) is None
+        assert time.perf_counter() - start < 5
 
     def test_witness_satisfies_definition(self):
         for p in (N_POSET, BOWTIE_POSET):
@@ -403,6 +415,16 @@ class _InvalidPickle:
         return Poset, (2, (2, 1))
 
 
+class _RowsPickle:
+    """Pickles as a call of `Poset` on up rows, as older pickles do."""
+
+    def __init__(self, n, rows):
+        self.args = n, rows
+
+    def __reduce__(self):
+        return Poset, self.args
+
+
 class TestCheckedConstructor:
     """`Poset(n, rows)` takes only the rows of a closed strict order."""
 
@@ -417,6 +439,20 @@ class TestCheckedConstructor:
     def test_refused(self, n, rows, message):
         with pytest.raises(ValueError, match=message):
             Poset(n, rows)
+
+    def test_pickle_carries_covers(self):
+        # A rows pickle of this chain holds every relation: about 500 KB.
+        n = 2000
+        chain = parse_poset(chain_text(n))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(chain, protocol)
+            assert len(data) < 50_000
+            assert pickle.loads(data) == chain
+        assert copy.copy(chain) == chain == copy.deepcopy(chain)
+
+    def test_rows_pickle_still_loads(self, fig):
+        rows = tuple(fig.up_mask(u) for u in range(fig.n))
+        assert pickle.loads(pickle.dumps(_RowsPickle(fig.n, rows))) == fig
 
     def test_invalid_pickle_refused(self):
         with pytest.raises(ValueError, match="cycle"):
@@ -437,7 +473,7 @@ class TestIsVPoset:
     @pytest.mark.parametrize("n", range(0, 5))
     def test_recognisers_agree_small(self, n):
         for p in all_labeled_posets(n):
-            assert (find_forbidden(p) is None) == (decompose(p) is not None)
+            assert (_forbidden_in(p, (1 << p.n) - 1) is None) == (decompose(p) is not None)
 
 
 ORACLES = (
@@ -654,6 +690,15 @@ class TestStatusByCounting:
         assert element_status(chain) == [BASIC] + [UPPER] * (n - 1)
         assert element_status(antichain) == [BASIC] * n
         assert time.perf_counter() - start < 30
+
+    def test_parsed_wide_antichain(self):
+        # The limit is loose for a loaded machine: this takes under a
+        # second, while copying each group mask per member takes about 6 s.
+        n = 200000
+        p = parse_poset(str(n))
+        start = time.perf_counter()
+        assert element_status(p) == [BASIC] * n
+        assert time.perf_counter() - start < 3
 
 
 def reference_forbidden(p, live):
