@@ -11,10 +11,16 @@ reach values such as 2**n for moderately large n and must not overflow.
 Values are immutable after construction and all operations are pure
 functions, so polynomials can be shared freely between threads.
 
-The canonical text form sorts terms by descending y-exponent, breaking ties
+The canonical text form lists terms by descending y-exponent, breaking ties
 by descending x-exponent; a unit coefficient is omitted, an exponent of one
 is written bare, and factors are joined with ``*``.  The zero polynomial
-prints as ``"0"``.
+prints as ``"0"``.  One pass over the rows from the highest x-degree down
+files each term under its y-exponent, and the buckets are joined by
+descending y-exponent, so no term is sorted; only the y-exponents that hold
+a term get a bucket.  The y factors up to a fixed degree come from a
+module-level table, and the x factor is built once per row.  Each term is
+written with its signed coefficient, ``c*factors``, and the joined text is
+rewritten twice: ``-1*`` becomes ``-`` and ``+ -`` becomes ``- ``.
 
 Tree and V-poset polynomials come from one recursion, which `build_poly`
 evaluates over a flat post-order list of build steps run on a stack of
@@ -46,9 +52,13 @@ import struct
 import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import prod
-from operator import itemgetter
+
+# The y factors of the canonical text up to y^255; higher ones are formatted
+# where they occur.
+_Y_TABLE = 256
+_Y_FACTORS = ("", "y", *[f"y^{j}" for j in range(2, _Y_TABLE)])
 
 
 class BivariatePoly:
@@ -64,7 +74,8 @@ class BivariatePoly:
             if not isinstance(c, int):
                 raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
-                by_degree.setdefault(i, {})[j] = c
+                # int() stores a bool as the int it equals, so it prints as one.
+                by_degree.setdefault(i, {})[j] = int(c)
         rows = []
         for i in sorted(by_degree):
             column = by_degree[i]
@@ -189,12 +200,14 @@ class BivariatePoly:
 
     def canonical_triples(self) -> list[tuple[int, int, int]]:
         """Terms as [coeff, x_exp, y_exp] triples in canonical print order."""
-        # Rows are read from the highest x-degree down, and the sort on y
-        # alone is stable, so each column keeps that order.
-        rows = reversed(self._rows)
-        terms = [(c, i, j) for i, off, cs in rows for j, c in enumerate(cs, off) if c]
-        terms.sort(key=itemgetter(2), reverse=True)
-        return terms
+        # Rows are read from the highest x-degree down into one bucket per
+        # y-exponent, so the buckets by descending y-exponent give the order.
+        buckets: dict[int, list[tuple[int, int, int]]] = {}
+        for i, off, cs in reversed(self._rows):
+            for j, c in enumerate(cs, off):
+                if c:
+                    buckets.setdefault(j, []).append((c, i, j))
+        return [t for j in sorted(buckets, reverse=True) for t in buckets[j]]
 
     def __bool__(self) -> bool:
         return bool(self._rows)
@@ -208,23 +221,34 @@ class BivariatePoly:
         return hash(self._rows)
 
     def __str__(self) -> str:
-        # Signed terms by y-exponent, collected and sorted as in
-        # `canonical_triples`; the first term's sign is fixed up at the end.
-        terms = []
+        # Terms go into buckets by y-exponent as in `canonical_triples`, each
+        # written with its signed coefficient; the joined text then drops
+        # the unit of "-1*" and turns "+ -" into "- ".
+        buckets: dict[int, list[str]] = {}
+        get = buckets.get
+        ys, top = _Y_FACTORS, _Y_TABLE
         for i, off, cs in reversed(self._rows):
             x = "x" if i == 1 else f"x^{i}" if i else ""
+            terms = iter(cs)
+            if off == 0:
+                # A row's first coefficient is nonzero; here it has no y factor.
+                c = next(terms)
+                buckets.setdefault(0, []).append(str(c) if not x else x if c == 1 else f"{c}*{x}")
+                off = 1
             x_times = f"{x}*" if x else ""
-            for j, c in enumerate(cs, off):
+            for j, c in enumerate(terms, off):
                 if c:
-                    factors = f"{x_times}y^{j}" if j > 1 else f"{x_times}y" if j else x
-                    mag = abs(c)
-                    body = f"{mag}*{factors}" if mag != 1 and factors else factors or str(mag)
-                    terms.append((j, f"+ {body}" if c > 0 else f"- {body}"))
-        if not terms:
+                    y = ys[j] if j < top else f"y^{j}"
+                    term = x_times + y if c == 1 else f"{c}*{x_times}{y}"
+                    bucket = get(j)
+                    if bucket is None:
+                        buckets[j] = [term]
+                    else:
+                        bucket.append(term)
+        if not buckets:
             return "0"
-        terms.sort(key=itemgetter(0), reverse=True)
-        text = " ".join(map(itemgetter(1), terms))
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        text = " + ".join(chain.from_iterable([buckets[j] for j in sorted(buckets, reverse=True)]))
+        return text.replace("-1*", "-").replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"BivariatePoly({str(self)!r})"

@@ -18,6 +18,7 @@ from vposets import (
     Empty,
     Poset,
     RootedTree,
+    all_vposets,
     enumerate_rooted_trees,
     parse_tree,
     path,
@@ -270,6 +271,13 @@ def term_format(poly):
     return " ".join(parts) or "0"
 
 
+def assert_text(poly):
+    """The canonical text and triples against the term-by-term forms."""
+    assert str(poly) == term_format(poly)
+    order = sorted(poly.term_map.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+    assert poly.canonical_triples() == [(c, i, j) for (i, j), c in order]
+
+
 # Small exponents give dense rows; exponents up to 10**5 give rows that are
 # long and mostly zero, and x-degrees far apart.
 exponents = st.one_of(st.integers(0, 6), st.integers(0, 10**5))
@@ -300,9 +308,30 @@ class TestEvaluationAndFormat:
         assert str(p) == term_format(p)
 
     def test_format_tree_polynomials(self):
-        for t in enumerate_rooted_trees(9):
-            poly = tree_poly(t)
-            assert str(poly) == term_format(poly)
+        # All 7813 trees with at most 12 vertices.
+        for n in range(1, 13):
+            for t in enumerate_rooted_trees(n):
+                assert_text(tree_poly(t))
+
+    def test_format_vposet_polynomials(self):
+        for n in range(1, 8):
+            for p in all_vposets(n):
+                assert_text(poset_poly(p))
+
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(0, 1): 1, (0, 0): -1}, "y - 1"),
+            ({(0, 0): -1}, "-1"),
+            ({(0, 3): 2, (1, 2): -1}, "2*y^3 - x*y^2"),
+            ({(2, 2): 3, (1, 2): -1, (0, 0): 1}, "3*x^2*y^2 - x*y^2 + 1"),
+            ({(1, 2): -1, (0, 0): -11}, "-x*y^2 - 11"),
+        ],
+    )
+    def test_signed_units(self, terms, text):
+        # A unit -1 loses its "1*" wherever it stands, a constant -1 or -11
+        # keeps its digits, and a negative term after another reads "- ".
+        assert str(BivariatePoly(terms)) == text
 
 
 def assert_same(p, q):
@@ -353,6 +382,18 @@ class TestFarApartExponents:
             poly = make()
             assert str(poly) == text
             assert poly.evaluate(1, 1) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_text_of_a_long_row(self):
+        # One row from y^0 to y^1000000: the printer keeps a bucket only for
+        # the two y-exponents that hold a term.
+        poly = BivariatePoly({(0, 0): 1, (0, 10**6): 1})
+        tracemalloc.start()
+        try:
+            assert str(poly) == "y^1000000 + 1"
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -93,6 +93,7 @@ class TestFormat:
 
     def test_constant(self):
         assert str(mono(7, 0, 0)) == "7"
+        assert str(BivariatePoly({(0, 0): True, (1, 0): True})) == "x + 1"
 
     def test_format_injective_on_tree_polynomials(self):
         polys = set()
