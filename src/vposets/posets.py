@@ -28,10 +28,12 @@ Conventions:
     x's.  Up rows are the dual.
   - The brute-force oracles hand rows and cover rows to the exhaustive
     sweeps of `bruteforce` and read back plain ints.  A poset keeps its
-    certificate, its element status and the answers of its one antichain
-    sweep when first asked: the antichain count and the subset codes of the
-    maximal antichains, P(1,1) of them, never 2**n.  They stay outside
-    equality, hashing, repr and pickling.
+    certificate, its element status, its two row-size tables and the
+    answers of its one antichain sweep when first asked: the antichain count
+    and the subset codes of the maximal antichains, P(1,1) of them, never
+    2**n.  The size tables are built once and serve recognition, the chain
+    tops of the basic-element axioms and the extreme elements.  All of it
+    stays outside equality, hashing, repr and pickling.
   - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
     tree oracle (`count_*_tree`, `maximal_antichains_tree`,
     `antichain_expansion_tree`, `count_root_subtrees`) is the poset oracle
@@ -73,9 +75,10 @@ class _CycleError(ValueError):
 class Poset:
     """A strict order on 0..n-1, stored as its up and down rows only;
     comparability is their OR, derived where it is read.  ``_cert``,
-    ``_status`` and ``_facts`` hold the answers kept on first use."""
+    ``_status``, ``_by_size`` (see `_size_tables`) and ``_facts`` hold the
+    answers kept on first use."""
 
-    __slots__ = ("n", "_up", "_down", "_cert", "_status", "_facts")
+    __slots__ = ("n", "_up", "_down", "_cert", "_status", "_by_size", "_facts")
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
@@ -103,7 +106,7 @@ class Poset:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
-        for name in ("_cert", "_status", "_facts"):
+        for name in ("_cert", "_status", "_by_size", "_facts"):
             object.__setattr__(self, name, None)
 
     # ------------------------------------------------------------------
@@ -198,12 +201,16 @@ class Poset:
         return [(u, v) for u, row in enumerate(_cover_rows(self)) for v in _bits(row)]
 
     def greatest_element(self) -> int | None:
-        """The element with all n - 1 others below it, or None."""
-        return next((u for u, row in enumerate(self._down) if row.bit_count() == self.n - 1), None)
+        """The element with all n - 1 others below it, or None: the one
+        member of the kept down-row size n - 1."""
+        top = _size_tables(self)[0].get(self.n - 1, 0)
+        return top.bit_length() - 1 if top else None
 
     def least_element(self) -> int | None:
-        """The element with all n - 1 others above it, or None."""
-        return next((u for u, row in enumerate(self._up) if row.bit_count() == self.n - 1), None)
+        """The element with all n - 1 others above it, or None: the one
+        member of the kept up-row size n - 1."""
+        bottom = _size_tables(self)[1].get(self.n - 1, 0)
+        return bottom.bit_length() - 1 if bottom else None
 
     # ------------------------------------------------------------------
     # derived posets
@@ -264,6 +271,15 @@ def _sizes(rows: Sequence[int], members: int) -> dict[int, int]:
             k = (rows[u] & members).bit_count()
             table[k] = table.get(k, 0) | 1 << u
     return table
+
+
+def _size_tables(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
+    """The `_sizes` tables of the down rows and of the up rows over all
+    elements, built on first use and kept on ``p``."""
+    if p._by_size is None:
+        full = (1 << p.n) - 1
+        object.__setattr__(p, "_by_size", (_sizes(p._down, full), _sizes(p._up, full)))
+    return p._by_size
 
 
 def _components(p: Poset, live: int) -> Iterator[tuple[int, int]]:
@@ -515,11 +531,11 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
     is stuck.  Steps come out in reverse post-order.  A mask of s members
     waits shifted, as `_components` yields it, with the counts of elements
     taken above and below it; the rest lie apart from it.  So its greatest
-    is the member whose down row holds s - 1 + below: one AND with `_sizes`."""
-    full = (1 << p.n) - 1
-    by_down, by_up = _sizes(p._down, full), _sizes(p._up, full)
+    is the member whose down row holds s - 1 + below: one AND with the
+    kept `_size_tables`."""
+    by_down, by_up = _size_tables(p)
     steps: list[int] = []
-    todo = [(full, 0, 0, 0)]
+    todo = [((1 << p.n) - 1, 0, 0, 0)]
     while todo:
         live, low, above, below = todo.pop()
         s = live.bit_count()
@@ -588,10 +604,11 @@ def _mask(members: list[int]) -> int:
     return int(digits, 2)
 
 
-def _chain_tops(rows: Sequence[int]) -> list[int | None]:
-    """For rows that are all down rows or all up rows: per element v, the
-    top member of ``rows[v]`` when that row is a nonempty chain, -1 when it
-    is empty, and None when it is not a chain.
+def _chain_tops(rows: Sequence[int], sizes: dict[int, int]) -> list[int | None]:
+    """For rows that are all down rows or all up rows, with their `_sizes`
+    table over all elements: per element v, the top member of ``rows[v]``
+    when that row is a nonempty chain, -1 when it is empty, and None when it
+    is not a chain.
 
     A nonempty row is a chain exactly when one of its members t has a row
     one smaller, and that row is a chain.  Such a t is the top: its row lies
@@ -599,7 +616,6 @@ def _chain_tops(rows: Sequence[int]) -> list[int | None]:
     member can match it, as each would lie below the other.  Taking the
     elements by ascending row size decides t before v.
     """
-    sizes = _sizes(rows, (1 << len(rows)) - 1)
     tops: list[int | None] = [None] * len(rows)
     for k in sorted(sizes):
         smaller = sizes.get(k - 1, 0)
@@ -615,20 +631,21 @@ def _chain_tops(rows: Sequence[int]) -> list[int | None]:
 def element_status(p: Poset) -> list[str]:
     """Classify each element as basic, upper, lower, or other.
 
-    The basic-element axioms are decided by row sizes, so this runs on any
-    poset in O(n) row operations; on a V-poset every element is basic,
-    upper or lower.  B.1 and B.2 ask whether down(x) and up(x) are chains
-    (see `_chain_tops`).  B.3 asks for a twin u < x whose comparabilities
-    agree with those of x elsewhere.  Since down(u) lies in down(x) minus u
-    and up(u) holds up(x) and x, a twin is a member of down(x) with row
-    sizes (|down(x)| - 1, |up(x)| + 1), and the only member of that down
-    size is the top of the chain.  x is upper when a basic element lies
-    below it, and lower when one lies above.  The result is kept on ``p``
-    as a tuple, and each call returns a fresh list.
+    The basic-element axioms are decided by the kept row-size tables, so
+    this runs on any poset in O(n) row operations; on a V-poset every
+    element is basic, upper or lower.  B.1 and B.2 ask whether down(x) and
+    up(x) are chains (see `_chain_tops`).  B.3 asks for a twin u < x whose
+    comparabilities agree with those of x elsewhere.  Since down(u) lies in
+    down(x) minus u and up(u) holds up(x) and x, a twin is a member of
+    down(x) with row sizes (|down(x)| - 1, |up(x)| + 1), and the only member
+    of that down size is the top of the chain.  x is upper when a basic
+    element lies below it, and lower when one lies above.  The result is
+    kept on ``p`` as a tuple, and each call returns a fresh list.
     """
     if p._status is None:
         n, up, down = p.n, p._up, p._down
-        below, above = _chain_tops(down), _chain_tops(up)
+        by_down, by_up = _size_tables(p)
+        below, above = _chain_tops(down, by_down), _chain_tops(up, by_up)
         basic = [
             x
             for x, t in enumerate(below)

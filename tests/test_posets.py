@@ -48,6 +48,7 @@ from vposets import (
     tree_poly,
     tree_to_poset,
 )
+from vposets import posets
 from vposets.polynomial import EMPTY, GREATEST, LEAST
 from vposets.posets import (
     BASIC,
@@ -171,7 +172,9 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_poset(text)
 
-    @pytest.mark.parametrize("name", ["n", "_up", "_down", "_cert", "_status", "_facts"])
+    @pytest.mark.parametrize(
+        "name", ["n", "_up", "_down", "_cert", "_status", "_by_size", "_facts"]
+    )
     def test_read_only(self, name):
         # Equality and hashing read the rows, and the oracles the answers
         # kept beside them, so neither may change.
@@ -382,11 +385,15 @@ class TestLongChain:
 class TestExtremeElements:
     @pytest.mark.parametrize("n", range(6))
     def test_by_definition(self, n):
+        # Asked before recognition, the extremes build the kept size tables
+        # that recognition then reads; asked after, they read its tables.
         for p in all_labeled_posets(n):
             top = [u for u in range(n) if p.down_mask(u).bit_count() == n - 1]
             bottom = [u for u in range(n) if p.up_mask(u).bit_count() == n - 1]
-            assert p.greatest_element() == (top[0] if top else None)
-            assert p.least_element() == (bottom[0] if bottom else None)
+            expected = (top[0] if top else None, bottom[0] if bottom else None)
+            assert (p.greatest_element(), p.least_element()) == expected
+            is_v_poset(p)
+            assert (p.greatest_element(), p.least_element()) == expected
 
 
 class TestTrustedConstructors:
@@ -489,7 +496,10 @@ ORACLES = (
 
 def ask_everything(p):
     """Every oracle and recognition call on ``p``; some refuse a non-V-poset."""
-    for call in (is_v_poset, decompose, element_status, poset_poly, *ORACLES):
+    for call in (
+        is_v_poset, decompose, element_status, Poset.greatest_element, Poset.least_element,
+        poset_poly, *ORACLES,
+    ):
         try:
             call(p)
         except NotVPosetError:
@@ -518,6 +528,34 @@ class TestKeptAnswers:
         assert back == new and hash(back) == hash(new)
         assert is_v_poset(back) == is_v_poset(new)
         assert count_maximal_antichains_no_basic(back) == count_maximal_antichains_no_basic(new)
+
+    @pytest.mark.parametrize("text, scans", [
+        (FIGURE_POSET_TEXT, 0),
+        ("4\n3 1\n4 1\n4 2", 1),  # N: peeling is stuck on all of it
+    ], ids=["figure", "N"])
+    def test_row_sizes_counted_once(self, text, scans, monkeypatch):
+        # Recognition, the chain tops and the extreme elements all read one
+        # pair of full-mask size tables; only the witness scan counts anew,
+        # inside the mask peeling got stuck on.
+        p, calls = parse_poset(text), []
+        sizes = posets._sizes
+
+        def counted(rows, members):
+            calls.append(("down" if rows is p._down else "up", members))
+            return sizes(rows, members)
+
+        monkeypatch.setattr(posets, "_sizes", counted)
+        for _ in range(2):
+            for call in (
+                is_v_poset, element_status, Poset.greatest_element, Poset.least_element,
+                poset_poly,
+            ):
+                try:
+                    call(p)
+                except NotVPosetError:
+                    pass
+        full = (1 << p.n) - 1
+        assert calls == [("down", full), ("up", full)] + [("down", full)] * scans
 
     def test_status_list_is_fresh(self):
         p = parse_poset(FIGURE_POSET_TEXT)
