@@ -13,6 +13,15 @@ the branch strings) is an independent route to the same polynomial.  Each
 brute-force tree oracle is the poset oracle on `tree_to_poset`; both live
 in `posets`.  `multisets` lists forests here and, for the census, multisets
 of connected V-posets in `enumeration`.
+
+`collision_search` runs no evaluator per tree.  It walks the generated
+strings by ascending size, so every branch comes before its tree, and
+builds each tree's packed rows (the form `build_poly` works in) from its
+branches' rows with `build_poly`'s row product.  All rows of one search
+share one field width, taken from the largest P(1,1), so equal rows mean
+equal polynomials: the trees are grouped by their rows, by the rows' field
+sums (P(x,1)) and by the rows' parts shifted by their offsets and summed
+(P(1,y)).  A polynomial is unpacked only for a group that is reported.
 """
 
 from __future__ import annotations
@@ -21,10 +30,13 @@ import itertools
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
+from math import prod
 
 from ._record import Record
 from .errors import OracleBoundError, ParseError
-from .polynomial import EMPTY, GREATEST, BivariatePoly, build_poly
+from .polynomial import (
+    EMPTY, GREATEST, BivariatePoly, _field_bytes, _mul_rows, _unpack_rows, build_poly,
+)
 
 GENERATION_BOUND = 12
 # Deletion-contraction's work bound: the characters of the minors it splits
@@ -303,6 +315,11 @@ def collision_search(n_max: int) -> CollisionReport:
     Full two-variable collisions are reported as pairs; the single-variable
     specialisations at y=1 and at x=1 are reported as groups of trees that
     share the specialised polynomial.
+
+    A tree's packed rows are its non-leaf branches' rows multiplied, times
+    x per leaf branch, plus y**(n-1) in the last row, all at one field
+    width; the trees are grouped by those rows and by the packed
+    specialisations read from them.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -310,37 +327,80 @@ def collision_search(n_max: int) -> CollisionReport:
         raise OracleBoundError(
             f"collision search is bounded at {GENERATION_BOUND} vertices"
         )
-    trees: list[RootedTree] = []
-    for n in range(1, n_max + 1):
-        trees.extend(map(RootedTree._trusted, _trees_of_size(n)))
-    by_full: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
-    by_y1: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
-    by_x1: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
-    for t in trees:
-        p = tree_poly(t)
-        by_full[p].append(t)
-        by_y1[p.specialize(y=1)].append(t)
-        by_x1[p.specialize(x=1)].append(t)
+    strings = [s for n in range(1, n_max + 1) for s in _trees_of_size(n)]
+    # First pass: the branch strings and m = P(1,1) of every tree, which is
+    # 1 for a leaf and the branch product plus 1 above it.
+    kids = [_branches(s) for s in strings]
+    bound = {}
+    for s, branches in zip(strings, kids):
+        bound[s] = prod([bound[b] for b in branches]) + 1 if branches else 1
+    field_bytes = _field_bytes(max(bound.values()))
+    width = 8 * field_bytes
+    mask = (1 << width) - 1
+    # Second pass: each tree's rows from its branches', kept by string for
+    # the larger trees, and filed under the three keys.
+    table: dict[str, list] = {}
+    by_full: dict[tuple, list[str]] = defaultdict(list)
+    by_y1: dict[tuple, list[str]] = defaultdict(list)
+    by_x1: dict[int, list[str]] = defaultdict(list)
+    for s, branches in zip(strings, kids):
+        points, rows = 0, None
+        for b in branches:
+            if len(b) == 2:
+                points += 1
+            else:
+                rows = table[b] if rows is None else _mul_rows(rows, table[b], width)
+        if not branches:
+            rows = [(0, 1), None]  # x
+        else:
+            # A new list, since the product may be a branch's own.
+            rows = [(0, 1)] + [None] * points if rows is None else rows + [None] * points
+            row, top = rows[-1], len(s) // 2 - 1
+            if row is None:
+                rows[-1] = (top, 1)
+            else:
+                off, packed = row
+                rows[-1] = (off, packed + (1 << (width * (top - off))))
+        table[s] = rows
+        by_full[tuple(rows)].append(s)
+        # A packed row is its field sum mod 2**width - 1, and no field
+        # carries, so the sum lies in 1..mask.
+        by_y1[tuple([row[1] % mask or mask if row else 0 for row in rows])].append(s)
+        by_x1[sum([row[1] << (width * row[0]) for row in rows if row])].append(s)
 
-    def tree_key(t: RootedTree):
-        return (t.size, t.encoding)
+    def tree_key(s: str):
+        return (len(s), s)
 
     full_pairs = []
     for group in by_full.values():
-        group.sort(key=tree_key)
-        full_pairs.extend(itertools.combinations(group, 2))
+        if len(group) >= 2:
+            group.sort(key=tree_key)
+            full_pairs.extend(itertools.combinations(map(RootedTree._trusted, group), 2))
 
-    def groups(table) -> list[tuple[BivariatePoly, list[RootedTree]]]:
+    def at_y1(sums: tuple) -> BivariatePoly:
+        return BivariatePoly._trusted(
+            tuple((i, 0, (c,)) for i, c in enumerate(reversed(sums)) if c)
+        )
+
+    def at_x1(packed: int) -> BivariatePoly:
+        off = ((packed & -packed).bit_length() - 1) // width
+        return _unpack_rows([(off, packed >> (width * off))], field_bytes)
+
+    def groups(keyed, poly) -> list[tuple[BivariatePoly, list[RootedTree]]]:
         kept = [
-            (p, sorted(g, key=tree_key)) for p, g in table.items() if len(g) >= 2
+            (poly(key), list(map(RootedTree._trusted, sorted(g, key=tree_key))))
+            for key, g in keyed.items()
+            if len(g) >= 2
         ]
         kept.sort(key=lambda item: (item[1][0].size, str(item[0])))
         return kept
 
     return CollisionReport(
         n_max=n_max,
-        tree_count=len(trees),
-        full_pairs=sorted(full_pairs, key=lambda ab: (tree_key(ab[0]), tree_key(ab[1]))),
-        collisions_at_y1=groups(by_y1),
-        collisions_at_x1=groups(by_x1),
+        tree_count=len(strings),
+        full_pairs=sorted(
+            full_pairs, key=lambda ab: (tree_key(ab[0].encoding), tree_key(ab[1].encoding))
+        ),
+        collisions_at_y1=groups(by_y1, at_y1),
+        collisions_at_x1=groups(by_x1, at_x1),
     )

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import defaultdict
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import vposets
-from vposets import BivariatePoly, Poset, RootedTree
+from vposets import (
+    BivariatePoly, CollisionReport, Poset, RootedTree, enumerate_rooted_trees, tree_poly,
+)
 
 # The environment of a `python -m vposets.cli` child: it imports the package
 # from where the tests do.
@@ -156,3 +160,36 @@ def parents_of(t):
 def parent_arrays(draw, max_size=80):
     n = draw(st.integers(1, max_size))
     return [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+
+
+def reference_collisions(n_max):
+    """`collision_search` by one `tree_poly` per tree, each specialised at
+    y=1 and at x=1, grouped by the polynomials themselves."""
+    trees = [t for n in range(1, n_max + 1) for t in enumerate_rooted_trees(n)]
+    by_full, by_y1, by_x1 = defaultdict(list), defaultdict(list), defaultdict(list)
+    for t in trees:
+        p = tree_poly(t)
+        by_full[p].append(t)
+        by_y1[p.specialize(y=1)].append(t)
+        by_x1[p.specialize(x=1)].append(t)
+
+    def tree_key(t):
+        return (t.size, t.encoding)
+
+    full_pairs = []
+    for group in by_full.values():
+        group.sort(key=tree_key)
+        full_pairs.extend(itertools.combinations(group, 2))
+
+    def groups(table):
+        kept = [(p, sorted(g, key=tree_key)) for p, g in table.items() if len(g) >= 2]
+        kept.sort(key=lambda item: (item[1][0].size, str(item[0])))
+        return kept
+
+    return CollisionReport(
+        n_max=n_max,
+        tree_count=len(trees),
+        full_pairs=sorted(full_pairs, key=lambda ab: (tree_key(ab[0]), tree_key(ab[1]))),
+        collisions_at_y1=groups(by_y1),
+        collisions_at_x1=groups(by_x1),
+    )

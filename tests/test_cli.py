@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -15,6 +16,7 @@ from vposets.enumeration import SERIES_BOUND, q_series
 from helpers import CLI_ENV, FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TEXT, chain_text
 
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
+COLLIDE_12_SHA256 = "b61aa5eb1713fa35cbd21f2c6f63565ff7313d8b9c08ac121e005017f88a8789"
 
 
 @pytest.fixture
@@ -261,6 +263,14 @@ class TestCollide:
 
     def test_bound_status(self, capsys):
         assert main(["collide", "--max", "13"]) == 3
+
+    def test_max_12_output_pinned(self, capsys):
+        # The whole report over the 7813 trees, as the per-tree search
+        # printed it: 2526 lines, 246769 bytes.
+        assert main(["collide", "--max", "12"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (out.count(b"\n"), len(out)) == (2526, 246769)
+        assert hashlib.sha256(out).hexdigest() == COLLIDE_12_SHA256
 
 
 class TestParseErrors:

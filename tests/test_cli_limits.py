@@ -128,6 +128,8 @@ ROWS = [
     # One past every other named bound.
     row("tree-poly-dc-random-200", lambda: random_tree(200, seed=1), "tree-poly --dc FILE",
         3, 60, mb=200, expect=("work bound",)),
+    row("collide-max-12", None, f"collide --max {GENERATION_BOUND}", 0, 10,
+        expect=("trees examined: 7813 ", "full-polynomial collisions: none\n")),
     row("collide-max-13", None, f"collide --max {GENERATION_BOUND + 1}", 3, 60,
         expect=(f"bounded at {GENERATION_BOUND} vertices",)),
     row("census-max-2001", None, f"census --max {SERIES_BOUND + 1}", 3, 10,

@@ -33,6 +33,7 @@ from vposets import (
 from vposets import posets
 from vposets.polynomial import build_poly
 from vposets.posets import _oracle_poset
+from vposets.trees import GENERATION_BOUND, _trees_of_size
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -48,6 +49,7 @@ from helpers import (
     T4_TEXT,
     parent_arrays,
     parents_of,
+    reference_collisions,
     rooted_tree_count,
     tree_of,
 )
@@ -410,6 +412,20 @@ class TestKeptPoset:
         for groups in (report.collisions_at_y1, report.collisions_at_x1):
             trees += [t for _, group in groups for t in group]
         assert used in trees and all(t._poset is None for t in trees)
+        # The rows table lives for one call: the generator's string cache
+        # stays within its bound, and a second call returns equal groups
+        # of new trees and new polynomials.
+        first = collision_search(GENERATION_BOUND)
+        assert _trees_of_size.cache_info().currsize <= GENERATION_BOUND
+        second = collision_search(GENERATION_BOUND)
+        assert first == second
+        for old, new in (
+            (first.collisions_at_y1, second.collisions_at_y1),
+            (first.collisions_at_x1, second.collisions_at_x1),
+        ):
+            for (p, group), (q, again) in zip(old, new):
+                assert p is not q
+                assert all(a is not b for a, b in zip(group, again))
 
     @pytest.mark.parametrize("make", [path, star])
     def test_bound_refusal_keeps_nothing(self, make):
@@ -469,6 +485,16 @@ class TestCollisionSearch:
         report = collision_search(10)
         assert report.tree_count == sum(rooted_tree_count(n) for n in range(1, 11))
         assert report.full_pairs == []
+
+    def test_no_full_collisions_up_to_twelve(self):
+        # The same over all 7813 trees on at most 12 vertices.
+        report = collision_search(12)
+        assert report.tree_count == sum(rooted_tree_count(n) for n in range(1, 13)) == 7813
+        assert report.full_pairs == []
+
+    @pytest.mark.parametrize("n_max", range(1, GENERATION_BOUND + 1))
+    def test_matches_reference(self, n_max):
+        assert collision_search(n_max) == reference_collisions(n_max)
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
