@@ -9,7 +9,12 @@ integers, which keeps every operation exact; counting evaluations routinely
 reach values such as 2**n for moderately large n and must not overflow.
 
 Values are immutable after construction and all operations are pure
-functions, so polynomials can be shared freely between threads.
+functions.  A polynomial keeps the values of its rows at the last y that
+`evaluate` or `specialize` computed them for, as one ``(y, values)`` tuple
+outside equality, hashing, repr and pickling, so the evaluations at one y
+read each coefficient once.  The tuple is read once and replaced whole, so
+polynomials can still be shared freely between threads: a race can only
+compute the values again, never mix the values of two different y.
 
 The canonical text form lists terms by descending y-exponent, breaking ties
 by descending x-exponent; a unit coefficient is omitted, an exponent of one
@@ -62,9 +67,10 @@ _Y_FACTORS = ("", "y", *[f"y^{j}" for j in range(2, _Y_TABLE)])
 
 
 class BivariatePoly:
-    """A polynomial in x and y with exact integer coefficients."""
+    """A polynomial in x and y with exact integer coefficients.  ``_at``
+    holds ``(y, row values)`` from the last y asked, or None."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_at")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         by_degree: dict[int, dict[int, int]] = {}
@@ -85,13 +91,24 @@ class BivariatePoly:
                 coeffs[j - low] = c
             rows.append((i, low, tuple(coeffs)))
         self._rows = tuple(rows)
+        self._at = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, int, tuple[int, ...]], ...]) -> BivariatePoly:
         """Wrap rows already in canonical form; the tuple is taken over."""
         poly = object.__new__(cls)
         poly._rows = rows
+        poly._at = None
         return poly
+
+    def __reduce__(self):
+        return BivariatePoly._trusted, (self._rows,)
+
+    def __setstate__(self, state) -> None:
+        # Pickles written before `__reduce__` carry the slots as
+        # (None, {"_rows": rows, ...}); only the rows are read.
+        self._rows = state[1]["_rows"]
+        self._at = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -157,26 +174,43 @@ class BivariatePoly:
     def evaluate(self, x0: int, y0: int) -> int:
         """Exact value of the polynomial at the integer point (x0, y0).
 
-        Each row is evaluated in y, and the row values are combined in x by
-        Horner's rule.  x0 = 0 keeps only the row of x-degree 0, and x0 = 1
-        (like y0 = 1 within a row) just sums, so no powers are taken.
+        The row values at y0 (see `_row_values`) are combined in x: x0 = 1
+        sums them, x0 = 0 takes the row of x-degree 0, and any other x0 runs
+        Horner's rule over them.  Asked at x0 = 0 about another y than the
+        kept one, only row 0 is evaluated, and nothing is kept.
         """
         rows = self._rows
         if x0 == 0:
-            rows = rows[:1] if rows and rows[0][0] == 0 else ()
-        if x0 == 0 or x0 == 1:
-            return sum(_row_value(off, cs, y0) for _, off, cs in rows)
+            if not rows or rows[0][0]:
+                return 0
+            at = self._at
+            if at is not None and at[0] == y0:
+                return at[1][0]
+            _, off, cs = rows[0]
+            return _row_value(off, cs, y0)
+        values = self._row_values(y0)
+        if x0 == 1:
+            return sum(values)
         value, last = 0, rows[-1][0] if rows else 0
-        for i, off, cs in reversed(rows):
-            value = value * x0 ** (last - i) + _row_value(off, cs, y0)
+        for (i, _, _), v in zip(reversed(rows), reversed(values)):
+            value = value * x0 ** (last - i) + v
             last = i
         return value * x0**last
+
+    def _row_values(self, y0: int) -> tuple[int, ...]:
+        """The value of each row at y0, kept until another y is asked."""
+        at = self._at
+        if at is not None and at[0] == y0:
+            return at[1]
+        values = tuple([_row_value(off, cs, y0) for _, off, cs in self._rows])
+        self._at = (y0, values)
+        return values
 
     def specialize(self, x: int | None = None, y: int | None = None) -> BivariatePoly:
         """Substitute integers for one or both variables, collapsing terms."""
         rows = self._rows
         if y is not None:
-            rows = tuple((i, 0, (c,)) for i, off, cs in rows if (c := _row_value(off, cs, y)))
+            rows = tuple((row[0], 0, (c,)) for row, c in zip(rows, self._row_values(y)) if c)
         if x is None or not rows:
             return BivariatePoly._trusted(rows)
         low = min([off for _, off, _ in rows])

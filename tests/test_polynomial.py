@@ -1,9 +1,14 @@
 """Unit tests for the sparse bivariate polynomial type."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
-from vposets import BivariatePoly, X, Y, enumerate_rooted_trees, tree_poly
+from vposets import BivariatePoly, X, Y, enumerate_rooted_trees, parse_tree, tree_poly
+from vposets import polynomial
 
 from helpers import FIGURE_POSET_POLY, FIGURE_POSET_STR
 
@@ -138,3 +143,125 @@ class TestRingAxioms:
     def test_evaluation_is_a_ring_homomorphism(self, a, b, x0, y0):
         assert (a + b).evaluate(x0, y0) == a.evaluate(x0, y0) + b.evaluate(x0, y0)
         assert (a * b).evaluate(x0, y0) == a.evaluate(x0, y0) * b.evaluate(x0, y0)
+
+
+# y^4 + x*y^2 + x^3, the polynomial of (()(()())), as protocol 2 pickled it
+# before polynomials had `__reduce__`: copyreg.__newobj__ and the slot state
+# (None, {"_rows": ...}), the older one also holding an unset "_hash".
+SLOT_STATE_PICKLES = [
+    "80026376706f736574732e706f6c796e6f6d69616c0a426976617269617465506f6c790a71"
+    "00298171014e7d710258050000005f726f777371034b004b044b018571048771054b014b02"
+    "4b018571068771074b034b004b0185710887710987710a7386710b622e",
+    "80026376706f736574732e706f6c796e6f6d69616c0a426976617269617465506f6c790a71"
+    "00298171014e7d71022858050000005f726f777371034b004b044b018571048771054b014b"
+    "024b018571068771074b034b004b0185710887710987710a58050000005f68617368710b4e"
+    "7586710c622e",
+]
+
+# The five points of the evaluation table, in its order.
+TABLE_POINTS = [(1, 1), (0, 1), (2, 1), (1, 2), (2, 2)]
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip(self, protocol):
+        for poly in (FIGURE_POSET_POLY, BivariatePoly.zero(), mono(-2, 5, 7) + X):
+            back = pickle.loads(pickle.dumps(poly, protocol))
+            assert back == poly
+            assert hash(back) == hash(poly)
+            assert str(back) == str(poly)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_kept_values_stay_out(self, protocol):
+        poly = FIGURE_POSET_POLY * 1
+        before = pickle.dumps(poly, protocol)
+        poly.evaluate(2, 2)
+        assert pickle.dumps(poly, protocol) == before
+
+    @pytest.mark.parametrize("data", SLOT_STATE_PICKLES)
+    def test_slot_state_pickle_loads(self, data):
+        poly = pickle.loads(bytes.fromhex(data))
+        assert poly == tree_poly(parse_tree("(()(()()))"))
+        assert str(poly) == "y^4 + x*y^2 + x^3"
+        assert poly.evaluate(2, 2) == 32
+        assert poly.evaluate(2, 2) == 32
+
+
+signed_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 12)),
+    st.integers(-3, 3),
+    max_size=8,
+).map(BivariatePoly)
+
+point_runs = st.lists(
+    st.tuples(st.booleans(), st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8
+)
+
+
+class TestKeptRowValues:
+    @given(signed_polys, point_runs)
+    def test_every_answer_is_the_term_sum(self, poly, points):
+        terms = poly.term_map
+        for specialize, x0, y0 in points:
+            if specialize:
+                by_x = {}
+                for (i, j), c in terms.items():
+                    by_x[(i, 0)] = by_x.get((i, 0), 0) + c * y0**j
+                assert poly.specialize(y=y0) == BivariatePoly(by_x)
+            else:
+                want = sum(c * x0**i * y0**j for (i, j), c in terms.items())
+                assert poly.evaluate(x0, y0) == want
+
+    def test_table_reads_each_row_twice(self, monkeypatch):
+        poly = tree_poly(parse_tree("((()())(()(()))((())()))"))
+        calls = []
+        row_value = polynomial._row_value
+        monkeypatch.setattr(
+            polynomial, "_row_value", lambda *args: calls.append(args) or row_value(*args)
+        )
+        assert len(poly._rows) == 7
+        assert [poly.evaluate(*pt) for pt in TABLE_POINTS] == [19, 2, 246, 2653, 4096]
+        assert len(calls) == 2 * 7
+
+    def test_identity_unchanged(self):
+        poly = FIGURE_POSET_POLY * 1
+        seen = (hash(poly), repr(poly), str(poly), poly.canonical_triples())
+        for pt in TABLE_POINTS:
+            poly.evaluate(*pt)
+        poly.specialize(y=3)
+        assert poly == FIGURE_POSET_POLY
+        assert (hash(poly), repr(poly), str(poly), poly.canonical_triples()) == seen
+
+    def test_threads_share_one_polynomial(self):
+        # A race may compute the row values again, but must never answer
+        # from the values of another y or from a partly built list.
+        poly = tree_poly(parse_tree("((()())(()(()))((())()))"))
+        points = [(x0, y0) for x0 in (0, 1, 2, 3) for y0 in (-1, 0, 1, 2)]
+        want = {
+            (x0, y0): sum(c * x0**i * y0**j for (i, j), c in poly.term_map.items())
+            for x0, y0 in points
+        }
+        wrong, finished = [], []
+        start = threading.Barrier(6)
+
+        def ask(k):
+            start.wait(timeout=60)
+            for r in range(3000):
+                pt = points[(k + r) % len(points)]
+                if poly.evaluate(*pt) != want[pt]:
+                    wrong.append(pt)
+            finished.append(k)
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert sorted(finished) == list(range(6))
