@@ -9,12 +9,12 @@ integers, which keeps every operation exact; counting evaluations routinely
 reach values such as 2**n for moderately large n and must not overflow.
 
 Values are immutable after construction and all operations are pure
-functions.  A polynomial keeps the values of its rows at the last y that
-`evaluate` or `specialize` computed them for, as one ``(y, values)`` tuple
-outside equality, hashing, repr and pickling, so the evaluations at one y
-read each coefficient once.  The tuple is read once and replaced whole, so
-polynomials can still be shared freely between threads: a race can only
-compute the values again, never mix the values of two different y.
+functions.  A polynomial keeps the values of its rows at the last int y
+that `evaluate` or `specialize` computed them for, as one ``(y, values)``
+tuple outside equality, hashing, repr and pickling, so the evaluations at
+one y read each coefficient once.  The tuple is read once and replaced
+whole, so polynomials can still be shared freely between threads: a race
+can only compute the values again, never mix the values of two different y.
 
 The canonical text form lists terms by descending y-exponent, breaking ties
 by descending x-exponent; a unit coefficient is omitted, an exponent of one
@@ -68,7 +68,7 @@ _Y_FACTORS = ("", "y", *[f"y^{j}" for j in range(2, _Y_TABLE)])
 
 class BivariatePoly:
     """A polynomial in x and y with exact integer coefficients.  ``_at``
-    holds ``(y, row values)`` from the last y asked, or None."""
+    holds ``(y, row values)`` from the last int y asked, or None."""
 
     __slots__ = ("_rows", "_at")
 
@@ -176,19 +176,14 @@ class BivariatePoly:
 
         The row values at y0 (see `_row_values`) are combined in x: x0 = 1
         sums them, x0 = 0 takes the row of x-degree 0, and any other x0 runs
-        Horner's rule over them.  Asked at x0 = 0 about another y than the
-        kept one, only row 0 is evaluated, and nothing is kept.
+        Horner's rule over them.
         """
         rows = self._rows
-        if x0 == 0:
-            if not rows or rows[0][0]:
-                return 0
-            at = self._at
-            if at is not None and at[0] == y0:
-                return at[1][0]
-            _, off, cs = rows[0]
-            return _row_value(off, cs, y0)
+        if x0 == 0 and (not rows or rows[0][0]):
+            return 0
         values = self._row_values(y0)
+        if x0 == 0:
+            return values[0]
         if x0 == 1:
             return sum(values)
         value, last = 0, rows[-1][0] if rows else 0
@@ -198,12 +193,16 @@ class BivariatePoly:
         return value * x0**last
 
     def _row_values(self, y0: int) -> tuple[int, ...]:
-        """The value of each row at y0, kept until another y is asked."""
+        """The value of each row at y0, kept until another y is asked.  Only
+        an int y0 is kept, so a float or numpy y that equals it never hands
+        its inexact or wrapped values to an exact query."""
+        exact = y0.__class__ is int
         at = self._at
-        if at is not None and at[0] == y0:
+        if exact and at is not None and at[0] == y0:
             return at[1]
         values = tuple([_row_value(off, cs, y0) for _, off, cs in self._rows])
-        self._at = (y0, values)
+        if exact:
+            self._at = (y0, values)
         return values
 
     def specialize(self, x: int | None = None, y: int | None = None) -> BivariatePoly:

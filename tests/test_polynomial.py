@@ -194,23 +194,46 @@ signed_polys = st.dictionaries(
 ).map(BivariatePoly)
 
 point_runs = st.lists(
-    st.tuples(st.booleans(), st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8
+    st.tuples(
+        st.sampled_from(["evaluate", "float", "specialize"]),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
 class TestKeptRowValues:
     @given(signed_polys, point_runs)
     def test_every_answer_is_the_term_sum(self, poly, points):
+        # Every value here is below 2**53, so a float y answers exactly too;
+        # an int y must still get ints after it.
         terms = poly.term_map
-        for specialize, x0, y0 in points:
-            if specialize:
+        for kind, x0, y0 in points:
+            if kind == "specialize":
                 by_x = {}
                 for (i, j), c in terms.items():
                     by_x[(i, 0)] = by_x.get((i, 0), 0) + c * y0**j
-                assert poly.specialize(y=y0) == BivariatePoly(by_x)
+                got = poly.specialize(y=y0)
+                assert got == BivariatePoly(by_x)
+                assert all(c.__class__ is int for c in got.term_map.values())
             else:
                 want = sum(c * x0**i * y0**j for (i, j), c in terms.items())
-                assert poly.evaluate(x0, y0) == want
+                got = poly.evaluate(x0, float(y0) if kind == "float" else y0)
+                assert got == want
+                if kind == "evaluate":
+                    assert got.__class__ is int
+
+    def test_float_y_keeps_nothing(self):
+        # 2**60 + 1 has no float; the float answer must not be kept for y = 2.
+        poly = Y**60 + X
+        assert poly.evaluate(1, 2.0) == 2.0**60
+        assert poly.evaluate(1, 2) == 2**60 + 1
+        assert poly.evaluate(0, 2.0) == 2.0**60
+        assert poly.evaluate(0, 2) == 2**60
+        assert poly.evaluate(1, 2.0) == 2.0**60
+        assert poly.specialize(y=2) == BivariatePoly({(0, 0): 2**60, (1, 0): 1})
 
     def test_table_reads_each_row_twice(self, monkeypatch):
         poly = tree_poly(parse_tree("((()())(()(()))((())()))"))
