@@ -290,12 +290,13 @@ class BivariatePoly:
 def _row_value(off: int, coeffs: Sequence[int], y0: int) -> int:
     """y0**off * (coeffs[0] + coeffs[1]*y0 + ...): a sum for y0 = 1, the
     constant field for y0 = 0, else Horner's rule, or one power per term
-    where most coefficients are zero (Horner there is quadratic in length)."""
+    where a row longer than 64 is mostly zeros (Horner there is quadratic in
+    length; on shorter rows the count of zeros costs more than it saves)."""
     if y0 == 1:
         return sum(coeffs)
     if y0 == 0:
         return coeffs[0] if off == 0 else 0
-    if 2 * coeffs.count(0) > len(coeffs):
+    if len(coeffs) > 64 and 2 * coeffs.count(0) > len(coeffs):
         return sum(c * y0**j for j, c in enumerate(coeffs, off) if c)
     value = 0
     for c in reversed(coeffs):

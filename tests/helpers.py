@@ -193,3 +193,21 @@ def reference_collisions(n_max):
         collisions_at_y1=groups(by_y1),
         collisions_at_x1=groups(by_x1),
     )
+
+
+def reference_v_series(order):
+    """v_0..v_order by the multiset recurrence with every product taken one
+    at a time: q_n, then c_n by a divisor scan, then the whole sum."""
+    v = [1]
+    q = [0]
+    c = [0]
+    for n in range(1, order + 1):
+        q.append(1 if n == 1 else 2 * v[n - 1] - v[n - 2])
+        c.append(sum(d * q[d] for d in range(1, n + 1) if n % d == 0))
+        total = sum(c[k] * v[n - k] for k in range(1, n + 1))
+        if total % n:
+            raise ArithmeticError(
+                f"multiset recurrence produced a non-integer coefficient at n={n}"
+            )
+        v.append(total // n)
+    return tuple(v)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import vposets.cli
-from vposets import enumeration
+from vposets import enumeration, polynomial
 from vposets.cli import main
 from vposets.enumeration import SERIES_BOUND, q_series
 
@@ -186,6 +186,27 @@ class TestCounts:
 
     def test_non_v_poset(self, n_poset_file):
         assert main(["counts", n_poset_file]) == 1
+
+    def test_each_row_evaluated_once_per_y(self, tmp_path, capsys, monkeypatch):
+        # Seven rows at y = 1, 0 and 2; the rows are printed in table order.
+        f = tmp_path / "t.tree"
+        f.write_text("((()())(()(()))((())()))")
+        calls = []
+        row_value = polynomial._row_value
+        monkeypatch.setattr(
+            polynomial, "_row_value", lambda *args: calls.append(args) or row_value(*args)
+        )
+        assert main(["counts", str(f)]) == 0
+        assert len(calls) == 21
+        assert capsys.readouterr().out == (
+            "# tree with 12 vertices\n"
+            "P(1,1)\t19\tmaximal antichains\t19\tok\n"
+            "P(x,0)\tx^6\tx^leaves\tx^6\tok\n"
+            "P(0,1)\t2\tleaf-free maximal antichains\t2\tok\n"
+            "P(2,1)\t246\tantichains\t246\tok\n"
+            "P(1,2)\t2653\tcutsets\t2653\tok\n"
+            "P(2,2)\t4096\tvertex subsets\t4096\tok\n"
+        )
 
 class TestCensus:
     def test_last_line_at_eight(self, capsys):

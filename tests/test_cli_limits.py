@@ -132,6 +132,8 @@ ROWS = [
         expect=("trees examined: 7813 ", "full-polynomial collisions: none\n")),
     row("collide-max-13", None, f"collide --max {GENERATION_BOUND + 1}", 3, 60,
         expect=(f"bounded at {GENERATION_BOUND} vertices",)),
+    row("census-max-2000", None, f"census --max {SERIES_BOUND}", 0, 30,
+        expect=("\n2000\t36246945465481421765",)),
     row("census-max-2001", None, f"census --max {SERIES_BOUND + 1}", 3, 10,
         expect=(f"bounded at order {SERIES_BOUND}",)),
     row("census-max-9", None, f"census --max {CENSUS_BOUND + 1}", 0, 60,

@@ -1,6 +1,8 @@
 """Unit tests for the counting series, census, and asymptotics."""
 
+import hashlib
 import math
+import random
 import sys
 
 import pytest
@@ -22,10 +24,12 @@ from vposets import (
     w_series,
     w_value,
 )
+from vposets import enumeration
 from vposets.enumeration import (
     _FLOAT_ORDER_BOUND,
     CENSUS_BOUND,
     SERIES_BOUND,
+    _block_product,
     _vposets_of_size,
     _w_floats,
 )
@@ -36,6 +40,8 @@ from vposets.posets import (
     poset_isomorphic,
     poset_poly,
 )
+
+from helpers import reference_v_series
 
 PINNED_COEFFS = (1, 1, 2, 5, 14, 40, 121, 373, 1184)
 
@@ -78,6 +84,74 @@ class TestSeries:
     def test_bound_refusal(self, series):
         with pytest.raises(OracleBoundError, match=f"order {SERIES_BOUND}"):
             series(SERIES_BOUND + 1)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestPackedSeries:
+    """`v_series` adds the pairs inside complete blocks of 64 indices from
+    packed products; the one-by-one recurrence must give the same series."""
+
+    def test_every_order_to_300(self):
+        # Orders 63..65, 127..129, 191..193 and 255..257 straddle block edges.
+        reference = reference_v_series(300)
+        for order in range(301):
+            assert v_series(order).coeffs == reference[: order + 1], order
+
+    def test_order_1200(self):
+        assert v_series(1200).coeffs == reference_v_series(1200)
+
+    def test_digest_at_the_bound(self):
+        text = "\n".join(map(str, v_series(SERIES_BOUND).coeffs))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ebb99713d251b4bbf1bf160ad36abeb6ceca4e9bb7705dc10764b6711e97ba70"
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_product_is_the_convolution(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            # Sparse small entries against dense large ones, of any lengths.
+            a = [rng.choice((0, rng.getrandbits(rng.randrange(1, 200))))
+                 for _ in range(rng.randrange(1, 70))]
+            b = [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(rng.randrange(1, 70))]
+            assert _block_product(a, b) == schoolbook(a, b)
+            assert _block_product(b, a) == schoolbook(b, a)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0] * 64, [0] * 64),
+            ([0] * 64, [2**4000 - 1] * 64),
+            ([1] * 64, [2**4000 - 1] * 64),
+            ([2**4000 - 1] * 64, [2**4000 - 1] * 64),
+            ([0] * 30 + [3**5000] + [0] * 33, list(range(64))),
+            ([1, 0, 0, 7], [5]),
+            ([2**64 - 1] * 64, [2**64 - 1] * 64),
+        ],
+        ids=["zeros", "zeros-by-huge", "ones-by-huge", "all-fields-full", "one-huge",
+             "short", "word-sized"],
+    )
+    def test_block_product_edge_blocks(self, a, b):
+        assert _block_product(a, b) == schoolbook(a, b)
+
+    def test_exact_division_guards_the_packed_sums(self, monkeypatch):
+        packed = _block_product
+
+        def off_by_one(a, b):
+            fields = packed(a, b)
+            fields[0] += 1
+            return fields
+
+        monkeypatch.setattr(enumeration, "_block_product", off_by_one)
+        with pytest.raises(ArithmeticError, match="non-integer"):
+            v_series(300)
 
 
 class TestCensus:

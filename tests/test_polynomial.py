@@ -75,6 +75,15 @@ class TestEvaluate:
         assert self.POLY.evaluate(0, 0) == 0
         assert (self.POLY + BivariatePoly.one()).evaluate(0, 0) == 1
 
+    @pytest.mark.parametrize("length", [3, 64, 65, 1000])
+    def test_sparse_row_is_exact(self, length):
+        # Rows past 64 coefficients that are mostly zeros take one power per
+        # term, shorter ones Horner's rule; both must be exact.
+        coeffs = (7,) + (0,) * (length - 2) + (11,)
+        assert polynomial._row_value(5, coeffs, 3) == 3**5 * (7 + 11 * 3 ** (length - 1))
+        poly = 7 * Y**5 + 11 * Y ** (length + 4) + X
+        assert poly.evaluate(2, 3) == 7 * 3**5 + 11 * 3 ** (length + 4) + 2
+
     def test_specialize(self):
         assert self.POLY.specialize(x=1) == BivariatePoly(
             {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 5): 1}
