@@ -255,16 +255,19 @@ def _w_deriv_value(x: float, order: int) -> float:
     return acc
 
 
+def _inner_powers(x: float):
+    """(m, x**m) for m = 2, 3, ... while x**m is at least _INNER_CUTOFF."""
+    m = 2
+    while (t := x**m) >= _INNER_CUTOFF:
+        yield m, t
+        m += 1
+
+
 def r_value(x: float, order: int) -> float:
     """R(x) = x(1-x)(2-x) * exp(sum of W(x**m)/m over m >= 2)."""
     inner = 0.0
-    m = 2
-    while True:
-        t = x**m
-        if t < _INNER_CUTOFF:
-            break
+    for m, t in _inner_powers(x):
         inner += w_value(t, order) / m
-        m += 1
     return x * (1.0 - x) * (2.0 - x) * math.exp(inner)
 
 
@@ -309,13 +312,8 @@ def asymptotic_constant(order: int = 100, tol: float = 1e-12) -> AsymptoticResul
     rho = base.rho
     r = r_value(rho, order)
     inner = 0.0
-    m = 2
-    while True:
-        t = rho**m
-        if t < _INNER_CUTOFF:
-            break
+    for m, t in _inner_powers(rho):
         inner += rho ** (m - 1) * _w_deriv_value(t, order)
-        m += 1
     r_prime = r * (1.0 / rho - 1.0 / (1.0 - rho) - 1.0 / (2.0 - rho) + inner)
     constant = math.sqrt(math.e * r_prime) / (math.sqrt(2.0 * math.pi * rho) * (2.0 - rho))
     return AsymptoticResult(

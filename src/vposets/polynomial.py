@@ -35,14 +35,16 @@ and any k >= 0 replaces the top k values by their disjoint union (the
 product).  A first pass finds the sizes and m(root) = P(1,1), where m is 1
 for the empty poset, multiplies over unions and grows by 1 when an element
 is added to a nonempty value; it bounds every coefficient and partial
-product.  The second pass works on packed rows, kept from the highest
-x-degree down to 0 (None where a degree has no term): the pair (o, r)
-holds the coefficients of y^o, y^(o+1), ... in the fixed w-bit fields of
-the Python integer r (Kronecker substitution in y), and its lowest field is
-nonzero, so a row carries its own y-offset and no zero padding below its
-first term.  A row product adds the offsets and is one big-integer
-multiplication of the packed parts; a sum shifts the part with the higher
-offset up by w bits per degree of difference.  Fields of
+product.  The second pass is one loop, `_run_rows`, on a stack that its
+caller fills; it takes over the stack's values, and the collision search in
+`trees` runs it once per tree over the tree's branches.  It works on packed
+rows, kept from the highest x-degree down to 0 (None where a degree has no
+term): the pair (o, r) holds the coefficients of y^o, y^(o+1), ... in the
+fixed w-bit fields of the Python integer r (Kronecker substitution in y),
+and its lowest field is nonzero, so a row carries its own y-offset and no
+zero padding below its first term.  A row product adds the offsets and is
+one big-integer multiplication of the packed parts; a sum shifts the part
+with the higher offset up by w bits per degree of difference.  Fields of
 w >= bit_length(m(root)) bits never carry into each other.  A single
 element stays an x factor, applied by appending empty rows, and an added
 element's term goes into the last row, so neither copies the row list.  w
@@ -56,7 +58,7 @@ from __future__ import annotations
 import struct
 import sys
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, zip_longest
 from math import prod
 
@@ -329,11 +331,20 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             bounds[len(bounds) - step:] = [prod(bounds[len(bounds) - step:])]
     (bound,) = bounds
     width = _field_bytes(bound) * 8
-    # Second pass: a value is an int p for x**p (an antichain), else a list
-    # of packed rows from the highest x-degree down to 0, each None or
-    # (y-offset, packed), so an x factor appends and an add step writes the
-    # last row.
-    stack: list = []
+    return _unpack_rows(_run_rows(steps, below, width, []), width // 8)
+
+
+def _run_rows(steps: Sequence[int], below: Iterable[int], width: int, stack: list) -> list:
+    """Run build steps on ``stack`` in packed rows of ``width``-bit fields
+    and return the packed rows of the one value they leave on top.
+
+    ``below`` gives the size under each add step in turn.  A value is an
+    int p for x**p (an antichain), else a list of packed rows from the
+    highest x-degree down to 0, each None or (y-offset, packed).  The loop
+    takes over the values on ``stack``: an x factor extends a lone row list
+    in place and an add step writes its last row, so neither copies the
+    list, and a caller hands in a list it may still read only as a copy.
+    """
     adds = iter(below)
     for step in steps:
         if step == EMPTY:
@@ -366,10 +377,8 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             else:
                 rows += [None] * points
             stack.append(rows)
-    rows = stack[0]
-    if rows.__class__ is int:
-        return BivariatePoly.monomial(1, rows, 0)
-    return _unpack_rows(rows, width // 8)
+    rows = stack[-1]
+    return [(0, 1)] + [None] * rows if rows.__class__ is int else rows
 
 
 def _mul_rows(a: list, b: list, width: int) -> list:

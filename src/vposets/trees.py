@@ -8,20 +8,23 @@ makes antichain output stable across runs.
 A tree is a V-poset: its root is a greatest element over the union of the
 branches.  `tree_poly` reads the build steps off the string in one scan and
 hands them to the evaluator that `poset_poly` uses, so this module needs
-only `polynomial`.  `tree_poly_dc` (deletion-contraction, on minors cut from
-the branch strings) is an independent route to the same polynomial.  Each
+only `polynomial`.  `tree_poly_dc` (deletion-contraction) is an independent
+route to the same polynomial.  It and the surgery functions share one cut,
+`_minors`, which makes a root edge's two minors from the branch strings.  Each
 brute-force tree oracle is the poset oracle on `tree_to_poset`; both live
 in `posets`.  `multisets` lists forests here and, for the census, multisets
 of connected V-posets in `enumeration`.
 
 `collision_search` runs no evaluator per tree.  It walks the generated
 strings by ascending size, so every branch comes before its tree, and
-builds each tree's packed rows (the form `build_poly` works in) from its
-branches' rows with `build_poly`'s row product.  All rows of one search
-share one field width, taken from the largest P(1,1), so equal rows mean
-equal polynomials: the trees are grouped by their rows, by the rows' field
-sums (P(x,1)) and by the rows' parts shifted by their offsets and summed
-(P(1,y)).  A polynomial is unpacked only for a group that is reported.
+builds each tree's packed rows (the form `build_poly` works in) by running
+`build_poly`'s row loop on the branches' kept rows with the steps of a
+union and an added greatest element, so the search has no row arithmetic
+of its own.  All rows of one search share one field width, taken from the
+largest P(1,1), so equal rows mean equal polynomials: the trees are grouped
+by their rows, by the rows' field sums (P(x,1)) and by the rows' parts
+shifted by their offsets and summed (P(1,y)).  A polynomial is unpacked
+only for a group that is reported.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import prod
 from ._record import Record
 from .errors import OracleBoundError, ParseError
 from .polynomial import (
-    EMPTY, GREATEST, BivariatePoly, _field_bytes, _mul_rows, _unpack_rows, build_poly,
+    EMPTY, GREATEST, BivariatePoly, _field_bytes, _run_rows, _unpack_rows, build_poly,
 )
 
 GENERATION_BOUND = 12
@@ -154,27 +157,26 @@ def path(n: int) -> RootedTree:
 # ----------------------------------------------------------------------
 # root-edge surgery, cut from the strings
 
-def _cut_branch(t: RootedTree, index: int) -> tuple[list[str], str]:
-    """The other branch strings of ``t``, still sorted, and branch ``index``."""
-    kids = _branches(t.encoding)
+def _minors(encoding: str, index: int) -> tuple[str, str]:
+    """The strings of the trees left by deleting branch ``index`` and by
+    contracting its root edge; the other branches stay sorted."""
+    kids = _branches(encoding)
     if not kids:
         raise ValueError(f"branch index {index}: the tree is a single vertex, with no branches")
     if not 0 <= index < len(kids):
         raise ValueError(f"branch index {index} out of range 0..{len(kids) - 1}")
     branch = kids.pop(index)
-    return kids, branch
+    return "(" + "".join(kids) + ")", _canonical(kids + _branches(branch))
 
 
 def contract_root_edge(t: RootedTree, index: int) -> RootedTree:
     """Merge the root of branch ``index`` into the root of ``t``."""
-    kids, branch = _cut_branch(t, index)
-    return RootedTree._trusted(_canonical(kids + _branches(branch)))
+    return RootedTree._trusted(_minors(t.encoding, index)[1])
 
 
 def delete_root_branch(t: RootedTree, index: int) -> RootedTree:
     """Remove branch ``index`` entirely (the rest stays sorted)."""
-    kids, _ = _cut_branch(t, index)
-    return RootedTree._trusted("(" + "".join(kids) + ")")
+    return RootedTree._trusted(_minors(t.encoding, index)[0])
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +218,7 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
     work = 0
     # (s, None) asks for the polynomial of s; (s, (b, deleted, contracted))
     # combines its minors', where b is the first branch's size and deleted
-    # is "" in the bridge case.
+    # is "()" in the bridge case.
     stack: list[tuple[str, tuple[int, str, str] | None]] = [(t.encoding, None)]
     while stack:
         if work > DC_BOUND:
@@ -228,16 +230,14 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
         if cut is None:
             if s not in memo:
                 work += len(s)
-                kids = _branches(s)
-                branch = kids.pop(0)
-                deleted = "(" + "".join(kids) + ")" if kids else ""
-                cut = (len(branch) // 2, deleted, _canonical(kids + _branches(branch)))
-                stack += [(s, cut), (cut[2], None)]
-                if deleted and cut[0] > 1:
+                deleted, contracted = _minors(s, 0)
+                cut = ((len(s) - len(deleted)) // 2, deleted, contracted)
+                stack += [(s, cut), (contracted, None)]
+                if deleted != "()" and cut[0] > 1:
                     stack.append((deleted, None))
             continue
         size, (b, deleted, contracted) = len(s) // 2, cut
-        if not deleted:
+        if deleted == "()":
             terms = Counter(memo[contracted])
         elif b == 1:  # x * P(contracted) - x * y**(size - 2)
             terms = Counter({(i + 1, j): c for (i, j), c in memo[contracted].items()})
@@ -316,10 +316,9 @@ def collision_search(n_max: int) -> CollisionReport:
     specialisations at y=1 and at x=1 are reported as groups of trees that
     share the specialised polynomial.
 
-    A tree's packed rows are its non-leaf branches' rows multiplied, times
-    x per leaf branch, plus y**(n-1) in the last row, all at one field
-    width; the trees are grouped by those rows and by the packed
-    specialisations read from them.
+    A tree's packed rows come from the evaluator's row loop run on its
+    branches' rows, all at one field width; the trees are grouped by those
+    rows and by the packed specialisations read from them.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -344,23 +343,9 @@ def collision_search(n_max: int) -> CollisionReport:
     by_y1: dict[tuple, list[str]] = defaultdict(list)
     by_x1: dict[int, list[str]] = defaultdict(list)
     for s, branches in zip(strings, kids):
-        points, rows = 0, None
-        for b in branches:
-            if len(b) == 2:
-                points += 1
-            else:
-                rows = table[b] if rows is None else _mul_rows(rows, table[b], width)
-        if not branches:
-            rows = [(0, 1), None]  # x
-        else:
-            # A new list, since the product may be a branch's own.
-            rows = [(0, 1)] + [None] * points if rows is None else rows + [None] * points
-            row, top = rows[-1], len(s) // 2 - 1
-            if row is None:
-                rows[-1] = (top, 1)
-            else:
-                off, packed = row
-                rows[-1] = (off, packed + (1 << (width * (top - off))))
+        # The loop takes over its stack, so a kept branch goes in as a copy.
+        stack = [1 if len(b) == 2 else table[b].copy() for b in branches]
+        rows = _run_rows((len(branches), GREATEST), (len(s) // 2 - 1,), width, stack)
         table[s] = rows
         by_full[tuple(rows)].append(s)
         # A packed row is its field sum mod 2**width - 1, and no field
