@@ -264,7 +264,10 @@ def _inner_powers(x: float):
 
 
 def r_value(x: float, order: int) -> float:
-    """R(x) = x(1-x)(2-x) * exp(sum of W(x**m)/m over m >= 2)."""
+    """R(x) = x(1-x)(2-x) * exp(sum of W(x**m)/m over m >= 2), for x in
+    [0, 1), where the powers x**m fall below the cutoff of the inner sum."""
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"R(x) is defined here for 0 <= x < 1, not {x!r}")
     inner = 0.0
     for m, t in _inner_powers(x):
         inner += w_value(t, order) / m

@@ -17,14 +17,14 @@ of connected V-posets in `enumeration`.
 
 `collision_search` runs no evaluator per tree.  It walks the generated
 strings by ascending size, so every branch comes before its tree, and
-builds each tree's packed rows (the form `build_poly` works in) by running
-`build_poly`'s row loop on the branches' kept rows with the steps of a
-union and an added greatest element, so the search has no row arithmetic
-of its own.  All rows of one search share one field width, taken from the
-largest P(1,1), so equal rows mean equal polynomials: the trees are grouped
-by their rows, by the rows' field sums (P(x,1)) and by the rows' parts
-shifted by their offsets and summed (P(1,y)).  A polynomial is unpacked
-only for a group that is reported.
+keeps two ints per tree, P(x,1) and P(1,y), each packed in fields of one
+width taken from the largest P(1,1), so no coefficient carries and equal
+ints mean equal polynomials.  Each follows the tree recursion with one
+variable fixed: a leaf is x (or 1), and a vertex is its branches' product
+plus 1 (or plus y**(n-1)).  The trees are grouped by each int, and full
+polynomials are compared only within a group that shares both, which no
+two trees with at most 12 vertices do.  A polynomial is unpacked only for
+a group that is reported.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from math import prod
 
 from ._record import Record
 from .errors import OracleBoundError, ParseError
-from .polynomial import (
-    EMPTY, GREATEST, BivariatePoly, _field_bytes, _run_rows, _unpack_rows, build_poly,
-)
+from .polynomial import EMPTY, GREATEST, BivariatePoly, _field_bytes, _unpack_rows, build_poly
 
 GENERATION_BOUND = 12
 # Deletion-contraction's work bound: the characters of the minors it splits
@@ -316,9 +314,10 @@ def collision_search(n_max: int) -> CollisionReport:
     specialisations at y=1 and at x=1 are reported as groups of trees that
     share the specialised polynomial.
 
-    A tree's packed rows come from the evaluator's row loop run on its
-    branches' rows, all at one field width; the trees are grouped by those
-    rows and by the packed specialisations read from them.
+    Each tree's P(x,1) and P(1,y) are packed ints, made from its branches'
+    by the one-variable recursions at one field width; the trees are
+    grouped by each, and full polynomials are compared only within a group
+    that shares both.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -335,41 +334,41 @@ def collision_search(n_max: int) -> CollisionReport:
         bound[s] = prod([bound[b] for b in branches]) + 1 if branches else 1
     field_bytes = _field_bytes(max(bound.values()))
     width = 8 * field_bytes
-    mask = (1 << width) - 1
-    # Second pass: each tree's rows from its branches', kept by string for
-    # the larger trees, and filed under the three keys.
-    table: dict[str, list] = {}
-    by_full: dict[tuple, list[str]] = defaultdict(list)
-    by_y1: dict[tuple, list[str]] = defaultdict(list)
+    # Second pass: P(x,1) and P(1,y) of every tree in fields of that width,
+    # from its branches', filed under each and under both.
+    keys: dict[str, tuple[int, int]] = {}
+    by_y1: dict[int, list[str]] = defaultdict(list)
     by_x1: dict[int, list[str]] = defaultdict(list)
+    by_both: dict[tuple[int, int], list[str]] = defaultdict(list)
     for s, branches in zip(strings, kids):
-        # The loop takes over its stack, so a kept branch goes in as a copy.
-        stack = [1 if len(b) == 2 else table[b].copy() for b in branches]
-        rows = _run_rows((len(branches), GREATEST), (len(s) // 2 - 1,), width, stack)
-        table[s] = rows
-        by_full[tuple(rows)].append(s)
-        # A packed row is its field sum mod 2**width - 1, and no field
-        # carries, so the sum lies in 1..mask.
-        by_y1[tuple([row[1] % mask or mask if row else 0 for row in rows])].append(s)
-        by_x1[sum([row[1] << (width * row[0]) for row in rows if row])].append(s)
+        if branches:
+            y1 = prod([keys[b][0] for b in branches]) + 1
+            x1 = prod([keys[b][1] for b in branches]) + (1 << (width * (len(s) // 2 - 1)))
+        else:
+            y1, x1 = 1 << width, 1
+        keys[s] = key = (y1, x1)
+        by_y1[y1].append(s)
+        by_x1[x1].append(s)
+        by_both[key].append(s)
 
     def tree_key(s: str):
         return (len(s), s)
 
     full_pairs = []
-    for group in by_full.values():
+    for group in by_both.values():
         if len(group) >= 2:
-            group.sort(key=tree_key)
-            full_pairs.extend(itertools.combinations(map(RootedTree._trusted, group), 2))
+            by_poly: dict[BivariatePoly, list[str]] = defaultdict(list)
+            for s in sorted(group, key=tree_key):
+                by_poly[tree_poly(RootedTree._trusted(s))].append(s)
+            for same in by_poly.values():
+                full_pairs.extend(itertools.combinations(map(RootedTree._trusted, same), 2))
 
-    def at_y1(sums: tuple) -> BivariatePoly:
-        return BivariatePoly._trusted(
-            tuple((i, 0, (c,)) for i, c in enumerate(reversed(sums)) if c)
-        )
+    def poly_x1(packed: int) -> BivariatePoly:
+        return _unpack_rows([(0, packed)], field_bytes)
 
-    def at_x1(packed: int) -> BivariatePoly:
-        off = ((packed & -packed).bit_length() - 1) // width
-        return _unpack_rows([(off, packed >> (width * off))], field_bytes)
+    def poly_y1(packed: int) -> BivariatePoly:
+        # The same fields, read as the coefficients of x.
+        return BivariatePoly({(i, 0): c for (_, i), c in poly_x1(packed).term_map.items()})
 
     def groups(keyed, poly) -> list[tuple[BivariatePoly, list[RootedTree]]]:
         kept = [
@@ -386,6 +385,6 @@ def collision_search(n_max: int) -> CollisionReport:
         full_pairs=sorted(
             full_pairs, key=lambda ab: (tree_key(ab[0].encoding), tree_key(ab[1].encoding))
         ),
-        collisions_at_y1=groups(by_y1, at_y1),
-        collisions_at_x1=groups(by_x1, at_x1),
+        collisions_at_y1=groups(by_y1, poly_y1),
+        collisions_at_x1=groups(by_x1, poly_x1),
     )

@@ -228,6 +228,17 @@ class TestAsymptotics:
     def test_left_bracket_sign(self):
         assert r_value(0.0, 100) == 0.0 < 1.0 / math.e
 
+    @pytest.mark.parametrize("x", [1.0, 1.5, -0.5, math.nan])
+    def test_r_value_outside_unit_interval_raises(self, x):
+        # At x = 1 the powers x**m never fall below the cutoff, and for
+        # x < 0 a negative power ends the inner sum early.
+        with pytest.raises(ValueError, match="0 <= x < 1"):
+            r_value(x, 100)
+
+    def test_r_value_inside_the_bracket(self):
+        assert abs(r_value(0.2, 100) - 0.301924708060501) < 1e-15
+        assert abs(r_value(0.3, 100) - 0.40216646368490083) < 1e-15
+
     def test_rho_stable_under_truncation(self):
         assert abs(solve_rho(order=80).rho - solve_rho(order=120).rho) < 1e-8
 

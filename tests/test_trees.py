@@ -412,7 +412,7 @@ class TestKeptPoset:
         for groups in (report.collisions_at_y1, report.collisions_at_x1):
             trees += [t for _, group in groups for t in group]
         assert used in trees and all(t._poset is None for t in trees)
-        # The rows table lives for one call: the generator's string cache
+        # The key tables live for one call: the generator's string cache
         # stays within its bound, and a second call returns equal groups
         # of new trees and new polynomials.
         first = collision_search(GENERATION_BOUND)
@@ -495,6 +495,36 @@ class TestCollisionSearch:
     @pytest.mark.parametrize("n_max", range(1, GENERATION_BOUND + 1))
     def test_matches_reference(self, n_max):
         assert collision_search(n_max) == reference_collisions(n_max)
+
+    def test_full_comparison_within_shared_keys(self, monkeypatch):
+        # A string listed twice shares both keys with itself, so the full
+        # polynomials are compared, and they are equal.
+        listed = _trees_of_size
+        twice = "(()())"
+        monkeypatch.setattr(
+            "vposets.trees._trees_of_size", lambda n: listed(n) + ((twice,) if n == 3 else ())
+        )
+        report = collision_search(3)
+        t = RootedTree._trusted(twice)
+        assert report.tree_count == 5
+        assert report.full_pairs == [(t, t)]
+        assert report.collisions_at_y1 == [(tree_poly(t).specialize(y=1), [t, t])]
+        assert report.collisions_at_x1 == [(tree_poly(t).specialize(x=1), [t, t])]
+
+    def test_search_evaluates_no_polynomial(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def wrapper(*args):
+                calls.append(f.__name__)
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr("vposets.trees.tree_poly", counted(tree_poly))
+        monkeypatch.setattr("vposets.trees.build_poly", counted(build_poly))
+        assert collision_search(GENERATION_BOUND).tree_count == 7813
+        assert calls == []
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
