@@ -7,19 +7,18 @@ exhaustive pass, and each answers in plain Python ints and lists, apart
 from the recursive polynomial definitions it is used to cross-check.
 
 `antichain_sweep` builds every antichain as a row of a numpy table, by
-doubling over the elements, and `member_sums` sums columns over them.
-SUBSET_BOUND is below 32, so an antichain's neighbourhood union and its
-subset code share one int64 word.  Every other family of subsets is one
-Python int, a bitmap with bit c set when the subset with code c belongs:
-the cutsets come from one pass up the lower covers, and the parent-closed
-vertex sets and the strict orders among all relations from a few shifts
-and masks per element.  `_bits` lists the set bits of any mask, here and
-in `posets`.
+doubling over the elements.  SUBSET_BOUND is below 32, so an antichain's
+neighbourhood union and its subset code share one int64 word; it hands
+back the maximal antichains' codes as Python ints.  Every other family of
+subsets is one Python int, a bitmap with bit c set when the subset with
+code c belongs: the cutsets come from one pass up the lower covers, and
+the parent-closed vertex sets and the strict orders among all relations
+from a few shifts and masks per element.  `_bits` lists the set bits of
+any mask, here and in `posets`.
 
-numpy loads only in those two antichain functions, inside each, so the
-polynomial, recognition, enumeration, the cutset, root-subtree and
-labeled-poset oracles and every CLI command that lists no antichain start
-without it.
+numpy loads only in `antichain_sweep`, inside it, so the polynomial,
+recognition, enumeration, the cutset, root-subtree and labeled-poset
+oracles and every CLI command that lists no antichain start without it.
 """
 
 from __future__ import annotations
@@ -85,20 +84,6 @@ def antichain_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
         count += len(free)
     words = table[:count]
     return count, (words[(words & _LOW) == (1 << n) - 1] >> 32).tolist()
-
-
-def member_sums(codes: Sequence[int], columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """For each subset code, the sum of each column's entries over its members.
-
-    Every column holds one integer per element; one product of the 0/1
-    member matrix with the columns answers every code at once.
-    """
-    import numpy as np
-
-    n = len(columns[0])
-    members = (np.array(codes, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    sums = np.array(columns, dtype=np.int64) @ members.T
-    return list(zip(*sums.tolist()))
 
 
 @cache

@@ -278,8 +278,8 @@ def solve_rho(order: int = 100, tol: float = 1e-12) -> AsymptoticResult:
     """Bisect R(x) = 1/e on [0.2, 0.35]; the result lacks the prefactor."""
     if order < 60:
         raise ValueError("truncation order must be at least 60")
-    if tol < 1e-12:
-        raise ValueError("tolerances below 1e-12 are not supported")
+    if not tol >= 1e-12:  # also refuses nan, which compares false
+        raise ValueError(f"tolerance must be at least 1e-12, not {tol!r}")
     lo, hi = 0.2, 0.35
     target = 1.0 / math.e
     f_lo = r_value(lo, order) - target

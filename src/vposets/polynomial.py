@@ -53,6 +53,7 @@ their bytes.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from collections import Counter
@@ -81,7 +82,7 @@ class BivariatePoly:
                 raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
                 # int() stores a bool as the int it equals, so it prints as one.
-                by_degree.setdefault(i, {})[j] = int(c)
+                by_degree.setdefault(int(i), {})[int(j)] = int(c)
         rows = []
         for i in sorted(by_degree):
             column = by_degree[i]
@@ -176,8 +177,10 @@ class BivariatePoly:
 
         The row values at y0 (see `_row_values`) are combined in x: x0 = 1
         sums them, x0 = 0 takes the row of x-degree 0, and any other x0 runs
-        Horner's rule over them.
+        Horner's rule over them; a numpy integer counts as the int it equals.
         """
+        if x0.__class__ is not int or y0.__class__ is not int:
+            x0, y0 = _as_int(x0), _as_int(y0)
         rows = self._rows
         if x0 == 0 and (not rows or rows[0][0]):
             return 0
@@ -194,8 +197,8 @@ class BivariatePoly:
 
     def _row_values(self, y0: int) -> tuple[int, ...]:
         """The value of each row at y0, kept until another y is asked.  Only
-        an int y0 is kept, so a float or numpy y that equals it never hands
-        its inexact or wrapped values to an exact query."""
+        an int y0 is kept, so a float y that equals it never hands its
+        inexact values to an exact query."""
         exact = y0.__class__ is int
         at = self._at
         if exact and at is not None and at[0] == y0:
@@ -206,7 +209,11 @@ class BivariatePoly:
         return values
 
     def specialize(self, x: int | None = None, y: int | None = None) -> BivariatePoly:
-        """Substitute integers for one or both variables, collapsing terms."""
+        """Substitute integers, of any integer type, for one or both
+        variables, collapsing terms; any other value raises ValueError."""
+        x, y = _as_int(x), _as_int(y)
+        if not {x.__class__, y.__class__} <= {int, type(None)}:
+            raise ValueError(f"only integers can be substituted, not {x!r}, {y!r}")
         rows = self._rows
         if y is not None:
             rows = tuple((row[0], 0, (c,)) for row, c in zip(rows, self._row_values(y)) if c)
@@ -285,6 +292,11 @@ class BivariatePoly:
 
     def __repr__(self) -> str:
         return f"BivariatePoly({str(self)!r})"
+
+
+def _as_int(value):
+    """An integer of another type (numpy's wrap at 64 bits) as an int, else the value."""
+    return operator.index(value) if hasattr(value, "__index__") else value
 
 
 def _row_value(off: int, coeffs: Sequence[int], y0: int) -> int:

@@ -752,9 +752,15 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     codes = _sweep_facts(p)[1]
     status = element_status(p)
     basic = _basic_mask(status)
-    weights = [len(_region(p, a, status, basic)) for a in range(p.n)]
-    flags = [int(st == BASIC) for st in status]
-    return BivariatePoly(Counter(bruteforce.member_sums(codes, [flags, weights])))
+    # y is the sum of w times a code's bits among the elements of region size w.
+    classes: dict[int, int] = {}
+    for a in range(p.n):
+        if w := len(_region(p, a, status, basic)):
+            classes[w] = classes.get(w, 0) | 1 << a
+    ys = [0] * len(codes)
+    for w, m in classes.items():
+        ys = [y + w * (code & m).bit_count() for y, code in zip(ys, codes)]
+    return BivariatePoly(Counter(zip([(code & basic).bit_count() for code in codes], ys)))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:

@@ -17,14 +17,14 @@ of connected V-posets in `enumeration`.
 
 `collision_search` runs no evaluator per tree.  It walks the generated
 strings by ascending size, so every branch comes before its tree, and
-keeps two ints per tree, P(x,1) and P(1,y), each packed in fields of one
-width taken from the largest P(1,1), so no coefficient carries and equal
-ints mean equal polynomials.  Each follows the tree recursion with one
-variable fixed: a leaf is x (or 1), and a vertex is its branches' product
-plus 1 (or plus y**(n-1)).  The trees are grouped by each int, and full
-polynomials are compared only within a group that shares both, which no
-two trees with at most 12 vertices do.  A polynomial is unpacked only for
-a group that is reported.
+keeps two ints per tree, P(x,1) and P(1,y), each packed in fields that
+hold 2**n_max - 1, above every P(1,1) there, so no coefficient carries
+and equal ints mean equal polynomials.  Each follows the tree recursion
+with one variable fixed: a leaf is x (or 1), and a vertex is its
+branches' product plus 1 (or plus y**(n-1)).  The trees are grouped by
+each int, and full polynomials are compared only within a group that
+shares both, which no two trees with at most 12 vertices do.  A
+polynomial is unpacked only for a group that is reported.
 """
 
 from __future__ import annotations
@@ -326,21 +326,17 @@ def collision_search(n_max: int) -> CollisionReport:
             f"collision search is bounded at {GENERATION_BOUND} vertices"
         )
     strings = [s for n in range(1, n_max + 1) for s in _trees_of_size(n)]
-    # First pass: the branch strings and m = P(1,1) of every tree, which is
-    # 1 for a leaf and the branch product plus 1 above it.
-    kids = [_branches(s) for s in strings]
-    bound = {}
-    for s, branches in zip(strings, kids):
-        bound[s] = prod([bound[b] for b in branches]) + 1 if branches else 1
-    field_bytes = _field_bytes(max(bound.values()))
+    # Every field below, a branch product's too, counts maximal antichains
+    # of a tree with at most n_max vertices, so it is below 2**n_max.
+    field_bytes = _field_bytes((1 << n_max) - 1)
     width = 8 * field_bytes
-    # Second pass: P(x,1) and P(1,y) of every tree in fields of that width,
-    # from its branches', filed under each and under both.
+    # P(x,1) and P(1,y) of every tree in fields of that width, from its
+    # branches', filed under each and under both.
     keys: dict[str, tuple[int, int]] = {}
     by_y1: dict[int, list[str]] = defaultdict(list)
     by_x1: dict[int, list[str]] = defaultdict(list)
     by_both: dict[tuple[int, int], list[str]] = defaultdict(list)
-    for s, branches in zip(strings, kids):
+    for s, branches in zip(strings, map(_branches, strings)):
         if branches:
             y1 = prod([keys[b][0] for b in branches]) + 1
             x1 = prod([keys[b][1] for b in branches]) + (1 << (width * (len(s) // 2 - 1)))

@@ -2,6 +2,7 @@
 and the answers a poset or tree keeps against those of a fresh object."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -44,7 +45,7 @@ from vposets import posets as posets_module
 from vposets.posets import BASIC
 from vposets.posets import _oracle_poset
 
-from helpers import BOWTIE_POSET, N_POSET, parents_of
+from helpers import BOWTIE_POSET, FIGURE_POSET_POLY, FIGURE_POSET_TEXT, N_POSET, parents_of
 
 
 def members(code, n):
@@ -279,6 +280,15 @@ def test_one_sweep_per_poset(monkeypatch):
     ):
         oracle(p)
     assert len(calls) == 1
+
+
+def test_expansion_after_the_sweep_loads_no_numpy(monkeypatch):
+    # The sweep's codes are kept, and the expansion reads its exponents
+    # from them as bit counts, so a blocked numpy import goes unnoticed.
+    p = parse_poset(FIGURE_POSET_TEXT)
+    count_antichains_poset(p)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert antichain_expansion_poset(p) == poset_poly(p) == FIGURE_POSET_POLY
 
 
 # ----------------------------------------------------------------------

@@ -305,3 +305,6 @@ class TestAsymptotics:
             solve_rho(order=59)
         with pytest.raises(ValueError):
             solve_rho(order=100, tol=1e-13)
+        for solve in (solve_rho, asymptotic_constant):
+            with pytest.raises(ValueError):
+                solve(order=100, tol=math.nan)

@@ -1,5 +1,6 @@
 """Unit tests for the sparse bivariate polynomial type."""
 
+import json
 import pickle
 import sys
 import threading
@@ -108,6 +109,10 @@ class TestFormat:
     def test_constant(self):
         assert str(mono(7, 0, 0)) == "7"
         assert str(BivariatePoly({(0, 0): True, (1, 0): True})) == "x + 1"
+
+    def test_bool_exponents(self):
+        for poly in (BivariatePoly({(True, False): 1}), BivariatePoly.monomial(1, True)):
+            assert json.dumps(poly.canonical_triples()) == "[[1, 1, 0]]"
 
     def test_format_injective_on_tree_polynomials(self):
         polys = set()
@@ -243,6 +248,22 @@ class TestKeptRowValues:
         assert poly.evaluate(0, 2) == 2**60
         assert poly.evaluate(1, 2.0) == 2.0**60
         assert poly.specialize(y=2) == BivariatePoly({(0, 0): 2**60, (1, 0): 1})
+
+    def test_numpy_integers_do_not_wrap(self):
+        # A numpy int64 power wraps at 64 bits; it is read as the int it equals.
+        import numpy as np
+
+        two = np.int64(2)
+        assert (Y**70 + X).evaluate(1, two) == 2**70 + 1
+        assert (X**70 + Y).evaluate(two, 1) == 2**70 + 1
+        assert (Y**70 + X).specialize(y=two) == BivariatePoly({(0, 0): 2**70, (1, 0): 1})
+        assert (X**70 + Y).specialize(x=two) == BivariatePoly({(0, 0): 2**70, (0, 1): 1})
+
+    def test_specialize_refuses_a_non_integer(self):
+        # A float would give float coefficients, which no polynomial holds.
+        for kwargs in ({"y": 0.5}, {"x": 0.5}, {"x": 2, "y": 2.0}):
+            with pytest.raises(ValueError):
+                (X * Y + Y**2).specialize(**kwargs)
 
     def test_table_reads_each_row_twice(self, monkeypatch):
         poly = tree_poly(parse_tree("((()())(()(()))((())()))"))
