@@ -80,7 +80,7 @@ def _cmd_check(args) -> int:
 def _cmd_counts(args) -> int:
     # A tree is a V-poset whose leaves are the basic elements, so both kinds
     # of input are checked by the poset oracles, a tree on the poset its own
-    # oracles keep, which already holds its certificate and element status.
+    # oracles keep, which already holds its certificate and basic mask.
     from .bruteforce import SUBSET_BOUND
     from .polynomial import BivariatePoly
     from .posets import (

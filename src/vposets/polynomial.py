@@ -239,15 +239,10 @@ class BivariatePoly:
         return {(i, j): c for i, off, cs in self._rows for j, c in enumerate(cs, off) if c}
 
     def canonical_triples(self) -> list[tuple[int, int, int]]:
-        """Terms as [coeff, x_exp, y_exp] triples in canonical print order."""
-        # Rows are read from the highest x-degree down into one bucket per
-        # y-exponent, so the buckets by descending y-exponent give the order.
-        buckets: dict[int, list[tuple[int, int, int]]] = {}
-        for i, off, cs in reversed(self._rows):
-            for j, c in enumerate(cs, off):
-                if c:
-                    buckets.setdefault(j, []).append((c, i, j))
-        return [t for j in sorted(buckets, reverse=True) for t in buckets[j]]
+        """Terms as [coeff, x_exp, y_exp] triples in canonical print order:
+        by descending y-exponent, then by descending x-exponent."""
+        triples = [(c, i, j) for (i, j), c in self.term_map.items()]
+        return sorted(triples, key=lambda t: (-t[2], -t[1]))
 
     def __bool__(self) -> bool:
         return bool(self._rows)
@@ -261,7 +256,8 @@ class BivariatePoly:
         return hash(self._rows)
 
     def __str__(self) -> str:
-        # Terms go into buckets by y-exponent as in `canonical_triples`, each
+        # Terms go into buckets by y-exponent, rows read from the highest
+        # x-degree down, which gives the order of `canonical_triples`.  Each is
         # written with its signed coefficient; the joined text then drops
         # the unit of "-1*" and turns "+ -" into "- ".
         buckets: dict[int, list[str]] = {}

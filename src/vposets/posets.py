@@ -28,12 +28,14 @@ Conventions:
     x's.  Up rows are the dual.
   - The brute-force oracles hand rows and cover rows to the exhaustive
     sweeps of `bruteforce` and read back plain ints.  A poset keeps its
-    certificate, its element status, its two row-size tables and the
-    answers of its one antichain sweep when first asked: the antichain count
-    and the subset codes of the maximal antichains, P(1,1) of them, never
-    2**n.  The size tables are built once and serve recognition, the chain
-    tops of the basic-element axioms and the extreme elements.  All of it
-    stays outside equality, hashing, repr and pickling.
+    certificate, the mask of its basic elements, its two row-size tables and
+    the answers of its one antichain sweep when first asked: the antichain
+    count and the subset codes of the maximal antichains, P(1,1) of them,
+    never 2**n.  The size tables are built once and serve recognition, the
+    chain tops of the basic-element axioms and the extreme elements.  The
+    basic mask serves the statuses, the region sets, the basic-free count
+    and the expansion.  All of it stays outside equality, hashing, repr and
+    pickling.
   - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
     tree oracle (`count_*_tree`, `maximal_antichains_tree`,
     `antichain_expansion_tree`, `count_root_subtrees`) is the poset oracle
@@ -75,8 +77,8 @@ class _CycleError(ValueError):
 class Poset:
     """A strict order on 0..n-1, stored as its up and down rows only;
     comparability is their OR, derived where it is read.  ``_cert``,
-    ``_status``, ``_by_size`` (see `_size_tables`) and ``_facts`` hold the
-    answers kept on first use."""
+    ``_status`` (the basic mask, see `_basic`), ``_by_size`` (see
+    `_size_tables`) and ``_facts`` hold the answers kept on first use."""
 
     __slots__ = ("n", "_up", "_down", "_cert", "_status", "_by_size", "_facts")
     __setattr__ = Record.__setattr__
@@ -483,10 +485,17 @@ class ForbiddenPattern(Record):
 
 def find_forbidden(p: Poset) -> ForbiddenPattern | None:
     """The first induced N or bowtie in (u, v, x, w) index order; None when
-    clean, which a build trace from `is_v_poset` settles without a scan."""
+    clean, which a build trace from `is_v_poset` settles without a scan.
+
+    A quadruple is connected in the comparability graph, and each of its
+    members has one incomparable to it, so no peeled extreme lies in one:
+    every quadruple lies inside a component the peel cannot finish, and the
+    least of those components' first quadruples is the first of all.
+    """
     if isinstance(is_v_poset(p), BuildTrace):
         return None
-    return _forbidden_in(p, (1 << p.n) - 1)
+    witnesses = [_forbidden_in(p, stuck) for stuck in _peel(p, [])]
+    return min(witnesses, key=lambda f: (f.u, f.v, f.x, f.w))
 
 
 def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
@@ -524,17 +533,16 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
     return None
 
 
-def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
-    """The construction trace and 0, or None and a component with neither
-    a greatest nor a least element.  A live mask loses its greatest, else
-    its least, element; a mask with neither splits into components, and one
-    is stuck.  Steps come out in reverse post-order.  A mask of s members
-    waits shifted, as `_components` yields it, with the counts of elements
-    taken above and below it; the rest lie apart from it.  So its greatest
-    is the member whose down row holds s - 1 + below: one AND with the
-    kept `_size_tables`."""
+def _peel(p: Poset, steps: list[int]) -> Iterator[int]:
+    """Yield each component with neither a greatest nor a least element,
+    and append the construction steps to ``steps`` in reverse post-order:
+    when nothing is yielded, they make the trace.  A live mask loses its
+    greatest, else its least, element; a mask with neither splits into
+    components, and one is stuck.  A mask of s members waits shifted, as
+    `_components` yields it, with the counts of elements taken above and
+    below it; the rest lie apart from it.  So its greatest is the member
+    whose down row holds s - 1 + below: one AND with the kept `_size_tables`."""
     by_down, by_up = _size_tables(p)
-    steps: list[int] = []
     todo = [((1 << p.n) - 1, 0, 0, 0)]
     while todo:
         live, low, above, below = todo.pop()
@@ -551,10 +559,10 @@ def _peel(p: Poset) -> tuple[BuildTrace | None, int]:
         else:
             comps = list(_components(p, live))
             if len(comps) == 1:
-                return None, live
-            steps.append(len(comps))
-            todo += [(c, k, above, below) for c, k in comps]
-    return _trace(tuple(reversed(steps))), 0
+                yield live
+            else:
+                steps.append(len(comps))
+                todo += [(c, k, above, below) for c, k in comps]
 
 
 def decompose(p: Poset) -> BuildTrace | None:
@@ -570,12 +578,13 @@ def decompose(p: Poset) -> BuildTrace | None:
 def is_v_poset(p: Poset) -> BuildTrace | ForbiddenPattern:
     """Exactly one certificate: a construction trace or a forbidden pattern.
 
-    The pattern is found inside the component where peeling got stuck, and
-    the certificate is kept on ``p``, so each poset is peeled once.
+    The pattern is found inside the first component where peeling gets
+    stuck, and the certificate is kept on ``p``, so each poset is peeled once.
     """
     if p._cert is None:
-        trace, stuck = _peel(p)
-        certificate = trace if trace is not None else _forbidden_in(p, stuck)
+        steps: list[int] = []
+        stuck = next(_peel(p, steps), None)
+        certificate = _trace(tuple(reversed(steps))) if stuck is None else _forbidden_in(p, stuck)
         if certificate is None:
             raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
         object.__setattr__(p, "_cert", certificate)
@@ -628,6 +637,23 @@ def _chain_tops(rows: Sequence[int], sizes: dict[int, int]) -> list[int | None]:
     return tops
 
 
+def _basic(p: Poset) -> int:
+    """The mask of the basic elements, decided once and kept on ``p``."""
+    if p._status is None:
+        up = p._up
+        by_down, by_up = _size_tables(p)
+        below, above = _chain_tops(p._down, by_down), _chain_tops(up, by_up)
+        basic = [
+            x
+            for x, t in enumerate(below)
+            if t is not None
+            and above[x] is not None
+            and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
+        ]
+        object.__setattr__(p, "_status", _mask(basic))
+    return p._status
+
+
 def element_status(p: Poset) -> list[str]:
     """Classify each element as basic, upper, lower, or other.
 
@@ -639,57 +665,35 @@ def element_status(p: Poset) -> list[str]:
     down(x) minus u and up(u) holds up(x) and x, a twin is a member of
     down(x) with row sizes (|down(x)| - 1, |up(x)| + 1), and the only member
     of that down size is the top of the chain.  x is upper when a basic
-    element lies below it, and lower when one lies above.  The result is
-    kept on ``p`` as a tuple, and each call returns a fresh list.
+    element lies below it, and lower when one lies above.  Only the basic
+    mask is kept on ``p``; each call reads the statuses off it afresh.
     """
-    if p._status is None:
-        n, up, down = p.n, p._up, p._down
-        by_down, by_up = _size_tables(p)
-        below, above = _chain_tops(down, by_down), _chain_tops(up, by_up)
-        basic = [
-            x
-            for x, t in enumerate(below)
-            if t is not None
-            and above[x] is not None
-            and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
-        ]
-        mask, is_basic = _mask(basic), set(basic)
-        status = []
-        for x in range(n):
-            if x in is_basic:
-                status.append(BASIC)
-            elif down[x] & mask:
-                status.append(UPPER)
-            elif up[x] & mask:
-                status.append(LOWER)
-            else:
-                status.append(OTHER)
-        object.__setattr__(p, "_status", tuple(status))
-    return list(p._status)
+    basic = _basic(p)
+    return [
+        BASIC if digit == "1" else UPPER if down & basic else LOWER if up & basic else OTHER
+        for digit, up, down in zip(f"{basic:0{p.n}b}"[::-1], p._up, p._down)
+    ]
 
 
-def _basic_mask(status: Sequence[str]) -> int:
-    return _mask([x for x, st in enumerate(status) if st == BASIC])
-
-
-def _region(p: Poset, a: int, status: Sequence[str], basic: int) -> frozenset[int] | None:
-    """The region set of ``a`` from its own rows and their members' rows,
-    given the status and the basic mask; None for an element of another
-    status.  A lower element of the same association only matters below a."""
+def _region(p: Poset, a: int) -> list[int] | None:
+    """The members of the region set of ``a``, from its own rows, their
+    members' rows and the basic mask; None for an "other" element.  A lower
+    b below an upper a has no basic element below it, so it shares a's
+    association exactly when the basic elements above it are a's."""
+    basic = _basic(p)
     up, down = p._up, p._down
     near = up[a] | down[a] | 1 << a  # a and the elements comparable to it
-    if status[a] == BASIC:
-        return frozenset()
-    if status[a] == LOWER:
-        return frozenset(b for b in _bits(up[a]) if not down[b] & ~near)
-    if status[a] == UPPER:
+    if basic >> a & 1:
+        return []
+    if down[a] & basic:  # upper
         assoc = near & basic
-        return frozenset(
+        return [
             b
             for b in _bits(down[a])
-            if not up[b] & ~near
-            and not (status[b] == LOWER and (up[b] | down[b]) & basic == assoc)
-        )
+            if not up[b] & ~near and (down[b] & basic or up[b] & basic != assoc)
+        ]
+    if up[a] & basic:  # lower
+        return [b for b in _bits(up[a]) if not down[b] & ~near]
     return None
 
 
@@ -702,14 +706,13 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
     """
     if not (0 <= a < p.n):
         raise ValueError(f"element index {a} out of range 0..{p.n - 1}")
-    status = element_status(p)
-    region = _region(p, a, status, _basic_mask(status))
+    region = _region(p, a)
     if region is None:
         raise ValueError(
             f"element {a} is neither basic nor upper nor lower; "
             "its region set is undefined"
         )
-    return region
+    return frozenset(region)
 
 
 # ----------------------------------------------------------------------
@@ -750,12 +753,11 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     """Sum x**basic(A) * y**weight(A) over maximal antichains of a V-poset."""
     _v_trace(p)
     codes = _sweep_facts(p)[1]
-    status = element_status(p)
-    basic = _basic_mask(status)
+    basic = _basic(p)
     # y is the sum of w times a code's bits among the elements of region size w.
     classes: dict[int, int] = {}
     for a in range(p.n):
-        if w := len(_region(p, a, status, basic)):
+        if w := len(_region(p, a)):
             classes[w] = classes.get(w, 0) | 1 << a
     ys = [0] * len(codes)
     for w, m in classes.items():
@@ -784,7 +786,7 @@ def count_maximal_antichains_poset(p: Poset) -> int:
 def count_maximal_antichains_no_basic(p: Poset) -> int:
     """Number of maximal antichains avoiding every basic element."""
     codes = _sweep_facts(p)[1]
-    basic = _basic_mask(element_status(p))
+    basic = _basic(p)
     return sum(not code & basic for code in codes)
 
 
@@ -845,7 +847,7 @@ def _oracle_poset(t: RootedTree) -> Poset:
     if t._poset is None:
         p = tree_to_poset(t)
         object.__setattr__(p, "_cert", _trace(tuple(_tree_steps(t))))
-        object.__setattr__(p, "_status", tuple(UPPER if row else BASIC for row in p._down))
+        object.__setattr__(p, "_status", _mask([v for v, row in enumerate(p._down) if not row]))
         object.__setattr__(t, "_poset", p)
     return t._poset
 

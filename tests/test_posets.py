@@ -827,20 +827,34 @@ class TestComponents:
         assert list(_components(p, live)) == reference_components(p, live)
 
 
+def first_peel(p):
+    """The trace and 0 when the peel yields no stuck mask, else None and
+    the first stuck mask, as `is_v_poset` reads them."""
+    steps = []
+    stuck = next(_peel(p, steps), None)
+    return (_trace(tuple(reversed(steps))), 0) if stuck is None else (None, stuck)
+
+
 class TestPeel:
     """The peel splits a mask only when it has neither a greatest nor a
-    least element, and gives the same trace and stuck mask as splitting
-    every mask first."""
+    least element, and gives the same trace and first stuck mask as
+    splitting every mask first."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_all_labeled_posets(self, n):
         for p in all_labeled_posets(n):
-            assert _peel(p) == reference_peel(p)
+            assert first_peel(p) == reference_peel(p)
 
     @settings(max_examples=300, deadline=None)
     @given(strict_orders())
     def test_random_orders(self, p):
-        assert _peel(p) == reference_peel(p)
+        assert first_peel(p) == reference_peel(p)
+
+    def test_goes_on_past_a_stuck_component(self):
+        # A bowtie, an N and a 2-chain side by side: the peel yields the
+        # two stuck components, the last one first, and finishes the chain.
+        p = Poset.disjoint_union([BOWTIE_POSET, N_POSET, parse_poset("2\n1 2")])
+        assert list(_peel(p, [])) == [0b11110000, 0b1111]
 
 
 def fence(m):
@@ -859,7 +873,7 @@ class TestWitnessScan:
     def assert_same_witness(self, p, live):
         assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
         assert _forbidden_in(p, live) == reference_forbidden(p, live)
-        trace, stuck = _peel(p)
+        trace, stuck = first_peel(p)
         if trace is None:
             assert is_v_poset(p) == reference_forbidden(p, stuck)
 
@@ -883,6 +897,29 @@ class TestWitnessScan:
         assert find_forbidden(p) == ForbiddenPattern(u=10000, v=10001, w=0, x=1, kind="N")
         assert is_v_poset(p) == find_forbidden(p)
         assert time.perf_counter() - start < 10
+
+    def test_least_witness_over_stuck_components(self):
+        # The peel is first stuck on the N, which has the higher indices;
+        # the first witness of the whole poset lies in the bowtie.
+        p = Poset.disjoint_union([BOWTIE_POSET, N_POSET])
+        assert is_v_poset(p).u >= 4
+        assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
+        assert find_forbidden(p).kind == "bowtie"
+
+    def test_caterpillar_beside_an_n(self):
+        # The limit is loose for a loaded machine: only the N is scanned,
+        # in milliseconds, while scanning the whole poset takes about 15 s.
+        h = 4000
+        caterpillar = tree_to_poset(parse_tree("(()" * h + ")" * h))
+        p = Poset.disjoint_union([caterpillar, N_POSET])
+        assert p.n == 8004
+        start = time.perf_counter()
+        pattern = find_forbidden(p)
+        assert time.perf_counter() - start < 1
+        n = find_forbidden(N_POSET)
+        assert pattern == ForbiddenPattern(
+            u=n.u + 8000, v=n.v + 8000, w=n.w + 8000, x=n.x + 8000, kind="N"
+        )
 
 
 def reference_region_sets(p, status):
@@ -967,6 +1004,20 @@ class TestRegionSets:
         chain = Poset.from_covers(n, [(k, k + 1) for k in range(n - 1)])
         start = time.perf_counter()
         assert region_set(chain, n - 1) == frozenset(range(n - 1))
+        assert time.perf_counter() - start < 5
+
+    def test_every_element_of_wide_posets(self):
+        # The limit is loose for a loaded machine: each poset takes a small
+        # fraction of a second, while copying the n statuses per call takes
+        # over half a minute.
+        k = 10000
+        antichain = Poset.from_covers(2 * k, [])
+        chains = Poset.from_covers(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        start = time.perf_counter()
+        assert all(region_set(antichain, a) == frozenset() for a in range(2 * k))
+        for i in range(k):
+            assert region_set(chains, 2 * i) == frozenset()
+            assert region_set(chains, 2 * i + 1) == frozenset({2 * i})
         assert time.perf_counter() - start < 5
 
     def test_figure_poset_values(self, fig):
