@@ -6,19 +6,23 @@ refuse larger inputs first: above SUBSET_BOUND elements, or above
 exhaustive pass, and each answers in plain Python ints and lists, apart
 from the recursive polynomial definitions it is used to cross-check.
 
-`antichain_sweep` builds every antichain as a row of a numpy table, by
-doubling over the elements.  SUBSET_BOUND is below 32, so an antichain's
-neighbourhood union and its subset code share one int64 word; it hands
-back the maximal antichains' codes as Python ints.  Every other family of
-subsets is one Python int, a bitmap with bit c set when the subset with
-code c belongs: the cutsets come from one pass up the lower covers, and
-the parent-closed vertex sets and the strict orders among all relations
-from a few shifts and masks per element.  `_bits` lists the set bits of
-any mask, here and in `posets`.
+`antichain_sweep` lists every antichain with one of two engines, chosen by
+the number of elements.  Up to _BITMAP_BOUND elements the antichains are
+one Python int, a bitmap with bit c set when the subset with code c
+belongs, as every other family of subsets here is: the cutsets come from
+one pass up the lower covers, and the parent-closed vertex sets and the
+strict orders among all relations from a few shifts and masks per element.
+Past the bound the 2^n-bit operations cost more than a numpy table's
+doubling over the elements.  SUBSET_BOUND is below 32, so a table
+antichain's neighbourhood union and its subset code share one int64 word.
+Either engine hands back the maximal antichains' codes as Python ints, in
+ascending order.  `_bits` lists the set bits of any mask, here and in
+`posets`.
 
-numpy loads only in `antichain_sweep`, inside it, so the polynomial,
-recognition, enumeration, the cutset, root-subtree and labeled-poset
-oracles and every CLI command that lists no antichain start without it.
+numpy loads only for sweeps past 12 elements, inside `_table_sweep`, so the
+polynomial, recognition, enumeration, the cutset, root-subtree and
+labeled-poset oracles, the antichain oracles on small inputs and every CLI
+command that lists no antichain start without it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from operator import and_
 from .errors import OracleBoundError
 
 SUBSET_BOUND = 20
+
+# The largest ground set whose antichains are swept as one integer bitmap.
+_BITMAP_BOUND = 12
 
 _LOW = (1 << 32) - 1
 
@@ -60,16 +67,41 @@ def check_subset_bound(n: int, what: str = "input") -> None:
 
 
 def antichain_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
-    """Every antichain of a comparability relation, in one doubling sweep.
+    """Every antichain of a comparability relation on 0..n-1, where
+    ``comp_rows[k]`` is the bitmask of the elements comparable to k.
+    Returns the antichain count and the ascending subset codes of the
+    maximal antichains.  Up to _BITMAP_BOUND elements the antichains are one
+    integer bitmap, past it a numpy table; the two list the same codes."""
+    if len(comp_rows) <= _BITMAP_BOUND:
+        return _bitmap_sweep(comp_rows)
+    return _table_sweep(comp_rows)
 
-    ``comp_rows[k]`` is the bitmask of the elements comparable to k.  Each
-    antichain is one int64 word: the low 32 bits are the union of its
-    members' closed neighbourhoods, the high 32 bits its subset code.  The
-    members of an earlier antichain all have indices below k, so k joins it
-    exactly when bit k of that union is clear, with one OR of
+
+def _bitmap_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
+    """The antichains as one bitmap of their subset codes.  Per element v,
+    ``meets`` holds the codes that hold an element comparable to v: a code
+    holding v as well is no antichain, and one holding neither v nor such
+    an element misses v, so it is not maximal."""
+    holding = _holding(len(comp_rows))
+    ok = maximal = (1 << (1 << len(comp_rows))) - 1
+    for v, row in enumerate(comp_rows):
+        meets = 0
+        for u in _bits(row):
+            meets |= holding[u]
+        ok &= ~(holding[v] & meets)
+        maximal &= holding[v] | meets
+    return ok.bit_count(), list(_bits(ok & maximal))
+
+
+def _table_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
+    """Every antichain as one int64 word of a numpy table, in one doubling
+    sweep.  The low 32 bits are the union of its members' closed
+    neighbourhoods, the high 32 bits its subset code.  The members of an
+    earlier antichain all have indices below k, so k joins it exactly when
+    bit k of that union is clear, with one OR of
     ``row | 1 << k | 1 << (32 + k)``, and each element doubles part of the
-    table.  An antichain is maximal when its union covers every element.
-    Returns the antichain count and the subset codes of the maximal ones.
+    table, whose codes stay ascending.  An antichain is maximal when its
+    union covers every element.
     """
     import numpy as np
 

@@ -67,6 +67,23 @@ _Y_TABLE = 256
 _Y_FACTORS = ("", "y", *[f"y^{j}" for j in range(2, _Y_TABLE)])
 
 
+def _canonical_rows(terms: Mapping[tuple[int, int], int]) -> tuple:
+    """The rows of valid terms with nonzero coefficients, by ascending
+    x-degree, each from its lowest to its highest y-exponent."""
+    by_degree: dict[int, dict[int, int]] = {}
+    for (i, j), c in terms.items():
+        by_degree.setdefault(i, {})[j] = c
+    rows = []
+    for i in sorted(by_degree):
+        column = by_degree[i]
+        low = min(column)
+        coeffs = [0] * (max(column) + 1 - low)
+        for j, c in column.items():
+            coeffs[j - low] = c
+        rows.append((i, low, tuple(coeffs)))
+    return tuple(rows)
+
+
 class BivariatePoly:
     """A polynomial in x and y with exact integer coefficients.  ``_at``
     holds ``(y, row values)`` from the last int y asked, or None."""
@@ -74,7 +91,7 @@ class BivariatePoly:
     __slots__ = ("_rows", "_at")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        by_degree: dict[int, dict[int, int]] = {}
+        checked: dict[tuple[int, int], int] = {}
         for (i, j), c in (terms or {}).items():
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                 raise ValueError(f"invalid exponent pair {(i, j)!r}")
@@ -82,17 +99,15 @@ class BivariatePoly:
                 raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
                 # int() stores a bool as the int it equals, so it prints as one.
-                by_degree.setdefault(int(i), {})[int(j)] = int(c)
-        rows = []
-        for i in sorted(by_degree):
-            column = by_degree[i]
-            low = min(column)
-            coeffs = [0] * (max(column) + 1 - low)
-            for j, c in column.items():
-                coeffs[j - low] = c
-            rows.append((i, low, tuple(coeffs)))
-        self._rows = tuple(rows)
+                checked[int(i), int(j)] = int(c)
+        self._rows = _canonical_rows(checked)
         self._at = None
+
+    @classmethod
+    def _from_terms(cls, terms: Mapping[tuple[int, int], int]) -> BivariatePoly:
+        """Build from terms known to be valid, unchecked: nonnegative int
+        exponent pairs and nonzero int coefficients."""
+        return cls._trusted(_canonical_rows(terms))
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, int, tuple[int, ...]], ...]) -> BivariatePoly:

@@ -762,7 +762,8 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     ys = [0] * len(codes)
     for w, m in classes.items():
         ys = [y + w * (code & m).bit_count() for y, code in zip(ys, codes)]
-    return BivariatePoly(Counter(zip([(code & basic).bit_count() for code in codes], ys)))
+    xs = [(code & basic).bit_count() for code in codes]
+    return BivariatePoly._from_terms(Counter(zip(xs, ys)))
 
 
 def poset_poly(p: Poset) -> BivariatePoly:

@@ -45,7 +45,7 @@ from vposets import posets as posets_module
 from vposets.posets import BASIC
 from vposets.posets import _oracle_poset
 
-from helpers import BOWTIE_POSET, FIGURE_POSET_POLY, FIGURE_POSET_TEXT, N_POSET, parents_of
+from helpers import BOWTIE_POSET, N_POSET, parents_of
 
 
 def members(code, n):
@@ -184,6 +184,45 @@ def test_antichain_sweep_at_the_bound():
     assert maximal_antichains_poset(antichain) == [frozenset(range(20))]
 
 
+def comparability_rows(p):
+    return [p.up_mask(v) | p.down_mask(v) for v in range(p.n)]
+
+
+def random_posets(seed, sizes, per_size):
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(per_size):
+            order = rng.sample(range(n), n)
+            pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+            yield Poset.from_covers(n, rng.sample(pairs, min(len(pairs), rng.randrange(2 * n + 1))))
+
+
+def test_the_two_sweep_engines_agree():
+    # The same count and the same codes, in the same ascending order, from
+    # the integer bitmap and the numpy table, on both sides of the bound.
+    inputs = [
+        *(p for n in range(6) for p in all_labeled_posets(n)),
+        *(p for n in range(8) for p in all_vposets(n)),
+        *(tree_to_poset(t) for n in range(1, 11) for t in enumerate_rooted_trees(n)),
+        *random_posets(1, range(15), 12),
+    ]
+    for p in inputs:
+        rows = comparability_rows(p)
+        assert bruteforce._bitmap_sweep(rows) == bruteforce._table_sweep(rows), p
+
+
+@pytest.mark.parametrize("n", [bruteforce._BITMAP_BOUND, bruteforce._BITMAP_BOUND + 1])
+def test_closed_forms_beside_the_engine_bound(n):
+    antichain = parse_poset(str(n))
+    assert count_antichains_poset(antichain) == 2**n
+    assert maximal_antichains_poset(antichain) == [frozenset(range(n))]
+    chain = parse_poset(f"{n}\n" + "".join(f"{k} {k + 1}\n" for k in range(1, n)))
+    assert count_antichains_poset(chain) == n + 1
+    assert count_maximal_antichains_poset(chain) == n
+    assert count_antichains_tree(star(n)) == 2 ** (n - 1) + 1
+    assert count_maximal_antichains_tree(star(n)) == 2
+
+
 def layers(*sizes):
     """Complete layers: every element of a layer lies below every element
     of the next."""
@@ -285,10 +324,13 @@ def test_one_sweep_per_poset(monkeypatch):
 def test_expansion_after_the_sweep_loads_no_numpy(monkeypatch):
     # The sweep's codes are kept, and the expansion reads its exponents
     # from them as bit counts, so a blocked numpy import goes unnoticed.
-    p = parse_poset(FIGURE_POSET_TEXT)
+    # Fourteen elements are past the bitmap engine's bound, so the sweep
+    # takes the numpy table.
+    t = star(14)
+    p = tree_to_poset(t)
     count_antichains_poset(p)
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert antichain_expansion_poset(p) == poset_poly(p) == FIGURE_POSET_POLY
+    assert antichain_expansion_poset(p) == poset_poly(p) == tree_poly(t)
 
 
 # ----------------------------------------------------------------------

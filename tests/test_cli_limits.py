@@ -5,8 +5,9 @@ the input's path goes, the exit status, a time limit in seconds, an
 address-space limit in MB (or None) and the texts that stdout or stderr
 must contain.  Each row runs `python -m vposets.cli` in a child process
 under the time limit and, where it sets one, `RLIMIT_AS` on that child
-only; no row may leave a traceback.  Rows that sweep subsets load numpy
-and set no MB: their address space depends on the BLAS thread count.
+only; no row may leave a traceback.  Rows that sweep the antichains of
+more than 12 elements load numpy, so the sweeping rows set no MB: their
+address space depends on the BLAS thread count.
 """
 
 import random

@@ -1,6 +1,7 @@
-"""numpy is loaded only by the antichain oracles, on their first sweep,
-neither the package nor its CLI commands load dataclasses, inspect or typing,
-and each entry point loads only the package modules it runs.
+"""numpy is loaded only by the antichain oracles, on their first sweep of
+more than twelve elements (smaller ones take the integer bitmap), neither
+the package nor its CLI commands load dataclasses, inspect or typing, and
+each entry point loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported all of them.  Module names are checked, not times."""
@@ -87,11 +88,15 @@ def test_submodules_resolve_on_first_access():
 def test_no_dataclasses_inspect_or_typing(tmp_path):
     # Compared with the modules loaded before the import, so that whatever
     # the interpreter's own site loaded does not count.  The CLI commands
-    # that need no sweep run too, and load no numpy either.
+    # that need no sweep, and `counts` on small inputs, whose sweeps take
+    # the integer bitmap, run too and load no numpy either.
     tree, poset = tmp_path / "small.tree", tmp_path / "small.poset"
     tree.write_text(FIGURE_TREE_TEXT + "\n")
     poset.write_text("4\n1 3\n2 3\n3 4\n")
-    commands = [["tree-poly", str(tree)], ["check", str(poset)], ["poset-poly", str(poset)]]
+    commands = [
+        ["tree-poly", str(tree)], ["check", str(poset)], ["poset-poly", str(poset)],
+        ["counts", str(tree)], ["counts", str(poset)],
+    ]
     run_fresh(
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -127,8 +132,8 @@ def test_command_loads_only_what_it_runs(tmp_path, command, source, unused):
 @pytest.mark.parametrize(
     "call, answer",
     [
-        ("count_antichains_tree(star(5))", "2**4 + 1"),
-        ("antichain_expansion_poset(tree_to_poset(star(5)))", "tree_poly(star(5))"),
+        ("count_antichains_tree(star(14))", "2**13 + 1"),
+        ("antichain_expansion_poset(tree_to_poset(star(14)))", "tree_poly(star(14))"),
     ],
 )
 def test_first_sweep_loads_numpy(call, answer):
@@ -142,10 +147,13 @@ def test_first_sweep_loads_numpy(call, answer):
 
 
 # The cutset, root-subtree and labeled-poset oracles keep their subset
-# families as integer bitmaps and list no antichain.
+# families as integer bitmaps, and so do the antichain oracles up to twelve
+# elements.
 @pytest.mark.parametrize(
     "call, answer",
     [
+        ("count_antichains_tree(star(5))", "2**4 + 1"),
+        ("antichain_expansion_poset(tree_to_poset(star(5)))", "tree_poly(star(5))"),
         ("count_root_subtrees(star(5))", "2**4 + 1"),
         ("count_cutsets_tree(star(5))", "2**4 + 1"),
         ("minimal_cutsets(tree_to_poset(star(5)))", "[{0}, {1, 2, 3, 4}]"),
