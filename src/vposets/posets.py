@@ -7,11 +7,16 @@ implemented: `decompose` builds a construction certificate, `find_forbidden`
 hunts for a witness quadruple, and `is_v_poset` returns whichever applies.
 
 Conventions:
-  - Elements are 0..n-1.  The strict order is stored as transitively closed
-    up and down bitmask rows: bit v of ``up_mask(u)`` means u < v.  Nothing
-    stores comparability: it is ``up | down``, derived where it is read.
+  - Elements are 0..n-1.  A poset keeps a relation graph, or its
+    transitively closed up and down bitmask rows, and derives the other on
+    first read: bit v of ``up_mask(u)`` means u < v.  Nothing stores
+    comparability: it is ``up | down``, derived where it is read.
+  - The graph is the relation pairs as `from_covers` was given them,
+    implied and repeated pairs included, as lists of upper and lower
+    neighbours.  A poset built from rows (`Poset(n, rows)`, the derived
+    posets, `tree_to_poset`) gives its covers as the graph.
   - `from_covers` alone decides whether relation pairs form a strict order:
-    one Kahn pass closes them or names a self-relation or a cycle.
+    one Kahn pass orders them or names a self-relation or a cycle.
     `Poset(n, rows)`, pickles, `parse_poset` and `all_labeled_posets` all go
     through it.  A derived poset swaps, shifts or extends the rows of the
     posets it comes from and hands both tuples to `Poset._wrap` unchecked.
@@ -19,22 +24,26 @@ Conventions:
     Use `poset_isomorphic` for equality up to relabeling.
   - Nothing recurses: a build trace is a flat post-order tuple of the step
     codes of `polynomial`, walked by one loop, and recognition peels extreme
-    elements off the components of a live-element mask over the poset's own
-    rows, so it builds no sub-poset.
-  - The basic-element axioms are decided by row sizes, in O(n) row
+    elements off the components of the graph with counts of live
+    neighbours, so it builds no sub-poset and closes no rows.  Only a
+    component the peel cannot finish is closed, on its own, for the
+    witness scan.
+  - The peel records each element's status as it removes it (see
+    `_peel`), so a V-poset's statuses cost nothing more.  On any other
+    poset the basic-element axioms are decided by row sizes, in O(n) row
     operations: a nonempty down row is a chain exactly when it holds a
     member whose down row is one smaller and is a chain, and that member is
     its top; a twin below x is that top when its up row is one larger than
     x's.  Up rows are the dual.
   - The brute-force oracles hand rows and cover rows to the exhaustive
     sweeps of `bruteforce` and read back plain ints.  A poset keeps its
-    certificate, the mask of its basic elements, its two row-size tables and
-    the answers of its one antichain sweep when first asked: the antichain
-    count and the subset codes of the maximal antichains, P(1,1) of them,
-    never 2**n.  The size tables are built once and serve recognition, the
-    chain tops of the basic-element axioms and the extreme elements.  The
-    basic mask serves the statuses, the region sets, the basic-free count
-    and the expansion.  All of it stays outside equality, hashing, repr and
+    certificate, its statuses, the mask of its basic elements, its two
+    row-size tables and the answers of its one antichain sweep when first
+    asked: the antichain count and the subset codes of the maximal
+    antichains, P(1,1) of them, never 2**n.  The size tables serve the
+    extreme elements and the axioms of a poset that is no V-poset.  The
+    basic mask serves the region sets, the basic-free count and the
+    expansion.  All of it stays outside equality, hashing, repr and
     pickling.
   - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
     tree oracle (`count_*_tree`, `maximal_antichains_tree`,
@@ -67,6 +76,9 @@ UPPER = "upper"
 LOWER = "lower"
 OTHER = "other"
 
+# The answers a poset keeps on first use.
+_KEPT = ("_cert", "_status", "_basics", "_by_size", "_facts")
+
 
 class _CycleError(ValueError):
     def __init__(self, element: int):
@@ -75,12 +87,15 @@ class _CycleError(ValueError):
 
 
 class Poset:
-    """A strict order on 0..n-1, stored as its up and down rows only;
-    comparability is their OR, derived where it is read.  ``_cert``,
-    ``_status`` (the basic mask, see `_basic`), ``_by_size`` (see
-    `_size_tables`) and ``_facts`` hold the answers kept on first use."""
+    """A strict order on 0..n-1.  ``_above[u]`` and ``_below[u]`` list the
+    upper and lower neighbours of u in a relation whose transitive closure
+    is the order; ``_up`` and ``_down`` are the closed rows.  A poset is
+    built with one pair of them and derives the other on first read, in
+    `__getattr__`, after which reads cost nothing extra.  ``_cert``,
+    ``_status`` (see `_statuses`), ``_basics`` (see `_basic`), ``_by_size``
+    (see `_size_tables`) and ``_facts`` hold the answers kept on first use."""
 
-    __slots__ = ("n", "_up", "_down", "_cert", "_status", "_by_size", "_facts")
+    __slots__ = ("n", "_above", "_below", "_up", "_down") + _KEPT
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
@@ -94,22 +109,38 @@ class Poset:
         if closed._up != up:
             u = next(u for u in range(n) if closed._up[u] != up[u])
             raise ValueError(f"relation row {u} is not transitively closed")
-        self._fill(n, up, closed._down)
+        self._keep(n, "_up", up, "_down", closed._down)
 
     @classmethod
     def _wrap(cls, n: int, up: tuple[int, ...], down: Sequence[int]) -> Poset:
         """Wrap up rows and their down rows, known to form a transitively
         closed strict order, unchecked."""
         p = object.__new__(cls)
-        p._fill(n, up, down)
+        p._keep(n, "_up", up, "_down", tuple(down))
         return p
 
-    def _fill(self, n: int, up: tuple[int, ...], down: Sequence[int]) -> None:
+    def _keep(self, n: int, first: str, one: Sequence[int], second: str, other: Sequence[int]):
+        """Set ``n``, one pair of the graph or the rows, and no answers."""
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_down", tuple(down))
-        for name in ("_cert", "_status", "_by_size", "_facts"):
+        object.__setattr__(self, first, one)
+        object.__setattr__(self, second, other)
+        for name in _KEPT:
             object.__setattr__(self, name, None)
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the rows of a poset kept as a
+        # graph, or the graph of one kept as rows.
+        if name in ("_up", "_down"):
+            up, down = _closure(self._above, self._below)
+            object.__setattr__(self, "_up", up)
+            object.__setattr__(self, "_down", down)
+        elif name in ("_above", "_below"):
+            above = [list(_bits(row)) for row in _cover_rows(self)]
+            object.__setattr__(self, "_above", above)
+            object.__setattr__(self, "_below", _lower_neighbours(above))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
 
     # ------------------------------------------------------------------
     # constructors
@@ -120,50 +151,35 @@ class Poset:
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> Poset:
-        """Build from (u, v) pairs meaning u < v; the closure is computed.
+        """Build from (u, v) pairs meaning u < v, kept as the relation graph.
 
-        It follows a topological order (Kahn, 1962), which makes the rows
-        valid: up rows from the top down, down rows from the bottom up.
+        The pairs need not be covers: implied and repeated ones are kept as
+        given.  One pass along a topological order (Kahn, 1962) checks that
+        they form a strict order, and the closed rows are built from the
+        graph only when first read.
         """
         if n < 0:
             raise ValueError("a poset has a nonnegative number of elements")
-        above: list[list[int]] = [[] for _ in range(n)]
-        waiting = [0] * n  # pairs below each element not yet in the order
+        # An element with no pair above (below) it shares one empty tuple.
+        above: list[Sequence[int]] = [()] * n
+        below: list[Sequence[int]] = [()] * n
         for u, v in covers:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"relation ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-relation on element {u}")
-            above[u].append(v)
-            waiting[v] += 1
-        order = [u for u in range(n) if not waiting[u]]
-        for u in order:
-            for v in above[u]:
-                waiting[v] -= 1
-                if not waiting[v]:
-                    order.append(v)
-        if len(order) < n:
-            # Every element left out has one left out below it, so stepping
-            # down among them comes round to a cycle.
-            below = {v: u for u in range(n) if waiting[u] for v in above[u] if waiting[v]}
-            u, seen = next(iter(below)), set()
-            while u not in seen:
-                seen.add(u)
-                u = below[u]
-            raise _CycleError(u)
-        up, down = [0] * n, [0] * n
-        for u in reversed(order):
-            # A pair the row holds already is implied by the kept ones.
-            row, kept = 0, []
-            for v in above[u]:
-                if not row >> v & 1:
-                    row |= up[v] | 1 << v
-                    kept.append(v)
-            up[u], above[u] = row, kept
-        for u in order:
-            for v in above[u]:
-                down[v] |= down[u] | (1 << u)
-        return cls._wrap(n, tuple(up), down)
+            if above[u]:
+                above[u].append(v)
+            else:
+                above[u] = [v]
+            if below[v]:
+                below[v].append(u)
+            else:
+                below[v] = [u]
+        _topological_order(above, below)
+        p = object.__new__(cls)
+        p._keep(n, "_above", above, "_below", below)
+        return p
 
     @classmethod
     def disjoint_union(cls, posets: Iterable["Poset"]) -> Poset:
@@ -248,6 +264,57 @@ class Poset:
         return Poset.from_covers, (self.n, self.covers())
 
 
+def _topological_order(
+    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]
+) -> list[int]:
+    """The elements, each after every element below it (Kahn, 1962).
+    Raise `_CycleError` naming an element on a cycle when there is no such
+    order."""
+    waiting = [len(row) for row in below]  # pairs below each element not yet in the order
+    order = [u for u, k in enumerate(waiting) if not k]
+    for u in order:
+        for v in above[u]:
+            waiting[v] -= 1
+            if not waiting[v]:
+                order.append(v)
+    if len(order) < len(above):
+        # Every element left out has one left out below it, so stepping
+        # down among them comes round to a cycle.
+        left = {v: u for u, row in enumerate(above) if waiting[u] for v in row if waiting[v]}
+        u, seen = next(iter(left)), set()
+        while u not in seen:
+            seen.add(u)
+            u = left[u]
+        raise _CycleError(u)
+    return order
+
+
+def _closure(
+    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closed up and down rows of a relation graph: up rows from the top
+    of a topological order down, down rows from its bottom up.  A pair the
+    row holds already is implied by the others and costs one bit test."""
+    order = _topological_order(above, below)
+    up, down = [0] * len(above), [0] * len(above)
+    for rows, near, walk in ((up, above, reversed(order)), (down, below, order)):
+        for u in walk:
+            row = 0
+            for v in near[u]:
+                if not row >> v & 1:
+                    row |= rows[v] | 1 << v
+            rows[u] = row
+    return tuple(up), tuple(down)
+
+
+def _lower_neighbours(above: Sequence[Sequence[int]]) -> list[list[int]]:
+    below: list[list[int]] = [[] for _ in above]
+    for u, row in enumerate(above):
+        for v in row:
+            below[v].append(u)
+    return below
+
+
 def _cover_rows(p: Poset) -> list[int]:
     """Per element, the mask of its upper covers, the minimal members of its
     up row: a step down from the lowest member left reaches one, and the
@@ -266,13 +333,17 @@ def _cover_rows(p: Poset) -> list[int]:
 
 
 def _sizes(rows: Sequence[int], members: int) -> dict[int, int]:
-    """Per row size k, the mask of the members whose row holds k members."""
-    table: dict[int, int] = {}
-    for u, digit in enumerate(bin(members)[:1:-1]):  # via `_bits`, recognition is 3-7 % slower
+    """Per row size k, the mask of the members whose row holds k members.
+    Each class's mask is built once, from the list of its members."""
+    classes: dict[int, list[int]] = {}
+    for u, digit in enumerate(bin(members)[:1:-1]):
         if digit == "1":
             k = (rows[u] & members).bit_count()
-            table[k] = table.get(k, 0) | 1 << u
-    return table
+            if k in classes:
+                classes[k].append(u)
+            else:
+                classes[k] = [u]
+    return {k: _mask(us) for k, us in classes.items()}
 
 
 def _size_tables(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
@@ -284,35 +355,24 @@ def _size_tables(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
     return p._by_size
 
 
-def _components(p: Poset, live: int) -> Iterator[tuple[int, int]]:
-    """Components of the comparability graph on ``live``, by least element
-    k, each as (mask >> k, k): a singleton high up then costs one bit.  Each
-    flooding round ORs the rows of the elements last added, or keeps the
-    elements left that touch the component, whichever are fewer."""
-    up, down = p._up, p._down
-    left = live.bit_count()  # live elements in no component yet
-    while live:
-        low = (live & -live).bit_length() - 1
-        seen = frontier = 1 << low
-        new, left = 1, left - 1
-        while new and left:
-            grown = 0
-            if new <= left:
-                for v in _bits(frontier):
-                    grown |= up[v] | down[v]
-            else:
-                for v in _bits(live & ~seen):
-                    if (up[v] | down[v]) & seen:
-                        grown |= 1 << v
-            frontier = grown & live & ~seen
-            seen |= frontier
-            left -= (new := frontier.bit_count())
-        live ^= seen
-        yield seen >> low, low
-
-
 def parse_poset(text: str) -> Poset:
-    """Parse "n" on the first line, then "u v" relation lines (1-indexed, u < v)."""
+    """Parse "n" on the first line, then "u v" relation lines (1-indexed, u < v).
+
+    A file of one count and "u v" lines is read as one list of words; any
+    other file, or one whose pairs `Poset.from_covers` refuses, is read
+    again line by line, so that the error names the first bad line.
+    """
+    rows = list(map(str.split, text.splitlines()))
+    if rows and len(rows[0]) == 1 and set(map(len, rows[1:])) <= {2}:
+        try:
+            words = [int(word) - 1 for word in text.split()]
+            pairs = iter(words[1:])
+            return Poset.from_covers(words[0] + 1, zip(pairs, pairs))
+        except _CycleError as exc:
+            # Number the element from 1, as the file does.
+            raise ParseError(str(_CycleError(exc.element + 1))) from None
+        except ValueError:
+            pass
     lines = text.splitlines()
     entries: list[tuple[int, str]] = [
         (no, line.strip()) for no, line in enumerate(lines, start=1) if line.strip()
@@ -494,7 +554,7 @@ def find_forbidden(p: Poset) -> ForbiddenPattern | None:
     """
     if isinstance(is_v_poset(p), BuildTrace):
         return None
-    witnesses = [_forbidden_in(p, stuck) for stuck in _peel(p, [])]
+    witnesses = [_stuck_witness(p, members) for members in _peel(p, [], [None] * p.n)]
     return min(witnesses, key=lambda f: (f.u, f.v, f.x, f.w))
 
 
@@ -533,36 +593,258 @@ def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
     return None
 
 
-def _peel(p: Poset, steps: list[int]) -> Iterator[int]:
-    """Yield each component with neither a greatest nor a least element,
-    and append the construction steps to ``steps`` in reverse post-order:
-    when nothing is yielded, they make the trace.  A live mask loses its
-    greatest, else its least, element; a mask with neither splits into
-    components, and one is stuck.  A mask of s members waits shifted, as
-    `_components` yields it, with the counts of elements taken above and
-    below it; the rest lie apart from it.  So its greatest is the member
-    whose down row holds s - 1 + below: one AND with the kept `_size_tables`."""
-    by_down, by_up = _size_tables(p)
-    todo = [((1 << p.n) - 1, 0, 0, 0)]
+def _stuck_witness(p: Poset, members: list[int]) -> ForbiddenPattern:
+    """The first quadruple of a stuck component, given by its members in
+    ascending order.  The component is closed on its own, relabelled in
+    index order, so the scan's index order is the poset's; a peel leaves
+    no element between two live ones, so its own closure is the poset's
+    order on it."""
+    where = {x: i for i, x in enumerate(members)}
+    above = [[where[v] for v in p._above[u] if v in where] for u in members]
+    q = Poset._wrap(len(members), *_closure(above, _lower_neighbours(above)))
+    f = _forbidden_in(q, (1 << q.n) - 1)
+    if f is None:
+        raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
+    return ForbiddenPattern(
+        u=members[f.u], v=members[f.v], w=members[f.w], x=members[f.x], kind=f.kind
+    )
+
+
+def _peel(p: Poset, steps: list[int], status: list[str | None]) -> Iterator[list[int]]:
+    """Yield the members, ascending, of each component with neither a
+    greatest nor a least element, append the construction steps to
+    ``steps`` in reverse post-order, and record in ``status`` each element's
+    status as it is removed: when nothing is yielded, the steps make the
+    trace.  The parts of a split are peeled in turn, the one with the
+    highest least element first.
+
+    Each element counts its live upper and lower neighbours, and each
+    component counts its sinks and sources and sums their indices, so the
+    one sink of a component with one is that sum.  A component loses its
+    one sink, its greatest element, else its one source, its least; with
+    neither it is stuck.  The greatest of a one-element component is basic,
+    that of a larger one upper, and a least element lower.  A removal leaves
+    the rest connected while it has one sink or one source, as every part
+    has its own; else `_split` searches the parts out from the removed
+    element's live neighbours.  The whole poset starts as such a rest,
+    around all of its sinks.
+
+    A part the search finds complete gets a new region, with its members
+    in ascending order; the part it leaves open stays in the region it was
+    in.  So a region's members are listed once, and the least member still
+    live in it is found by a pointer that only moves forward.
+    """
+    n, above, below = p.n, p._above, p._below
+    if not n:
+        steps.append(EMPTY)
+        return
+    ups = list(map(len, above))  # live upper neighbours, repeated pairs counted
+    downs = list(map(len, below))
+    dead = bytearray(n)
+    mark = [-1] * n  # the walk of `_split` or of a stuck component that last reached each element
+    stamp = 0
+    region = [0] * n
+    listed: list[Sequence[int]] = [range(n)]  # per region, its members, ascending
+    first = [0]  # per region, where in that list its least live member may be
+    sinks = [x for x, k in enumerate(ups) if not k]
+    sources = [x for x, k in enumerate(downs) if not k]
+    # Components to peel, as (region, a member or -1 when it may be no
+    # component, members, sinks, their sum, sources, their sum), and () for
+    # a component of one element, taken off already.
+    todo: list[tuple[int, ...]] = [(0, -1, n, len(sinks), sum(sinks), len(sources), sum(sources))]
     while todo:
-        live, low, above, below = todo.pop()
-        s = live.bit_count()
-        live <<= low
-        if not live:
-            steps.append(EMPTY)
-        elif u := live & by_down.get(s - 1 + below, 0):
-            steps.append(GREATEST)
-            todo.append((live ^ u, 0, above + 1, below))
-        elif u := live & by_up.get(s - 1 + above, 0):
-            steps.append(LEAST)
-            todo.append((live ^ u, 0, above, below + 1))
-        else:
-            comps = list(_components(p, live))
-            if len(comps) == 1:
-                yield live
+        item = todo.pop()
+        if not item:
+            steps += (GREATEST, EMPTY)
+            continue
+        at, anchor, size, sinks, top, sources, bottom = item
+        x = -1  # the element removed last
+        while True:
+            if sinks == 1:
+                x = top
+                dead[x] = 1
+                steps.append(GREATEST)
+                size -= 1
+                if not size:
+                    status[x] = BASIC
+                    steps.append(EMPTY)
+                    break
+                status[x] = UPPER
+                sinks = top = 0
+                for w in below[x]:
+                    if not dead[w]:
+                        ups[w] -= 1
+                        if not ups[w]:
+                            sinks += 1
+                            top += w
+            elif sources == 1:
+                x = bottom  # not alone, or it would be the one sink
+                dead[x] = 1
+                steps.append(LEAST)
+                size -= 1
+                status[x] = LOWER
+                sources = bottom = 0
+                for w in above[x]:
+                    if not dead[w]:
+                        downs[w] -= 1
+                        if not downs[w]:
+                            sources += 1
+                            bottom += w
             else:
-                steps.append(len(comps))
-                todo += [(c, k, above, below) for c, k in comps]
+                found = None
+                if x >= 0 or anchor < 0:
+                    if x < 0:
+                        near = [w for w, k in enumerate(ups) if not k]
+                    elif status[x] == LOWER:
+                        near = [w for w in above[x] if not dead[w]]
+                    else:
+                        near = [w for w in below[x] if not dead[w]]
+                    anchor = near[0]
+                    found = _split(
+                        near, sinks, sources, above, below, ups, downs, dead, mark, stamp
+                    )
+                    stamp += len(near) + 1
+                if found is None:
+                    members = [anchor]
+                    mark[anchor] = stamp
+                    for x in members:
+                        for y in (*above[x], *below[x]):
+                            if not dead[y] and mark[y] < stamp:
+                                mark[y] = stamp
+                                members.append(y)
+                    stamp += 1
+                    members.sort()
+                    yield members
+                    break
+                alone, done, rest = found
+                steps.append(len(alone) + len(done) + (rest >= 0))
+                kids = {}  # the parts of more than one element by their least
+                for x in alone:
+                    status[x], dead[x] = BASIC, 1
+                k, t = len(alone), sum(alone)
+                size -= k
+                sinks -= k
+                sources -= k
+                top -= t
+                bottom -= t
+                for members, k, t, j, b in done:
+                    size -= len(members)
+                    sinks -= k
+                    top -= t
+                    sources -= j
+                    bottom -= b
+                    members.sort()
+                    for y in members:
+                        region[y] = len(listed)
+                    kids[members[0]] = (len(listed), members[0], len(members), k, t, j, b)
+                    listed.append(members)
+                    first.append(0)
+                if rest >= 0:
+                    live, i = listed[at], first[at]
+                    while dead[live[i]] or region[live[i]] != at:
+                        i += 1
+                    first[at] = i
+                    kids[live[i]] = (at, rest, size, sinks, top, sources, bottom)
+                todo += [kids.get(x, ()) for x in sorted([*alone, *kids])]
+                break
+
+
+def _split(
+    starts: list[int], sinks: int, sources: int,
+    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]],
+    ups: list[int], downs: list[int], dead: bytearray, mark: list[int], stamp: int,
+) -> tuple[list[int], list[tuple[list[int], int, int, int, int]], int] | None:
+    """The parts of the live elements around ``starts``, the live
+    neighbours of an element just removed, with ``sinks`` sinks and
+    ``sources`` sources among them: None when they are all one part, else
+    the starts that are parts by themselves, having no live neighbour; the
+    other parts found complete, each as its members with the count and the
+    sum of its sinks and of its sources; and a member of the one part left
+    open, or -1.
+
+    From each start that is not alone a search runs, each in turn up to a
+    budget of members that doubles every round, and a search that reaches
+    another's element takes it over.  Every part holds a sink and a source,
+    so the walk stops when at most one search is still open, or when the
+    elements no search has finished hold one sink or one source: all open
+    searches are then in one part.  A part found complete is thus at most
+    twice the part left open, which is walked no further than the budget,
+    so the walk costs a few times the parts it lists, however large the
+    rest.  The walk marks a lone start ``stamp`` and the elements the
+    search from ``starts[i]`` reaches ``stamp + 1 + i``."""
+    alone: list[int] = []
+    front: list[list[int]] = []
+    found: list[list[int]] = []
+    base = stamp + 1
+    for s in starts:
+        if mark[s] < stamp:  # else a repeated pair
+            if not ups[s] and not downs[s]:
+                mark[s] = stamp
+                alone.append(s)
+            else:
+                mark[s] = base + len(front)
+                front.append([s])
+                found.append([s])
+    if len(front) < 2 or sinks - len(alone) < 2 or sources - len(alone) < 2:
+        if len(alone) + bool(front) < 2:
+            return None
+        return alone, [], front[0][0] if front else -1
+    done: list[tuple[list[int], int, int, int, int]] = []
+    sinks -= len(alone)
+    sources -= len(alone)
+    root = list(range(len(front)))
+    searching = root[:]
+    budget = 8  # a search of a few members costs less than another round
+    while len(searching) > 1 and sinks > 1 and sources > 1:
+        for i in searching:
+            if root[i] != i:
+                continue
+            ahead, mine, label = front[i], found[i], base + i
+            room = budget - len(mine)
+            while ahead and room >= 0:
+                x = ahead.pop()
+                for y in (*above[x], *below[x]):
+                    m = mark[y]
+                    if m == label or dead[y]:
+                        continue
+                    if m < base:
+                        mark[y] = label
+                        ahead.append(y)
+                        mine.append(y)
+                        room -= 1
+                        continue
+                    j = m - base
+                    while root[j] != j:
+                        j = root[j]
+                    if j != i:  # the larger lists take the smaller in
+                        root[j] = i
+                        if len(found[j]) > len(mine):
+                            front[i], front[j], found[i], found[j] = front[j], ahead, found[j], mine
+                            ahead, mine = front[i], found[i]
+                        ahead += front[j]
+                        mine += found[j]
+                        front[j] = found[j] = None
+                        room = budget - len(mine)
+            if not ahead:
+                k = t = j = b = 0
+                for y in mine:
+                    if not ups[y]:
+                        k += 1
+                        t += y
+                    if not downs[y]:
+                        j += 1
+                        b += y
+                done.append((mine, k, t, j, b))
+                sinks -= k
+                sources -= j
+                if sinks < 2 or sources < 2:
+                    break
+        searching = [i for i in searching if root[i] == i and front[i]]
+        budget *= 2
+    rest = [found[i][0] for i, r in enumerate(root) if i == r and front[i]]
+    if len(alone) + len(done) + bool(rest) < 2:
+        return None
+    return alone, done, rest[0] if rest else -1
 
 
 def decompose(p: Poset) -> BuildTrace | None:
@@ -583,10 +865,13 @@ def is_v_poset(p: Poset) -> BuildTrace | ForbiddenPattern:
     """
     if p._cert is None:
         steps: list[int] = []
-        stuck = next(_peel(p, steps), None)
-        certificate = _trace(tuple(reversed(steps))) if stuck is None else _forbidden_in(p, stuck)
-        if certificate is None:
-            raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
+        status: list[str | None] = [None] * p.n
+        stuck = next(_peel(p, steps, status), None)
+        if stuck is None:
+            certificate = _trace(tuple(reversed(steps)))
+            object.__setattr__(p, "_status", tuple(status))
+        else:
+            certificate = _stuck_witness(p, stuck)
         object.__setattr__(p, "_cert", certificate)
     return p._cert
 
@@ -602,10 +887,14 @@ def _v_trace(p: Poset) -> BuildTrace:
 # basic elements and region sets
 
 def _mask(members: list[int]) -> int:
-    """The bitmask of ascending element indices, read as one binary numeral
-    in time linear in the last (base 2 is exempt from the digit limit)."""
-    if not members:
-        return 0
+    """The bitmask of ascending element indices.  A few members are ORed in;
+    more are read as one binary numeral, in time linear in the last (base 2
+    is exempt from the digit limit), as each OR would copy the mask."""
+    if len(members) < 256:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        return mask
     top = members[-1]
     digits = bytearray(b"0") * (top + 1)
     for v in members:
@@ -637,49 +926,68 @@ def _chain_tops(rows: Sequence[int], sizes: dict[int, int]) -> list[int | None]:
     return tops
 
 
+def _statuses(p: Poset) -> tuple[str, ...]:
+    """Each element's status, kept on ``p``: recorded by the peel of a
+    V-poset, else decided by the axioms."""
+    if p._status is None:
+        is_v_poset(p)
+    if p._status is None:
+        object.__setattr__(p, "_status", _axiom_statuses(p))
+    return p._status
+
+
+def _axiom_statuses(p: Poset) -> tuple[str, ...]:
+    """The statuses by the basic-element axioms, decided on the closed rows
+    with their kept size tables (see `element_status`)."""
+    up = p._up
+    by_down, by_up = _size_tables(p)
+    below, above = _chain_tops(p._down, by_down), _chain_tops(up, by_up)
+    basic = _mask([
+        x
+        for x, t in enumerate(below)
+        if t is not None
+        and above[x] is not None
+        and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
+    ])
+    return tuple(
+        BASIC if digit == "1" else UPPER if down & basic else LOWER if up & basic else OTHER
+        for digit, up, down in zip(f"{basic:0{p.n}b}"[::-1], up, p._down)
+    )
+
+
 def _basic(p: Poset) -> int:
     """The mask of the basic elements, decided once and kept on ``p``."""
-    if p._status is None:
-        up = p._up
-        by_down, by_up = _size_tables(p)
-        below, above = _chain_tops(p._down, by_down), _chain_tops(up, by_up)
-        basic = [
-            x
-            for x, t in enumerate(below)
-            if t is not None
-            and above[x] is not None
-            and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
-        ]
-        object.__setattr__(p, "_status", _mask(basic))
-    return p._status
+    if p._basics is None:
+        basic = [x for x, status in enumerate(_statuses(p)) if status == BASIC]
+        object.__setattr__(p, "_basics", _mask(basic))
+    return p._basics
 
 
 def element_status(p: Poset) -> list[str]:
     """Classify each element as basic, upper, lower, or other.
 
-    The basic-element axioms are decided by the kept row-size tables, so
-    this runs on any poset in O(n) row operations; on a V-poset every
-    element is basic, upper or lower.  B.1 and B.2 ask whether down(x) and
-    up(x) are chains (see `_chain_tops`).  B.3 asks for a twin u < x whose
-    comparabilities agree with those of x elsewhere.  Since down(u) lies in
-    down(x) minus u and up(u) holds up(x) and x, a twin is a member of
-    down(x) with row sizes (|down(x)| - 1, |up(x)| + 1), and the only member
-    of that down size is the top of the chain.  x is upper when a basic
-    element lies below it, and lower when one lies above.  Only the basic
-    mask is kept on ``p``; each call reads the statuses off it afresh.
+    On a V-poset the peel of `is_v_poset` records the statuses as it
+    removes each element: the greatest element of a one-element component
+    is basic, that of a larger one upper, and a least element lower.  On
+    any other poset the basic-element axioms are decided by the kept
+    row-size tables, in O(n) row operations.  B.1 and B.2 ask whether
+    down(x) and up(x) are chains (see `_chain_tops`).  B.3 asks for a twin
+    u < x whose comparabilities agree with those of x elsewhere.  Since
+    down(u) lies in down(x) minus u and up(u) holds up(x) and x, a twin is a
+    member of down(x) with row sizes (|down(x)| - 1, |up(x)| + 1), and the
+    only member of that down size is the top of the chain.  x is upper when
+    a basic element lies below it, and lower when one lies above.  The
+    statuses are kept on ``p``; each call returns a fresh list of them.
     """
-    basic = _basic(p)
-    return [
-        BASIC if digit == "1" else UPPER if down & basic else LOWER if up & basic else OTHER
-        for digit, up, down in zip(f"{basic:0{p.n}b}"[::-1], p._up, p._down)
-    ]
+    return list(_statuses(p))
 
 
 def _region(p: Poset, a: int) -> list[int] | None:
     """The members of the region set of ``a``, from its own rows, their
     members' rows and the basic mask; None for an "other" element.  A lower
     b below an upper a has no basic element below it, so it shares a's
-    association exactly when the basic elements above it are a's."""
+    association exactly when the basic elements above it are a's.
+    `antichain_expansion_poset` counts the same members in place."""
     basic = _basic(p)
     up, down = p._up, p._down
     near = up[a] | down[a] | 1 << a  # a and the elements comparable to it
@@ -754,10 +1062,24 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     _v_trace(p)
     codes = _sweep_facts(p)[1]
     basic = _basic(p)
-    # y is the sum of w times a code's bits among the elements of region size w.
+    # y is the sum of w times a code's bits among the elements of region
+    # size w.  The sizes are counted in place, by the tests of `_region`; on
+    # a V-poset every element that is not basic is upper or lower.
+    up, down = p._up, p._down
     classes: dict[int, int] = {}
     for a in range(p.n):
-        if w := len(_region(p, a)):
+        if basic >> a & 1:
+            continue
+        near = up[a] | down[a] | 1 << a
+        if down[a] & basic:  # upper
+            assoc = near & basic
+            w = sum([
+                not up[b] & ~near and (down[b] & basic != 0 or up[b] & basic != assoc)
+                for b in _bits(down[a])
+            ])
+        else:
+            w = sum([not down[b] & ~near for b in _bits(up[a])])
+        if w:
             classes[w] = classes.get(w, 0) | 1 << a
     ys = [0] * len(codes)
     for w, m in classes.items():
@@ -848,7 +1170,8 @@ def _oracle_poset(t: RootedTree) -> Poset:
     if t._poset is None:
         p = tree_to_poset(t)
         object.__setattr__(p, "_cert", _trace(tuple(_tree_steps(t))))
-        object.__setattr__(p, "_status", _mask([v for v, row in enumerate(p._down) if not row]))
+        object.__setattr__(p, "_status", tuple(UPPER if row else BASIC for row in p._down))
+        object.__setattr__(p, "_basics", _mask([v for v, row in enumerate(p._down) if not row]))
         object.__setattr__(t, "_poset", p)
     return t._poset
 

@@ -134,6 +134,68 @@ def assert_status_preserved(trace):
     assert_status_preserved(trace.inner)
 
 
+def bit_row_components(p, live):
+    """Components of the comparability graph on ``live``, by least element
+    k, each as (mask >> k, k), flooded over the closed rows: each round ORs
+    the rows of the elements last added, or keeps the elements left that
+    touch the component, whichever are fewer."""
+    from vposets.posets import _bits
+
+    up, down = p._up, p._down
+    left = live.bit_count()  # live elements in no component yet
+    while live:
+        low = (live & -live).bit_length() - 1
+        seen = frontier = 1 << low
+        new, left = 1, left - 1
+        while new and left:
+            grown = 0
+            if new <= left:
+                for v in _bits(frontier):
+                    grown |= up[v] | down[v]
+            else:
+                for v in _bits(live & ~seen):
+                    if (up[v] | down[v]) & seen:
+                        grown |= 1 << v
+            frontier = grown & live & ~seen
+            seen |= frontier
+            left -= (new := frontier.bit_count())
+        live ^= seen
+        yield seen >> low, low
+
+
+def bit_row_peel(p, steps):
+    """The peel over live masks of the closed rows, as recognition ran
+    before it peeled the relation graph: yield each component with neither
+    a greatest nor a least element, and append the construction steps to
+    ``steps`` in reverse post-order.  A mask of s members waits shifted,
+    with the counts of elements taken above and below it, so its greatest
+    is the member whose down row holds s - 1 + below."""
+    from vposets.polynomial import EMPTY, GREATEST, LEAST
+    from vposets.posets import _size_tables
+
+    by_down, by_up = _size_tables(p)
+    todo = [((1 << p.n) - 1, 0, 0, 0)]
+    while todo:
+        live, low, above, below = todo.pop()
+        s = live.bit_count()
+        live <<= low
+        if not live:
+            steps.append(EMPTY)
+        elif u := live & by_down.get(s - 1 + below, 0):
+            steps.append(GREATEST)
+            todo.append((live ^ u, 0, above + 1, below))
+        elif u := live & by_up.get(s - 1 + above, 0):
+            steps.append(LEAST)
+            todo.append((live ^ u, 0, above, below + 1))
+        else:
+            comps = list(bit_row_components(p, live))
+            if len(comps) == 1:
+                yield live
+            else:
+                steps.append(len(comps))
+                todo += [(c, k, above, below) for c, k in comps]
+
+
 def tree_of(parents):
     """The tree of a parent array (``parents[v] < v``), through `RootedTree`."""
     kids = [[] for _ in parents]

@@ -56,11 +56,12 @@ from vposets.posets import (
     OTHER,
     UPPER,
     BuildTrace,
+    _axiom_statuses,
     _bits,
-    _components,
     _element_signatures,
     _forbidden_in,
     _peel,
+    _split,
     _trace,
 )
 from vposets.trees import _tree_steps
@@ -72,6 +73,8 @@ from helpers import (
     FIGURE_POSET_TEXT,
     N_POSET,
     assert_status_preserved,
+    bit_row_components,
+    bit_row_peel,
     chain_text,
     parents_of,
 )
@@ -173,7 +176,11 @@ class TestParse:
             parse_poset(text)
 
     @pytest.mark.parametrize(
-        "name", ["n", "_up", "_down", "_cert", "_status", "_by_size", "_facts"]
+        "name",
+        [
+            "n", "_above", "_below", "_up", "_down",
+            "_cert", "_status", "_basics", "_by_size", "_facts",
+        ],
     )
     def test_read_only(self, name):
         # Equality and hashing read the rows, and the oracles the answers
@@ -385,8 +392,8 @@ class TestLongChain:
 class TestExtremeElements:
     @pytest.mark.parametrize("n", range(6))
     def test_by_definition(self, n):
-        # Asked before recognition, the extremes build the kept size tables
-        # that recognition then reads; asked after, they read its tables.
+        # The extremes read the kept size tables, before recognition and
+        # after it, which builds none.
         for p in all_labeled_posets(n):
             top = [u for u in range(n) if p.down_mask(u).bit_count() == n - 1]
             bottom = [u for u in range(n) if p.up_mask(u).bit_count() == n - 1]
@@ -482,6 +489,16 @@ class TestIsVPoset:
         for p in all_labeled_posets(n):
             assert (_forbidden_in(p, (1 << p.n) - 1) is None) == (decompose(p) is not None)
 
+    def test_wide_antichain(self):
+        # The limit is loose for a loaded machine: this takes under a
+        # second, where flooding full-width masks took 37.7 s.
+        n = 400000
+        p = parse_poset(str(n))
+        start = time.perf_counter()
+        trace = is_v_poset(p)
+        assert time.perf_counter() - start < 3
+        assert trace.steps == (EMPTY, GREATEST) * n + (n,)
+
 
 ORACLES = (
     count_antichains_poset,
@@ -529,19 +546,20 @@ class TestKeptAnswers:
         assert is_v_poset(back) == is_v_poset(new)
         assert count_maximal_antichains_no_basic(back) == count_maximal_antichains_no_basic(new)
 
-    @pytest.mark.parametrize("text, scans", [
-        (FIGURE_POSET_TEXT, 0),
-        ("4\n3 1\n4 1\n4 2", 1),  # N: peeling is stuck on all of it
+    @pytest.mark.parametrize("text, stuck", [
+        (FIGURE_POSET_TEXT, []),
+        ("4\n3 1\n4 1\n4 2", [0b1111]),  # N: peeling is stuck on all of it
     ], ids=["figure", "N"])
-    def test_row_sizes_counted_once(self, text, scans, monkeypatch):
-        # Recognition, the chain tops and the extreme elements all read one
-        # pair of full-mask size tables; only the witness scan counts anew,
-        # inside the mask peeling got stuck on.
+    def test_row_sizes_counted_once(self, text, stuck, monkeypatch):
+        # Recognition, the statuses of a V-poset and the polynomial read no
+        # size table.  The extreme elements and the axioms of a poset that
+        # is no V-poset read one pair of full-mask tables, built once; the
+        # witness scan counts anew, on the stuck component's own rows.
         p, calls = parse_poset(text), []
         sizes = posets._sizes
 
         def counted(rows, members):
-            calls.append(("down" if rows is p._down else "up", members))
+            calls.append("down" if rows is p._down else "up" if rows is p._up else members)
             return sizes(rows, members)
 
         monkeypatch.setattr(posets, "_sizes", counted)
@@ -554,8 +572,16 @@ class TestKeptAnswers:
                     call(p)
                 except NotVPosetError:
                     pass
-        full = (1 << p.n) - 1
-        assert calls == [("down", full), ("up", full)] + [("down", full)] * scans
+        assert calls == stuck + ["down", "up"]
+
+    def test_check_poly_and_status_close_no_rows(self):
+        # A parsed V-poset answers from its relation graph; the closed rows
+        # are built on their first read, and kept.
+        p = parse_poset(FIGURE_POSET_TEXT)
+        is_v_poset(p), poset_poly(p), element_status(p)
+        with pytest.raises(AttributeError):
+            Poset._up.__get__(p)
+        assert p.up_mask(1) == 1 and Poset._up.__get__(p) is p._up
 
     def test_status_list_is_fresh(self):
         p = parse_poset(FIGURE_POSET_TEXT)
@@ -739,6 +765,43 @@ class TestStatusByCounting:
         assert time.perf_counter() - start < 3
 
 
+def relabelled_with_implied_pairs(p, rng):
+    """``p`` under a random relabelling, written as its covers and a random
+    share of its implied pairs, in random order."""
+    label = list(range(p.n))
+    rng.shuffle(label)
+    pairs = [(u, v) for u in range(p.n) for v in _bits(p.up_mask(u))]
+    covers = set(p.covers())
+    lines = [
+        (label[u], label[v]) for u, v in pairs if (u, v) in covers or rng.random() < 0.3
+    ]
+    rng.shuffle(lines)
+    return Poset.from_covers(p.n, lines)
+
+
+class TestPeelStatuses:
+    """The statuses the peel records as it removes each element of a
+    V-poset are those the basic-element axioms give on the closed rows."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_all_vposets(self, n):
+        rng = random.Random(n)
+        for p in all_vposets(n):
+            for _ in range(4):
+                q = relabelled_with_implied_pairs(p, rng)
+                assert isinstance(is_v_poset(q), BuildTrace)
+                assert q._status is not None  # recorded by the peel
+                assert element_status(q) == list(_axiom_statuses(q))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        for p in all_labeled_posets(n):
+            if isinstance(is_v_poset(p), BuildTrace):
+                assert element_status(p) == list(_axiom_statuses(p)) == reference_status(p)
+            else:
+                assert p._status is None
+
+
 def reference_forbidden(p, live):
     """The first quadruple inside ``live`` in (u, v, x, w) order, walking
     every u and every v incomparable to it."""
@@ -774,7 +837,7 @@ def reference_peel(p):
         if live < 0:
             live = ~live << low
         else:
-            comps = [(~c, k) for c, k in _components(p, live)]
+            comps = [(~c, k) for c, k in bit_row_components(p, live)]
             if len(comps) != 1:  # a union, or with no component the empty poset
                 steps.append(len(comps) or EMPTY)
                 todo += comps
@@ -792,69 +855,136 @@ def reference_peel(p):
 
 
 def reference_components(p, live):
-    """The components of the comparability graph on ``live``, each found by
-    a plain breadth-first search from its least element, as (mask >> k, k)."""
+    """The components of the relation graph on ``live``, each found by a
+    plain breadth-first search from its least element, by least element."""
     comps = []
     left = set(_bits(live))
     while left:
         low = min(left)
         seen, queue = {low}, [low]
         for v in queue:
-            for w in _bits(p.comp_mask(v)):
+            for w in (*p._above[v], *p._below[v]):
                 if w in left and w not in seen:
                     seen.add(w)
                     queue.append(w)
         left -= seen
-        comps.append((sum(1 << v for v in seen) >> low, low))
+        comps.append(seen)
     return comps
 
 
+def split_live(p, live):
+    """`_split` on the live elements of ``live``, searched from all their
+    sinks, as the peel searches a whole poset: the parts, with the one left
+    open completed by the reference, and the counts it reports."""
+    dead = bytearray(not live >> x & 1 for x in range(p.n))
+    ups = [sum(not dead[y] for y in p._above[x]) for x in range(p.n)]
+    downs = [sum(not dead[y] for y in p._below[x]) for x in range(p.n)]
+    sinks = [x for x in _bits(live) if not ups[x]]
+    sources = sum(1 for x in _bits(live) if not downs[x])
+    found = _split(
+        sinks, len(sinks), sources, p._above, p._below, ups, downs, dead, [-1] * p.n, 0
+    )
+    if found is None:
+        return None
+    alone, done, rest = found
+    for members, k, t, j, b in done:
+        tops = [x for x in members if not ups[x]]
+        bottoms = [x for x in members if not downs[x]]
+        assert (k, t, j, b) == (len(tops), sum(tops), len(bottoms), sum(bottoms))
+    parts = [{x} for x in alone] + [set(members) for members, *_ in done]
+    if rest >= 0:
+        parts.append(set(_bits(live)) - set().union(*parts))
+        assert rest in parts[-1]
+    return sorted(parts, key=min)
+
+
 class TestComponents:
-    """Flooding by the smaller side finds the components a plain
-    breadth-first search finds, in the same order."""
+    """The split, searching from every start in turn on a doubling budget,
+    finds the components a plain breadth-first search finds, and leaves at
+    most one of them open."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_all_labeled_posets(self, n):
         rng = random.Random(n)
         for p in all_labeled_posets(n):
             live = rng.getrandbits(n)
-            assert list(_components(p, live)) == reference_components(p, live)
+            comps = reference_components(p, live)
+            assert split_live(p, live) == (comps if len(comps) > 1 else None)
 
     @settings(max_examples=300, deadline=None)
     @given(strict_orders(), st.data())
     def test_random_orders(self, p, data):
         live = data.draw(st.integers(0, (1 << p.n) - 1))
-        assert list(_components(p, live)) == reference_components(p, live)
+        comps = reference_components(p, live)
+        assert split_live(p, live) == (comps if len(comps) > 1 else None)
+
+    def test_bit_row_components_agree(self):
+        # The reference peel floods the closed rows; on a whole poset the
+        # comparability and relation graphs have the same components.
+        for p in all_labeled_posets(4):
+            full = (1 << p.n) - 1
+            assert [c << k for c, k in bit_row_components(p, full)] == [
+                sum(1 << x for x in comp) for comp in reference_components(p, full)
+            ]
 
 
 def first_peel(p):
-    """The trace and 0 when the peel yields no stuck mask, else None and
-    the first stuck mask, as `is_v_poset` reads them."""
+    """The trace and 0 when the peel yields no stuck component, else None
+    and the first stuck component's mask, as `is_v_poset` reads them."""
     steps = []
-    stuck = next(_peel(p, steps), None)
-    return (_trace(tuple(reversed(steps))), 0) if stuck is None else (None, stuck)
+    stuck = next(_peel(p, steps, [None] * p.n), None)
+    if stuck is None:
+        return _trace(tuple(reversed(steps))), 0
+    return None, sum(1 << x for x in stuck)
+
+
+def assert_peels_agree(p):
+    """The graph peel gives the bit-row peel's steps and stuck components,
+    in the same order."""
+    steps, status, reference = [], [None] * p.n, []
+    stuck = [sum(1 << x for x in members) for members in _peel(p, steps, status)]
+    assert stuck == list(bit_row_peel(p, reference))
+    if not stuck:
+        assert steps == reference
 
 
 class TestPeel:
-    """The peel splits a mask only when it has neither a greatest nor a
-    least element, and gives the same trace and first stuck mask as
-    splitting every mask first."""
+    """The graph peel splits a component only when it has neither one sink
+    nor one source, gives the same trace and stuck components as the
+    bit-row peel over the closed rows, and the same trace and first stuck
+    component as splitting every mask first."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_all_labeled_posets(self, n):
         for p in all_labeled_posets(n):
             assert first_peel(p) == reference_peel(p)
+            assert_peels_agree(p)
 
     @settings(max_examples=300, deadline=None)
     @given(strict_orders())
     def test_random_orders(self, p):
         assert first_peel(p) == reference_peel(p)
+        assert_peels_agree(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_implied_pairs_and_row_backed_posets(self, data):
+        # Relation lines that repeat or imply others, and the cover rows of
+        # a poset built from rows, peel as the covers do.
+        p = data.draw(strict_orders())
+        pairs = [(u, v) for u in range(p.n) for v in _bits(p.up_mask(u))]
+        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+        covers = data.draw(st.permutations(p.covers() + extra))
+        for q in (Poset.from_covers(p.n, covers), Poset(p.n, [p.up_mask(u) for u in range(p.n)])):
+            assert q == p
+            assert_peels_agree(q)
+            assert first_peel(q) == first_peel(p)
 
     def test_goes_on_past_a_stuck_component(self):
         # A bowtie, an N and a 2-chain side by side: the peel yields the
         # two stuck components, the last one first, and finishes the chain.
         p = Poset.disjoint_union([BOWTIE_POSET, N_POSET, parse_poset("2\n1 2")])
-        assert list(_peel(p, [])) == [0b11110000, 0b1111]
+        assert list(_peel(p, [], [None] * p.n)) == [[4, 5, 6, 7], [0, 1, 2, 3]]
 
 
 def fence(m):
