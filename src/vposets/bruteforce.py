@@ -1,28 +1,24 @@
 """The exhaustive oracle engine shared by every brute-force count.
 
-Everything here inspects all subsets of a small ground set, so the callers
-refuse larger inputs first: above SUBSET_BOUND elements, or above
-`posets.LABELED_BOUND` for the strict orders.  Each question is one
-exhaustive pass, and each answers in plain Python ints and lists, apart
-from the recursive polynomial definitions it is used to cross-check.
+Everything here answers by exhaustion over a small ground set, so the
+callers refuse larger inputs first: above SUBSET_BOUND elements, or above
+`posets.LABELED_BOUND` for the strict orders.  Each question is one pass,
+and each answers in plain Python ints and lists, apart from the recursive
+polynomial definitions it is used to cross-check.
 
-`antichain_sweep` lists every antichain with one of two engines, chosen by
-the number of elements.  Up to _BITMAP_BOUND elements the antichains are
-one Python int, a bitmap with bit c set when the subset with code c
-belongs, as every other family of subsets here is: the cutsets come from
-one pass up the lower covers, and the parent-closed vertex sets and the
-strict orders among all relations from a few shifts and masks per element.
-Past the bound the 2^n-bit operations cost more than a numpy table's
-doubling over the elements.  SUBSET_BOUND is below 32, so a table
-antichain's neighbourhood union and its subset code share one int64 word.
-Either engine hands back the maximal antichains' codes as Python ints, in
-ascending order.  `_bits` lists the set bits of any mask, here and in
-`posets`.
+`antichain_sweep` finds the antichains, the independent sets of the
+comparability graph, by branching on its closed rows.  The count splits on
+the lowest element left, with or without it, and keeps each subproblem's
+answer by its mask; the maximal antichains are listed by Bron and
+Kerbosch's search.  Either recursion drops an element per level, so it is
+at most n + 1 deep, and its cost follows the antichains' structure, not
+2^n: the 20-antichain, with its 2^20 antichains, takes 21 subproblems.
 
-numpy loads only for sweeps past 12 elements, inside `_table_sweep`, so the
-polynomial, recognition, enumeration, the cutset, root-subtree and
-labeled-poset oracles, the antichain oracles on small inputs and every CLI
-command that lists no antichain start without it.
+Every other family of subsets is one Python int, a bitmap with bit c set
+when the subset with code c belongs: the cutsets come from one pass up the
+lower covers, and the parent-closed vertex sets and the strict orders among
+all relations from a few shifts and masks per element.  `_bits` lists the
+set bits of any mask, here and in `posets`.
 """
 
 from __future__ import annotations
@@ -35,11 +31,6 @@ from operator import and_
 from .errors import OracleBoundError
 
 SUBSET_BOUND = 20
-
-# The largest ground set whose antichains are swept as one integer bitmap.
-_BITMAP_BOUND = 12
-
-_LOW = (1 << 32) - 1
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -70,52 +61,42 @@ def antichain_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
     """Every antichain of a comparability relation on 0..n-1, where
     ``comp_rows[k]`` is the bitmask of the elements comparable to k.
     Returns the antichain count and the ascending subset codes of the
-    maximal antichains.  Up to _BITMAP_BOUND elements the antichains are one
-    integer bitmap, past it a numpy table; the two list the same codes."""
-    if len(comp_rows) <= _BITMAP_BOUND:
-        return _bitmap_sweep(comp_rows)
-    return _table_sweep(comp_rows)
+    maximal antichains."""
+    near = [row | 1 << v for v, row in enumerate(comp_rows)]
+    everything, codes = (1 << len(near)) - 1, []
+    _maximal(0, everything, 0, near, codes)
+    codes.sort()
+    return _count(everything, near, {0: 1}), codes
 
 
-def _bitmap_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
-    """The antichains as one bitmap of their subset codes.  Per element v,
-    ``meets`` holds the codes that hold an element comparable to v: a code
-    holding v as well is no antichain, and one holding neither v nor such
-    an element misses v, so it is not maximal."""
-    holding = _holding(len(comp_rows))
-    ok = maximal = (1 << (1 << len(comp_rows))) - 1
-    for v, row in enumerate(comp_rows):
-        meets = 0
-        for u in _bits(row):
-            meets |= holding[u]
-        ok &= ~(holding[v] & meets)
-        maximal &= holding[v] | meets
-    return ok.bit_count(), list(_bits(ok & maximal))
+def _count(s: int, near: list[int], memo: dict[int, int]) -> int:
+    """The antichains within the mask s: those without its lowest element v,
+    and those with v, which hold nothing else of v's closed row."""
+    if s in memo:
+        return memo[s]
+    low = s & -s
+    a = memo[s] = _count(s ^ low, near, memo) + _count(s & ~near[low.bit_length() - 1], near, memo)
+    return a
 
 
-def _table_sweep(comp_rows: Sequence[int]) -> tuple[int, list[int]]:
-    """Every antichain as one int64 word of a numpy table, in one doubling
-    sweep.  The low 32 bits are the union of its members' closed
-    neighbourhoods, the high 32 bits its subset code.  The members of an
-    earlier antichain all have indices below k, so k joins it exactly when
-    bit k of that union is clear, with one OR of
-    ``row | 1 << k | 1 << (32 + k)``, and each element doubles part of the
-    table, whose codes stay ascending.  An antichain is maximal when its
-    union covers every element.
-    """
-    import numpy as np
-
-    n = len(comp_rows)
-    table = np.empty(1 << n, dtype=np.int64)  # filled up to ``count``
-    table[0] = 0
-    count = 1
-    for k, row in enumerate(comp_rows):
-        words = table[:count]
-        free = words[(words & (1 << k)) == 0]
-        np.bitwise_or(free, row | 1 << k | 1 << (32 + k), out=table[count : count + len(free)])
-        count += len(free)
-    words = table[:count]
-    return count, (words[(words & _LOW) == (1 << n) - 1] >> 32).tolist()
+def _maximal(r: int, p: int, x: int, near: list[int], codes: list[int]) -> None:
+    """Bron and Kerbosch's search: the maximal antichains that hold the
+    antichain r, add elements of p only, and hold no element of x, whose
+    antichains were listed before.  Each of them holds the pivot u, the
+    lowest element of p | x, or an element comparable to u, else u could
+    join; so only the elements of p in u's closed row branch."""
+    px = p | x
+    if not px:
+        codes.append(r)
+        return
+    branches = p & near[(px & -px).bit_length() - 1]
+    while branches:
+        bit = branches & -branches
+        branches ^= bit
+        far = ~near[bit.bit_length() - 1]
+        _maximal(r | bit, p & far, x & far, near, codes)
+        p ^= bit
+        x |= bit
 
 
 @cache

@@ -13,6 +13,7 @@ import vposets
 from vposets import (
     BivariatePoly, CollisionReport, Poset, RootedTree, enumerate_rooted_trees, tree_poly,
 )
+from vposets.bruteforce import _bits, _holding
 
 # The environment of a `python -m vposets.cli` child: it imports the package
 # from where the tests do.
@@ -84,6 +85,22 @@ T3_POLY = BivariatePoly({(0, 5): 1, (1, 3): 1, (1, 2): 1, (1, 1): 1, (2, 0): 1})
 
 SHARED_Y1 = BivariatePoly({(3, 0): 1, (2, 0): 3, (1, 0): 3, (0, 0): 3})
 SHARED_X1 = BivariatePoly({(0, 5): 1, (0, 3): 1, (0, 2): 1, (0, 1): 1, (0, 0): 1})
+
+
+def bitmap_sweep(comp_rows):
+    """The antichains as one bitmap of their subset codes.  Per element v,
+    ``meets`` holds the codes that hold an element comparable to v: a code
+    holding v as well is no antichain, and one holding neither v nor such
+    an element misses v, so it is not maximal."""
+    holding = _holding(len(comp_rows))
+    ok = maximal = (1 << (1 << len(comp_rows))) - 1
+    for v, row in enumerate(comp_rows):
+        meets = 0
+        for u in _bits(row):
+            meets |= holding[u]
+        ok &= ~(holding[v] & meets)
+        maximal &= holding[v] | meets
+    return ok.bit_count(), list(_bits(ok & maximal))
 
 
 def rooted_tree_count(n: int) -> int:

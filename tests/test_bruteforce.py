@@ -2,8 +2,7 @@
 and the answers a poset or tree keeps against those of a fresh object."""
 
 import random
-import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +44,7 @@ from vposets import posets as posets_module
 from vposets.posets import BASIC
 from vposets.posets import _oracle_poset
 
-from helpers import BOWTIE_POSET, N_POSET, parents_of
+from helpers import BOWTIE_POSET, N_POSET, bitmap_sweep, parents_of
 
 
 def members(code, n):
@@ -199,20 +198,20 @@ def random_posets(seed, sizes, per_size):
 
 def test_the_two_sweep_engines_agree():
     # The same count and the same codes, in the same ascending order, from
-    # the integer bitmap and the numpy table, on both sides of the bound.
+    # the branching sweep and the reference bitmap of every subset code.
     inputs = [
         *(p for n in range(6) for p in all_labeled_posets(n)),
         *(p for n in range(8) for p in all_vposets(n)),
         *(tree_to_poset(t) for n in range(1, 11) for t in enumerate_rooted_trees(n)),
-        *random_posets(1, range(15), 12),
+        *random_posets(1, range(17), 12),
     ]
     for p in inputs:
         rows = comparability_rows(p)
-        assert bruteforce._bitmap_sweep(rows) == bruteforce._table_sweep(rows), p
+        assert bruteforce.antichain_sweep(rows) == bitmap_sweep(rows), p
 
 
-@pytest.mark.parametrize("n", [bruteforce._BITMAP_BOUND, bruteforce._BITMAP_BOUND + 1])
-def test_closed_forms_beside_the_engine_bound(n):
+@pytest.mark.parametrize("n", [12, 13, 20])
+def test_closed_forms(n):
     antichain = parse_poset(str(n))
     assert count_antichains_poset(antichain) == 2**n
     assert maximal_antichains_poset(antichain) == [frozenset(range(n))]
@@ -221,6 +220,24 @@ def test_closed_forms_beside_the_engine_bound(n):
     assert count_maximal_antichains_poset(chain) == n
     assert count_antichains_tree(star(n)) == 2 ** (n - 1) + 1
     assert count_maximal_antichains_tree(star(n)) == 2
+
+
+def disjoint_chains(*lengths):
+    """Disjoint chains of the given lengths, numbered along each chain."""
+    n, ends = sum(lengths), set(accumulate(lengths))
+    return Poset.from_covers(n, [(v, v + 1) for v in range(n - 1) if v + 1 not in ends])
+
+
+@pytest.mark.parametrize("p, antichains, maximal", [
+    # An antichain takes at most one element per chain; a maximal one exactly one.
+    (disjoint_chains(3, 3, 3, 3, 3, 3, 1, 1), 4**6 * 2**2, 3**6),
+    (disjoint_chains(*[2] * 10), 3**10, 2**10),
+])
+def test_most_maximal_antichains_at_the_bound(p, antichains, maximal):
+    assert p.n == 20
+    assert count_antichains_poset(p) == antichains
+    assert count_maximal_antichains_poset(p) == maximal
+    assert antichain_expansion_poset(p) == poset_poly(p)
 
 
 def layers(*sizes):
@@ -319,18 +336,6 @@ def test_one_sweep_per_poset(monkeypatch):
     ):
         oracle(p)
     assert len(calls) == 1
-
-
-def test_expansion_after_the_sweep_loads_no_numpy(monkeypatch):
-    # The sweep's codes are kept, and the expansion reads its exponents
-    # from them as bit counts, so a blocked numpy import goes unnoticed.
-    # Fourteen elements are past the bitmap engine's bound, so the sweep
-    # takes the numpy table.
-    t = star(14)
-    p = tree_to_poset(t)
-    count_antichains_poset(p)
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert antichain_expansion_poset(p) == poset_poly(p) == tree_poly(t)
 
 
 # ----------------------------------------------------------------------

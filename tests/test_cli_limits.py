@@ -5,9 +5,8 @@ the input's path goes, the exit status, a time limit in seconds, an
 address-space limit in MB (or None) and the texts that stdout or stderr
 must contain.  Each row runs `python -m vposets.cli` in a child process
 under the time limit and, where it sets one, `RLIMIT_AS` on that child
-only; no row may leave a traceback.  Rows that sweep the antichains of
-more than 12 elements load numpy, so the sweeping rows set no MB: their
-address space depends on the BLAS thread count.
+only; no row may leave a traceback.  The antichain sweep branches in
+plain Python ints, so the rows at the subset bound run under 100 MB too.
 """
 
 import random
@@ -127,12 +126,16 @@ ROWS = [
     row("poset-poly-two-chains-1000", lambda: "2000\n" + "".join(
         f"{2 * i + 1} {2 * i + 2}\n" for i in range(1000)), "poset-poly FILE", 0, 60),
     # At the subset bound the oracles sweep; one past it they answer "-".
-    row("counts-chain-20", lambda: chain_text(SUBSET_BOUND), "counts FILE", 0, 60,
+    row("counts-chain-20", lambda: chain_text(SUBSET_BOUND), "counts FILE", 0, 60, mb=100,
         expect=("\tok\n",)),
     row("counts-star-20", lambda: "(" + "()" * (SUBSET_BOUND - 1) + ")", "counts FILE", 0, 60,
+        mb=100, expect=("\tok\n",)),
+    row("counts-antichain-20", lambda: f"{SUBSET_BOUND}\n", "counts FILE", 0, 60, mb=100,
         expect=("\tok\n",)),
-    row("counts-antichain-20", lambda: f"{SUBSET_BOUND}\n", "counts FILE", 0, 60,
-        expect=("\tok\n",)),
+    # Six 3-chains and two points: 729 maximal antichains, each listed.
+    row("counts-three-chains-20", lambda: f"{SUBSET_BOUND}\n" + "".join(
+        f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}\n" for i in range(6)),
+        "counts FILE", 0, 60, mb=100, expect=("P(1,1)\t729\tmaximal antichains\t729\tok\n",)),
     row("counts-antichain-21", lambda: f"{SUBSET_BOUND + 1}\n", "counts FILE", 0, 60,
         expect=(f"P(2,1)\t{2 ** (SUBSET_BOUND + 1)}\tantichains\t-\t-\n",)),
     row("poset-poly-expansion-antichain-21", lambda: f"{SUBSET_BOUND + 1}\n",

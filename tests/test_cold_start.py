@@ -1,7 +1,6 @@
-"""numpy is loaded only by the antichain oracles, on their first sweep of
-more than twelve elements (smaller ones take the integer bitmap), neither
-the package nor its CLI commands load dataclasses, inspect or typing, and
-each entry point loads only the package modules it runs.
+"""Nothing in the package loads numpy, neither the package nor its CLI
+commands load dataclasses, inspect or typing, and each entry point loads
+only the package modules it runs.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported all of them.  Module names are checked, not times."""
@@ -14,8 +13,12 @@ from pathlib import Path
 import pytest
 
 import vposets
+from vposets import parse_tree, tree_to_poset
 
 from helpers import FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_POLY, FIGURE_TREE_TEXT
+
+# A 16-vertex tree, the largest of the CI's `counts` inputs.
+TREE_16 = "((()())(()(()))((())())(()()()))"
 
 
 def run_fresh(code: str) -> str:
@@ -87,15 +90,21 @@ def test_submodules_resolve_on_first_access():
 
 def test_no_dataclasses_inspect_or_typing(tmp_path):
     # Compared with the modules loaded before the import, so that whatever
-    # the interpreter's own site loaded does not count.  The CLI commands
-    # that need no sweep, and `counts` on small inputs, whose sweeps take
-    # the integer bitmap, run too and load no numpy either.
+    # the interpreter's own site loaded does not count.  The commands that
+    # sweep, on small inputs and on 16 elements, load no numpy either.
     tree, poset = tmp_path / "small.tree", tmp_path / "small.poset"
     tree.write_text(FIGURE_TREE_TEXT + "\n")
     poset.write_text("4\n1 3\n2 3\n3 4\n")
+    large = tree_to_poset(parse_tree(TREE_16))
+    large_tree, large_poset = tmp_path / "large.tree", tmp_path / "large.poset"
+    large_tree.write_text(TREE_16 + "\n")
+    large_poset.write_text(
+        f"{large.n}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in large.covers())
+    )
     commands = [
         ["tree-poly", str(tree)], ["check", str(poset)], ["poset-poly", str(poset)],
         ["counts", str(tree)], ["counts", str(poset)],
+        ["counts", str(large_tree)], ["poset-poly", "--expansion", str(large_poset)],
     ]
     run_fresh(
         "import sys\n"
@@ -129,31 +138,34 @@ def test_command_loads_only_what_it_runs(tmp_path, command, source, unused):
     assert not package_modules(added) & unused
 
 
-@pytest.mark.parametrize(
-    "call, answer",
-    [
-        ("count_antichains_tree(star(14))", "2**13 + 1"),
-        ("antichain_expansion_poset(tree_to_poset(star(14)))", "tree_poly(star(14))"),
-    ],
-)
-def test_first_sweep_loads_numpy(call, answer):
+def assert_leaves_numpy_unloaded(call, answer):
     run_fresh(
         "import sys\n"
         "from vposets import *\n"
-        "assert 'numpy' not in sys.modules\n"
         f"assert {call} == {answer}\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
     )
 
 
-# The cutset, root-subtree and labeled-poset oracles keep their subset
-# families as integer bitmaps, and so do the antichain oracles up to twelve
-# elements.
+# The antichain oracles branch on plain ints at every size.
 @pytest.mark.parametrize(
     "call, answer",
     [
         ("count_antichains_tree(star(5))", "2**4 + 1"),
         ("antichain_expansion_poset(tree_to_poset(star(5)))", "tree_poly(star(5))"),
+        ("count_antichains_tree(star(14))", "2**13 + 1"),
+        ("antichain_expansion_poset(tree_to_poset(star(14)))", "tree_poly(star(14))"),
+    ],
+)
+def test_antichain_sweep_leaves_numpy_unloaded(call, answer):
+    assert_leaves_numpy_unloaded(call, answer)
+
+
+# The cutset, root-subtree and labeled-poset oracles keep their subset
+# families as integer bitmaps.
+@pytest.mark.parametrize(
+    "call, answer",
+    [
         ("count_root_subtrees(star(5))", "2**4 + 1"),
         ("count_cutsets_tree(star(5))", "2**4 + 1"),
         ("minimal_cutsets(tree_to_poset(star(5)))", "[{0}, {1, 2, 3, 4}]"),
@@ -161,9 +173,4 @@ def test_first_sweep_loads_numpy(call, answer):
     ],
 )
 def test_bitmap_sweep_leaves_numpy_unloaded(call, answer):
-    run_fresh(
-        "import sys\n"
-        "from vposets import *\n"
-        f"assert {call} == {answer}\n"
-        "assert 'numpy' not in sys.modules\n"
-    )
+    assert_leaves_numpy_unloaded(call, answer)
