@@ -2,6 +2,7 @@
 and the answers a poset or tree keeps against those of a fresh object."""
 
 import random
+import sys
 from itertools import accumulate, combinations
 
 import pytest
@@ -336,6 +337,16 @@ def test_one_sweep_per_poset(monkeypatch):
     ):
         oracle(p)
     assert len(calls) == 1
+
+
+def test_expansion_after_the_sweep_loads_no_numpy(monkeypatch):
+    # The sweep's codes are kept, and the expansion reads its exponents
+    # from them as bit counts, so a blocked numpy import goes unnoticed.
+    t = star(14)
+    p = tree_to_poset(t)
+    count_antichains_poset(p)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert antichain_expansion_poset(p) == poset_poly(p) == tree_poly(t)
 
 
 # ----------------------------------------------------------------------
