@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series truncation order (default 100)")
     p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser("collide", help="search trees for polynomial collisions")
-    p.add_argument("--max", type=_positive_int, required=True, metavar="N")
+    p = sub.add_parser("collide", help="search trees for polynomial collisions, up to 16 vertices")
+    p.add_argument("--max", type=_positive_int, required=True, metavar="N",
+                   help="largest tree size searched, at most 16")
     p.set_defaults(func=_cmd_collide)
 
     return parser

@@ -15,6 +15,8 @@ tuple outside equality, hashing, repr and pickling, so the evaluations at
 one y read each coefficient once.  The tuple is read once and replaced
 whole, so polynomials can still be shared freely between threads: a race
 can only compute the values again, never mix the values of two different y.
+It keeps its canonical text the same way once `str` has made it, so a
+collision report sorted by the text prints without formatting it again.
 
 The canonical text form lists terms by descending y-exponent, breaking ties
 by descending x-exponent; a unit coefficient is omitted, an exponent of one
@@ -86,9 +88,10 @@ def _canonical_rows(terms: Mapping[tuple[int, int], int]) -> tuple:
 
 class BivariatePoly:
     """A polynomial in x and y with exact integer coefficients.  ``_at``
-    holds ``(y, row values)`` from the last int y asked, or None."""
+    holds ``(y, row values)`` from the last int y asked, or None, and
+    ``_text`` the canonical text once made, or None."""
 
-    __slots__ = ("_rows", "_at")
+    __slots__ = ("_rows", "_at", "_text")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         checked: dict[tuple[int, int], int] = {}
@@ -102,6 +105,7 @@ class BivariatePoly:
                 checked[int(i), int(j)] = int(c)
         self._rows = _canonical_rows(checked)
         self._at = None
+        self._text = None
 
     @classmethod
     def _from_terms(cls, terms: Mapping[tuple[int, int], int]) -> BivariatePoly:
@@ -115,6 +119,7 @@ class BivariatePoly:
         poly = object.__new__(cls)
         poly._rows = rows
         poly._at = None
+        poly._text = None
         return poly
 
     def __reduce__(self):
@@ -125,6 +130,7 @@ class BivariatePoly:
         # (None, {"_rows": rows, ...}); only the rows are read.
         self._rows = state[1]["_rows"]
         self._at = None
+        self._text = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -271,6 +277,12 @@ class BivariatePoly:
         return hash(self._rows)
 
     def __str__(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._text = self._format()
+        return text
+
+    def _format(self) -> str:
         # Terms go into buckets by y-exponent, rows read from the highest
         # x-degree down, which gives the order of `canonical_triples`.  Each is
         # written with its signed coefficient; the joined text then drops

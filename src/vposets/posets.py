@@ -550,11 +550,17 @@ def find_forbidden(p: Poset) -> ForbiddenPattern | None:
     A quadruple is connected in the comparability graph, and each of its
     members has one incomparable to it, so no peeled extreme lies in one:
     every quadruple lies inside a component the peel cannot finish, and the
-    least of those components' first quadruples is the first of all.
+    least of those components' first quadruples is the first of all.  The
+    peel that certifies ``p`` goes on to the other stuck components, and the
+    kept certificate is the first one's quadruple, so each is scanned once.
     """
-    if isinstance(is_v_poset(p), BuildTrace):
+    certificate, stuck = _certify(p)
+    if isinstance(certificate, BuildTrace):
         return None
-    witnesses = [_stuck_witness(p, members) for members in _peel(p, [], [None] * p.n)]
+    if stuck is None:  # certified by an earlier peel: peel again past its witness
+        stuck = _peel(p, [], [None] * p.n)
+        next(stuck)
+    witnesses = [certificate, *(_stuck_witness(p, members) for members in stuck)]
     return min(witnesses, key=lambda f: (f.u, f.v, f.x, f.w))
 
 
@@ -863,17 +869,25 @@ def is_v_poset(p: Poset) -> BuildTrace | ForbiddenPattern:
     The pattern is found inside the first component where peeling gets
     stuck, and the certificate is kept on ``p``, so each poset is peeled once.
     """
-    if p._cert is None:
-        steps: list[int] = []
-        status: list[str | None] = [None] * p.n
-        stuck = next(_peel(p, steps, status), None)
-        if stuck is None:
-            certificate = _trace(tuple(reversed(steps)))
-            object.__setattr__(p, "_status", tuple(status))
-        else:
-            certificate = _stuck_witness(p, stuck)
-        object.__setattr__(p, "_cert", certificate)
-    return p._cert
+    return p._cert if p._cert is not None else _certify(p)[0]
+
+
+def _certify(p: Poset) -> tuple[BuildTrace | ForbiddenPattern, Iterator[list[int]] | None]:
+    """``p``'s certificate, kept on ``p``, and the peel that found it, left
+    past its first stuck component; None for a certificate kept before."""
+    if p._cert is not None:
+        return p._cert, None
+    steps: list[int] = []
+    status: list[str | None] = [None] * p.n
+    peel = _peel(p, steps, status)
+    stuck = next(peel, None)
+    if stuck is None:
+        certificate = _trace(tuple(reversed(steps)))
+        object.__setattr__(p, "_status", tuple(status))
+    else:
+        certificate = _stuck_witness(p, stuck)
+    object.__setattr__(p, "_cert", certificate)
+    return certificate, peel
 
 
 def _v_trace(p: Poset) -> BuildTrace:

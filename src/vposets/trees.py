@@ -15,31 +15,37 @@ brute-force tree oracle is the poset oracle on `tree_to_poset`; both live
 in `posets`.  `multisets` lists forests here and, for the census, multisets
 of connected V-posets in `enumeration`.
 
-`collision_search` runs no evaluator per tree.  It walks the generated
-strings by ascending size, so every branch comes before its tree, and
-keeps two ints per tree, P(x,1) and P(1,y), each packed in fields that
+`collision_search` runs no evaluator per tree.  `_tree_table` lists every
+tree up to n_max vertices as an index, by ascending size, each tree as its
+first branch over the tree of its other branches, so both come before it;
+it keeps two ints per index, P(x,1) and P(1,y), each packed in fields that
 hold 2**n_max - 1, above every P(1,1) there, so no coefficient carries
 and equal ints mean equal polynomials.  Each follows the tree recursion
 with one variable fixed: a leaf is x (or 1), and a vertex is its
-branches' product plus 1 (or plus y**(n-1)).  The trees are grouped by
-each int, and full polynomials are compared only within a group that
-shares both, which no two trees with at most 12 vertices do.  A
-polynomial is unpacked only for a group that is reported.
+branches' product plus 1 (or plus y**(n-1)).  The indices are grouped by
+sorting them on each int, and full polynomials are compared only within
+a group that shares both, which no two trees with at most 16 vertices
+do.  Strings, trees and polynomials are made only for group members.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from math import prod
+from operator import neg
 
 from ._record import Record
 from .errors import OracleBoundError, ParseError
 from .polynomial import EMPTY, GREATEST, BivariatePoly, _field_bytes, _unpack_rows, build_poly
 
 GENERATION_BOUND = 12
+# The collision search's bound: at 16 vertices it keys 376,464 trees and
+# reports about 139,000 groups in about 4.5 s with a peak RSS of 198 MB
+# (`collide --max 16`, CPython 3.11, a shared 2-core x86-64 VM).
+COLLISION_BOUND = 16
 # Deletion-contraction's work bound: the characters of the minors it splits
 # plus the terms its memo holds.  A random recursive tree has exponentially
 # many minors; at this bound one of 150 or 200 vertices is refused after
@@ -307,6 +313,65 @@ class CollisionReport(Record):
     )
 
 
+def _tree_table(
+    n_max: int, width: int
+) -> tuple[list[int], Sequence[int], Sequence[int], list[int], list[int]]:
+    """Every tree with at most n_max vertices as an index, in blocks by size,
+    each block in `_trees_of_size`'s order: ``(starts, first, rest, y1, x1)``.
+
+    Block n holds the indices from ``starts[n]`` up to ``starts[n + 1]``.
+    Index 0 is the lone vertex; a larger tree t is its first branch
+    ``first[t]``, the largest by (size, index), over the tree ``rest[t]``
+    of its other branches, and a block lists its trees by descending first
+    branch, as `multisets` lists forests.  So the trees whose first branch
+    is at most b are a suffix of their block, found by bisection, and they
+    are the rests of the trees with first branch b, in order.
+
+    ``y1[t]`` and ``x1[t]`` are P(x,1) and P(1,y) packed in ``width``-bit
+    fields.  With z = 1 << width, a vertex of an n-vertex tree adds 1 at
+    y=1 and z**(n-1) at x=1 to the product of its branches' keys, so a
+    rest's key less that term is the product of the other branches', and
+    each key costs one product.
+    """
+    from array import array  # here, so that the tree path does not load it
+
+    first, rest = array("l", [-1]), array("l", [-1])
+    y1, x1 = [1 << width], [1]
+    starts = [0, 0, 1]
+    for n in range(2, n_max + 1):
+        top = 1 << (width * (n - 1))
+        for s in range(n - 1, 0, -1):
+            m = n - s
+            lo, end = starts[m], starts[m + 1]
+            low = 1 << (width * (m - 1))
+            for b in range(starts[s + 1] - 1, starts[s] - 1, -1):
+                yb, xb = y1[b], x1[b]
+                if m == 1:  # the rest is the lone vertex: b is the only branch
+                    first.append(b)
+                    rest.append(0)
+                    y1.append(yb + 1)
+                    x1.append(xb + top)
+                    continue
+                lo = bisect_left(first, -b, lo, end, key=neg)
+                first.extend(itertools.repeat(b, end - lo))
+                rest.extend(range(lo, end))
+                y1 += [yb * (y - 1) + 1 for y in y1[lo:end]]
+                x1 += [xb * (x - low) + top for x in x1[lo:end]]
+        starts.append(len(first))
+    return starts, first, rest, y1, x1
+
+
+def _groups(indices: Iterable[int], key: list[int]) -> list[list[int]]:
+    """Ascending indices sorted on ``key`` and cut into runs of equal keys:
+    the runs of two or more, each still ascending, as the sort is stable."""
+    runs = []
+    for _, run in itertools.groupby(sorted(indices, key=key.__getitem__), key.__getitem__):
+        run = list(run)
+        if len(run) >= 2:
+            runs.append(run)
+    return runs
+
+
 def collision_search(n_max: int) -> CollisionReport:
     """Find non-isomorphic trees sharing a polynomial, up to n_max vertices.
 
@@ -314,73 +379,91 @@ def collision_search(n_max: int) -> CollisionReport:
     specialisations at y=1 and at x=1 are reported as groups of trees that
     share the specialised polynomial.
 
-    Each tree's P(x,1) and P(1,y) are packed ints, made from its branches'
-    by the one-variable recursions at one field width; the trees are
-    grouped by each, and full polynomials are compared only within a group
-    that shares both.
+    The trees are the indices of `_tree_table`, each with P(x,1) and P(1,y)
+    packed in one int; they are grouped by sorting the indices on each key,
+    and full polynomials are compared only within a group that shares both.
+    Strings, trees and polynomials are made for group members alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if n_max > GENERATION_BOUND:
+    if n_max > COLLISION_BOUND:
         raise OracleBoundError(
-            f"collision search is bounded at {GENERATION_BOUND} vertices"
+            f"collision search is bounded at {COLLISION_BOUND} vertices"
         )
-    strings = [s for n in range(1, n_max + 1) for s in _trees_of_size(n)]
     # Every field below, a branch product's too, counts maximal antichains
     # of a tree with at most n_max vertices, so it is below 2**n_max.
     field_bytes = _field_bytes((1 << n_max) - 1)
-    width = 8 * field_bytes
-    # P(x,1) and P(1,y) of every tree in fields of that width, from its
-    # branches', filed under each and under both.
-    keys: dict[str, tuple[int, int]] = {}
-    by_y1: dict[int, list[str]] = defaultdict(list)
-    by_x1: dict[int, list[str]] = defaultdict(list)
-    by_both: dict[tuple[int, int], list[str]] = defaultdict(list)
-    for s, branches in zip(strings, map(_branches, strings)):
-        if branches:
-            y1 = prod([keys[b][0] for b in branches]) + 1
-            x1 = prod([keys[b][1] for b in branches]) + (1 << (width * (len(s) // 2 - 1)))
-        else:
-            y1, x1 = 1 << width, 1
-        keys[s] = key = (y1, x1)
-        by_y1[y1].append(s)
-        by_x1[x1].append(s)
-        by_both[key].append(s)
+    starts, first, rest, y1, x1 = _tree_table(n_max, 8 * field_bytes)
+    count = starts[-1]
+    at_y1 = [(y1[g[0]], g) for g in _groups(range(count), y1)]
+    at_x1 = [(x1[g[0]], g) for g in _groups(range(count), x1)]
+    at_both = [run for _, group in at_y1 for run in _groups(group, x1)]
+    del y1, x1
 
-    def tree_key(s: str):
-        return (len(s), s)
+    # A member's string from its branches', read down the chain of rests,
+    # and its tree, each made once.
+    strings: list[str | None] = [None] * count
+
+    def string(t: int) -> str:
+        s = strings[t]
+        if s is None:
+            kids, r = [], t
+            while (b := first[r]) >= 0:
+                kids.append(string(b))
+                r = rest[r]
+            s = strings[t] = _canonical(kids)
+        return s
+
+    trees: list[RootedTree | None] = [None] * count
+
+    def tree(t: int) -> RootedTree:
+        u = trees[t]
+        if u is None:
+            u = trees[t] = RootedTree._trusted(string(t))
+        return u
+
+    def tree_key(u: RootedTree):
+        return (len(u.encoding), u.encoding)
+
+    def sorted_trees(group: list[int]) -> list[RootedTree]:
+        return sorted(map(tree, group), key=tree_key)
 
     full_pairs = []
-    for group in by_both.values():
-        if len(group) >= 2:
-            by_poly: dict[BivariatePoly, list[str]] = defaultdict(list)
-            for s in sorted(group, key=tree_key):
-                by_poly[tree_poly(RootedTree._trusted(s))].append(s)
-            for same in by_poly.values():
-                full_pairs.extend(itertools.combinations(map(RootedTree._trusted, same), 2))
+    for group in at_both:
+        by_poly: dict[BivariatePoly, list[RootedTree]] = defaultdict(list)
+        for u in sorted_trees(group):
+            by_poly[tree_poly(u)].append(u)
+        for same in by_poly.values():
+            full_pairs.extend(itertools.combinations(same, 2))
 
     def poly_x1(packed: int) -> BivariatePoly:
         return _unpack_rows([(0, packed)], field_bytes)
 
+    # The same fields, read as the coefficients of x; a row (i, 0, (c,))
+    # recurs in many polynomials, so each is made once.
+    rows_y1: dict[tuple[int, int], tuple] = {}
+
     def poly_y1(packed: int) -> BivariatePoly:
-        # The same fields, read as the coefficients of x.
-        return BivariatePoly({(i, 0): c for (_, i), c in poly_x1(packed).term_map.items()})
+        ((_, _, coeffs),) = poly_x1(packed)._rows
+        rows = []
+        for i, c in enumerate(coeffs):
+            if c:
+                row = rows_y1.get((i, c))
+                if row is None:
+                    row = rows_y1[i, c] = (i, 0, (c,))
+                rows.append(row)
+        return BivariatePoly._trusted(tuple(rows))
 
     def groups(keyed, poly) -> list[tuple[BivariatePoly, list[RootedTree]]]:
-        kept = [
-            (poly(key), list(map(RootedTree._trusted, sorted(g, key=tree_key))))
-            for key, g in keyed.items()
-            if len(g) >= 2
-        ]
+        kept = [(poly(key), sorted_trees(group)) for key, group in keyed]
+        # Each polynomial is formatted once, for its sort key, and keeps the text.
         kept.sort(key=lambda item: (item[1][0].size, str(item[0])))
         return kept
 
     return CollisionReport(
         n_max=n_max,
-        tree_count=len(strings),
-        full_pairs=sorted(
-            full_pairs, key=lambda ab: (tree_key(ab[0].encoding), tree_key(ab[1].encoding))
-        ),
-        collisions_at_y1=groups(by_y1, poly_y1),
-        collisions_at_x1=groups(by_x1, poly_x1),
+        tree_count=count,
+        full_pairs=sorted(full_pairs, key=lambda ab: (tree_key(ab[0]), tree_key(ab[1]))),
+        collisions_at_y1=groups(at_y1, poly_y1),
+        collisions_at_x1=groups(at_x1, poly_x1),
     )

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import vposets
 from vposets import (
-    BivariatePoly, CollisionReport, Poset, RootedTree, enumerate_rooted_trees, tree_poly,
+    BivariatePoly, CollisionReport, Poset, RootedTree, tree_poly,
 )
 from vposets.bruteforce import _bits, _holding
+from vposets.trees import _trees_of_size
 
 # The environment of a `python -m vposets.cli` child: it imports the package
 # from where the tests do.
@@ -243,8 +244,9 @@ def parent_arrays(draw, max_size=80):
 
 def reference_collisions(n_max):
     """`collision_search` by one `tree_poly` per tree, each specialised at
-    y=1 and at x=1, grouped by the polynomials themselves."""
-    trees = [t for n in range(1, n_max + 1) for t in enumerate_rooted_trees(n)]
+    y=1 and at x=1, grouped by the polynomials themselves.  The trees are the
+    generator's strings, read past `enumerate_rooted_trees`' bound."""
+    trees = [RootedTree._trusted(s) for n in range(1, n_max + 1) for s in _trees_of_size(n)]
     by_full, by_y1, by_x1 = defaultdict(list), defaultdict(list), defaultdict(list)
     for t in trees:
         p = tree_poly(t)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import vposets.cli
-from vposets import enumeration, polynomial
+from vposets import BivariatePoly, enumeration, polynomial
 from vposets.cli import main
 from vposets.enumeration import SERIES_BOUND, q_series
 
@@ -17,6 +17,10 @@ from helpers import CLI_ENV, FIGURE_POSET_STR, FIGURE_POSET_TEXT, FIGURE_TREE_TE
 
 FIGURE_TREE_STR = "y^5 + y^3 + x*y^2 + x^2*y + x^3"
 COLLIDE_12_SHA256 = "b61aa5eb1713fa35cbd21f2c6f63565ff7313d8b9c08ac121e005017f88a8789"
+# `collide --max 13` and `--max 14` as the per-string search printed them
+# with only its bound raised.
+COLLIDE_13_SHA256 = "1efa621e7a5adceaa1f8c5a093ff5c1a410895334a08bd44f8ffdae575bb2b31"
+COLLIDE_14_SHA256 = "e1ecdd886bc95febd85cc142312e06181d1b5be7d4718349896536a8647638c1"
 
 
 @pytest.fixture
@@ -282,8 +286,21 @@ class TestCollide:
         out = capsys.readouterr().out
         assert "x^3 + 3*x^2 + 3*x + 3" in out
 
+    def test_each_group_polynomial_formatted_once(self, capsys, monkeypatch):
+        # The search sorts the groups by their polynomials' text, which the
+        # polynomials keep, so printing them formats nothing again.
+        made = []
+        format_text = BivariatePoly._format
+        monkeypatch.setattr(
+            BivariatePoly, "_format", lambda poly: made.append(poly) or format_text(poly)
+        )
+        assert main(["collide", "--max", "8"]) == 0
+        groups = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert len(made) == len(groups) == len(set(map(id, made))) > 0
+
     def test_bound_status(self, capsys):
-        assert main(["collide", "--max", "13"]) == 3
+        assert main(["collide", "--max", "17"]) == 3
+        assert "bounded at 16 vertices" in capsys.readouterr().err
 
     def test_max_12_output_pinned(self, capsys):
         # The whole report over the 7813 trees, as the per-tree search
@@ -292,6 +309,15 @@ class TestCollide:
         out = capsys.readouterr().out.encode()
         assert (out.count(b"\n"), len(out)) == (2526, 246769)
         assert hashlib.sha256(out).hexdigest() == COLLIDE_12_SHA256
+
+    @pytest.mark.parametrize("n_max, digest", [
+        (13, COLLIDE_13_SHA256),
+        (14, COLLIDE_14_SHA256),
+    ])
+    def test_past_12_output_pinned(self, capsys, n_max, digest):
+        assert main(["collide", "--max", str(n_max)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestParseErrors:

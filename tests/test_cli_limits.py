@@ -20,7 +20,7 @@ import pytest
 from vposets.bruteforce import SUBSET_BOUND
 from vposets.enumeration import CENSUS_BOUND, SERIES_BOUND
 from vposets.posets import tree_to_poset
-from vposets.trees import GENERATION_BOUND, parse_tree
+from vposets.trees import COLLISION_BOUND, parse_tree
 
 from helpers import CLI_ENV, chain_text, tree_of
 
@@ -143,10 +143,12 @@ ROWS = [
     # One past every other named bound.
     row("tree-poly-dc-random-200", lambda: random_tree(200, seed=1), "tree-poly --dc FILE",
         3, 60, mb=200, expect=("work bound",)),
-    row("collide-max-12", None, f"collide --max {GENERATION_BOUND}", 0, 10,
+    row("collide-max-12", None, "collide --max 12", 0, 10,
         expect=("trees examined: 7813 ", "full-polynomial collisions: none\n")),
-    row("collide-max-13", None, f"collide --max {GENERATION_BOUND + 1}", 3, 60,
-        expect=(f"bounded at {GENERATION_BOUND} vertices",)),
+    row("collide-max-16", None, f"collide --max {COLLISION_BOUND}", 0, 10, mb=300,
+        expect=("trees examined: 376464 ", "full-polynomial collisions: none\n")),
+    row("collide-max-17", None, f"collide --max {COLLISION_BOUND + 1}", 3, 60,
+        expect=(f"bounded at {COLLISION_BOUND} vertices",)),
     row("census-max-2000", None, f"census --max {SERIES_BOUND}", 0, 30,
         expect=("\n2000\t36246945465481421765",)),
     row("census-max-2001", None, f"census --max {SERIES_BOUND + 1}", 3, 10,

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 import random
 import sys
 
@@ -31,6 +32,7 @@ from vposets.enumeration import (
     SERIES_BOUND,
     _block_product,
     _vposets_of_size,
+    _w_deriv_value,
     _w_floats,
 )
 from vposets.posets import (
@@ -262,6 +264,16 @@ class TestAsymptotics:
             w_value(0.1, order)
         info = _w_floats.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
+
+    @pytest.mark.parametrize("x", [0.0, 0.04, 0.2634**2, 0.35**2, 0.2, -0.1, -0.2])
+    def test_series_values_against_exact_sums(self, x):
+        # The sums stop early but stay within a few units in the last place
+        # of the exact rational sums over all 401 terms, alternating ones too.
+        w = w_series(400).coeffs
+        exact = float(sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(w)))
+        slope = float(sum(k * Fraction(c) * Fraction(x) ** (k - 1) for k, c in enumerate(w) if k))
+        assert abs(w_value(x, 400) - exact) <= 4 * math.ulp(exact)
+        assert abs(_w_deriv_value(x, 400) - slope) <= 4 * math.ulp(slope)
 
     def test_tree_function_identity(self):
         # W = T(R) with T the solution of T = x*exp(T), so W*exp(-W) = R.

@@ -190,6 +190,7 @@ class TestPickle:
         poly = FIGURE_POSET_POLY * 1
         before = pickle.dumps(poly, protocol)
         poly.evaluate(2, 2)
+        str(poly)
         assert pickle.dumps(poly, protocol) == before
 
     @pytest.mark.parametrize("data", SLOT_STATE_PICKLES)

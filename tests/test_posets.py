@@ -1036,6 +1036,24 @@ class TestWitnessScan:
         assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
         assert find_forbidden(p).kind == "bowtie"
 
+    @pytest.mark.parametrize("certified_first", [False, True])
+    def test_one_peel_and_one_witness_per_component(self, monkeypatch, certified_first):
+        # The peel that certifies the poset goes on to the other stuck
+        # component, and the kept certificate is the first one's witness;
+        # a poset certified before is peeled again past that witness.
+        p = Poset.disjoint_union([BOWTIE_POSET, N_POSET])
+        if certified_first:
+            is_v_poset(p)
+        calls = []
+        for name in ("_peel", "_stuck_witness"):
+            f = getattr(posets, name)
+            monkeypatch.setattr(
+                posets, name, lambda *args, f=f, name=name: calls.append(name) or f(*args)
+            )
+        assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
+        assert calls.count("_peel") == 1
+        assert calls.count("_stuck_witness") == (1 if certified_first else 2)
+
     def test_caterpillar_beside_an_n(self):
         # The limit is loose for a loaded machine: only the N is scanned,
         # in milliseconds, while scanning the whole poset takes about 15 s.

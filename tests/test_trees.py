@@ -1,5 +1,6 @@
 """Unit tests for rooted trees: parsing, polynomials, antichains, oracles."""
 
+import itertools
 import pickle
 
 import pytest
@@ -33,7 +34,7 @@ from vposets import (
 from vposets import posets
 from vposets.polynomial import build_poly
 from vposets.posets import _oracle_poset
-from vposets.trees import GENERATION_BOUND, _trees_of_size
+from vposets.trees import COLLISION_BOUND, GENERATION_BOUND, _tree_table, _trees_of_size
 
 from helpers import (
     FIGURE_TREE_POLY,
@@ -412,12 +413,13 @@ class TestKeptPoset:
         for groups in (report.collisions_at_y1, report.collisions_at_x1):
             trees += [t for _, group in groups for t in group]
         assert used in trees and all(t._poset is None for t in trees)
-        # The key tables live for one call: the generator's string cache
-        # stays within its bound, and a second call returns equal groups
-        # of new trees and new polynomials.
-        first = collision_search(GENERATION_BOUND)
-        assert _trees_of_size.cache_info().currsize <= GENERATION_BOUND
-        second = collision_search(GENERATION_BOUND)
+        # The index table lives for one call: the search leaves the
+        # generator's string cache empty, and a second call returns equal
+        # groups of new trees and new polynomials.
+        _trees_of_size.cache_clear()
+        first = collision_search(12)
+        assert _trees_of_size.cache_info().currsize == 0
+        second = collision_search(12)
         assert first == second
         for old, new in (
             (first.collisions_at_y1, second.collisions_at_y1),
@@ -492,18 +494,41 @@ class TestCollisionSearch:
         assert report.tree_count == sum(rooted_tree_count(n) for n in range(1, 13)) == 7813
         assert report.full_pairs == []
 
-    @pytest.mark.parametrize("n_max", range(1, GENERATION_BOUND + 1))
+    @pytest.mark.parametrize("n_max", range(1, 14))
     def test_matches_reference(self, n_max):
         assert collision_search(n_max) == reference_collisions(n_max)
 
+    def test_table_lists_the_generated_strings(self):
+        # The index table holds no strings: each index's string, read down
+        # its chain of rests, is the generator's, block by block, in order.
+        starts, first, rest, _, _ = _tree_table(12, 16)
+
+        def string(t):
+            kids = []
+            while first[t] >= 0:
+                kids.append(string(first[t]))
+                t = rest[t]
+            return "(" + "".join(sorted(kids)) + ")"
+
+        assert starts == [0, 0, *itertools.accumulate(map(rooted_tree_count, range(1, 13)))]
+        for n in range(1, 13):
+            assert tuple(map(string, range(starts[n], starts[n + 1]))) == _trees_of_size(n)
+
     def test_full_comparison_within_shared_keys(self, monkeypatch):
-        # A string listed twice shares both keys with itself, so the full
+        # A tree listed twice shares both keys with itself, so the full
         # polynomials are compared, and they are equal.
-        listed = _trees_of_size
+        build = _tree_table
         twice = "(()())"
-        monkeypatch.setattr(
-            "vposets.trees._trees_of_size", lambda n: listed(n) + ((twice,) if n == 3 else ())
-        )
+
+        def listed_twice(n_max, width):
+            starts, first, rest, y1, x1 = build(n_max, width)
+            t = starts[3] + _trees_of_size(3).index(twice)
+            for column in (first, rest, y1, x1):
+                column.append(column[t])
+            starts[-1] += 1
+            return starts, first, rest, y1, x1
+
+        monkeypatch.setattr("vposets.trees._tree_table", listed_twice)
         report = collision_search(3)
         t = RootedTree._trusted(twice)
         assert report.tree_count == 5
@@ -523,9 +548,9 @@ class TestCollisionSearch:
 
         monkeypatch.setattr("vposets.trees.tree_poly", counted(tree_poly))
         monkeypatch.setattr("vposets.trees.build_poly", counted(build_poly))
-        assert collision_search(GENERATION_BOUND).tree_count == 7813
+        assert collision_search(12).tree_count == 7813
         assert calls == []
 
     def test_bound_refusal(self):
-        with pytest.raises(OracleBoundError):
-            collision_search(13)
+        with pytest.raises(OracleBoundError, match=f"bounded at {COLLISION_BOUND} vertices"):
+            collision_search(COLLISION_BOUND + 1)
