@@ -37,7 +37,7 @@ The prefactor is C = sqrt(e*R'(rho)) / (sqrt(2*pi*rho) * (2-rho)).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import add, mul
 
@@ -243,7 +243,7 @@ def _w_floats(order: int) -> tuple[float, ...]:
     return tuple(float(c) for c in w_series(order).coeffs)
 
 
-def _series_value(coeffs: Sequence[float], x: float) -> float:
+def _series_value(coeffs: Iterable[float], x: float) -> float:
     """The sum of coeffs[k] * x**k, added from k = 0 up.  It stops at a term
     below _TAIL of the sum and smaller than the term before: where x lies
     inside the radius, the terms from there on shrink geometrically, and
@@ -266,7 +266,8 @@ def w_value(x: float, order: int) -> float:
 
 def _w_deriv_value(x: float, order: int) -> float:
     coeffs = _w_floats(order)
-    return _series_value([k * c for k, c in enumerate(coeffs)][1:], x)
+    # Lazily, so that the terms past the stop are never multiplied.
+    return _series_value(map(mul, range(1, len(coeffs)), coeffs[1:]), x)
 
 
 def _inner_powers(x: float):
