@@ -10,11 +10,15 @@ greatest or least element):
 
 All series arithmetic is integer-only; the division by n is asserted exact.
 The c_k come from a divisor sieve, and the convolution is split by blocks of
-64 indices: a pair (k, n-k) with both indices in complete blocks is added
-ahead of time, one big-integer product per block pair (Kronecker
-substitution), and only the pairs with k < 64 or n-k < 64 are multiplied one
-by one (see `v_series`).  At 64 the packed products first become long enough
-for CPython's Karatsuba multiplication to beat as many separate products.
+64 indices.  The pairs (k, n-k) with both indices in complete blocks are
+added ahead of time, one big-integer product (Kronecker substitution) per
+square tile of block pairs, the tiles doubling in side away from the axes as
+in relaxed multiplication (see `_tiles`).  Only the pairs with k < 64 or
+n-k < 64 are multiplied one by one (see `v_series`).  At 64 the packed
+products first become long enough for CPython's Karatsuba multiplication to
+beat as many separate products, and a larger tile is a longer product, on
+which Karatsuba saves more: at order 1200 the tiles take 60 products where
+single block pairs took 153.
 
 The census builds the posets as build traces by the argument behind q_n: a
 connected V-poset on n >= 2 is a greatest element over any V-poset on n-1,
@@ -47,10 +51,10 @@ from .posets import AddGreatest, AddLeast, BuildTrace, DisjointUnion, Empty, Pos
 from .trees import multisets
 
 CENSUS_BOUND = 8  # each class is built once: 8 takes 8 ms on a 2-core VM
-SERIES_BOUND = 2000  # v_series is near cubic: 1.8-2.9 s at 2000 on a 2-core VM
+SERIES_BOUND = 2000  # v_series is near cubic: 1.4-2.2 s at 2000 on a 2-core VM
 # Indices per block of the packed convolution in `v_series`, by measurement
-# at order 1200: blocks of 48, 80 or 96 took 1.1-1.3 times as long as 64,
-# and below 64 the packed products are too short for Karatsuba to pay.
+# of the tiles at order 1200: blocks of 48, 80 or 96 took 1.2 times as long
+# as 64, and blocks of 32 or 128 1.04-1.08 times.
 _BLOCK = 64
 # The largest truncation order whose series fits in double precision with
 # the derivative's weight: order * w_order passes the largest double at 536.
@@ -98,14 +102,21 @@ def v_series(order: int) -> IntSeries:
     has run.  The sum n*v_n = sum of c_k * v_(n-k) splits by blocks of
     `_BLOCK` indices.  The pairs with k < _BLOCK or n-k < _BLOCK are two
     `sum(map(mul, ...))` calls at step n.  Every other pair has both indices
-    in complete blocks I, J >= 1 and feeds only n >= (I+J)*_BLOCK, while
-    both blocks are complete at step (max(I, J) + 1)*_BLOCK - 1, before that
-    n.  So when block T completes, each block pair (I, T) and (T, I) with
-    I <= T is multiplied as two packed integers (`_block_product`), and its
-    fields are added to `ahead`, which step n reads.
+    in complete blocks I, J >= 1, and these block pairs are grouped into the
+    square tiles of `_tiles`.  Tile (I, J, S) feeds only n >= (I+J)*_BLOCK,
+    and its blocks are complete at step (max(I, J) + S)*_BLOCK - 1, before
+    that n because S <= min(I, J).  So when block max(I, J) + S - 1
+    completes, the tile is multiplied as two packed integers
+    (`_block_product`), and its fields are added to `ahead`, which step n
+    reads.  A tile and its mirror (J, I, S) are due together and are added
+    in one pass.
     """
     _check_order(order)
     block = _BLOCK
+    due: dict[int, list[tuple[int, int, int]]] = {}
+    for i, j, s in _tiles(order):
+        if i <= j:
+            due.setdefault(j + s - 1, []).append((i, j, s))
     v = [1]
     c = [0] * (order + 1)
     ahead = [0] * (order + 1)
@@ -124,23 +135,54 @@ def v_series(order: int) -> IntSeries:
                 f"multiset recurrence produced a non-integer coefficient at n={n}"
             )
         v.append(total // n)
-        if (n + 1) % block or n < 2 * block - 1:
+        if (n + 1) % block:
             continue
-        t = n // block  # block t >= 1 ends at n
-        for i in range(1, t + 1):
-            base = (i + t) * block
-            if base > order:
-                break
+        for i, j, s in due.get(n // block, ()):  # block n // block ends at n
+            base = (i + j) * block
             # Entries past order - base feed only fields past the order.
-            size = min(block, order + 1 - base)
-            ci, vi = c[i * block : i * block + size], v[i * block : i * block + size]
-            ct, vt = c[t * block : t * block + size], v[t * block : t * block + size]
-            fields = _block_product(ci, vt)
-            if i < t:
-                fields = map(add, fields, _block_product(ct, vi))
-            stop = min(base + 2 * block - 1, order + 1)
+            size = min(s * block, order + 1 - base)
+            a, b = i * block, j * block  # the tile's first c and v indices
+            fields = _block_product(c[a : a + size], v[b : b + size])
+            if i < j:
+                fields = map(add, fields, _block_product(c[b : b + size], v[a : a + size]))
+            stop = min(base + 2 * size - 1, order + 1)
             ahead[base:stop] = map(add, ahead[base:stop], fields)
     return IntSeries(order, tuple(v))
+
+
+def _tiles(order: int) -> list[tuple[int, int, int]]:
+    """The packed products of `v_series` at this order, as tiles (I, J, S)
+    of c-blocks I..I+S-1 against v-blocks J..J+S-1, which hold every block
+    pair (I, J) with I, J >= 1 and (I+J)*_BLOCK <= order exactly once.
+
+    The sizes S are powers of two with S <= min(I, J): per S the square
+    (S, S, S) and the strips (S, kS, S) and (kS, S, S) for k >= 2, as in
+    van der Hoeven's relaxed multiplication ("Relax, but don't be too lazy",
+    J. Symbolic Comput. 34, 2002), but never below one block.  A tile whose
+    last block pair starts past the order is split into its four S/2
+    quarters, and a tile that starts past the order is dropped."""
+    tiles: list[tuple[int, int, int]] = []
+
+    def place(i: int, j: int, s: int) -> None:
+        if (i + j) * _BLOCK > order:
+            return
+        if (i + j + 2 * s - 2) * _BLOCK <= order:
+            tiles.append((i, j, s))
+            return
+        h = s // 2
+        for di, dj in ((0, 0), (0, h), (h, 0), (h, h)):
+            place(i + di, j + dj, h)
+
+    s = 1
+    while 2 * s * _BLOCK <= order:
+        place(s, s, s)
+        k = 2
+        while (k + 1) * s * _BLOCK <= order:
+            place(s, k * s, s)
+            place(k * s, s, s)
+            k += 1
+        s *= 2
+    return tiles
 
 
 def _block_product(a: Sequence[int], b: Sequence[int]) -> list[int]:

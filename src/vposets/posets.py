@@ -47,8 +47,10 @@ Conventions:
     pickling.
   - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
     tree oracle (`count_*_tree`, `maximal_antichains_tree`,
-    `antichain_expansion_tree`, `count_root_subtrees`) is the poset oracle
-    on it.  The build steps come from `trees`, which needs nothing here.
+    `antichain_expansion_tree`, `count_root_subtrees`) runs the poset
+    oracle's engine on them.  The cutsets and the root subtrees read each
+    vertex's parent off its up row and need no cover rows.  The build steps
+    come from `trees`, which needs nothing here.
 """
 
 from __future__ import annotations
@@ -1234,9 +1236,22 @@ def count_maximal_antichains_tree(t: RootedTree, leaf_free: bool = False) -> int
     return count_maximal_antichains_no_basic(p) if leaf_free else count_maximal_antichains_poset(p)
 
 
+def _tree_parents(t: RootedTree) -> list[int]:
+    # Each vertex's up row holds its strict ancestors; its parent is the
+    # highest, and the root's empty row reads -1.
+    return [ancestors.bit_length() - 1 for ancestors in _oracle_poset(t)._up]
+
+
 def count_cutsets_tree(t: RootedTree) -> int:
-    """Number of vertex sets meeting every root-to-leaf path."""
-    return count_cutsets_poset(_oracle_poset(t))
+    """Number of vertex sets meeting every root-to-leaf path.
+
+    The cutset engine of the poset oracle, fed the tree's own rows: each
+    vertex's lower covers are its children, and reversed preorder lists
+    every vertex after them."""
+    children = [0] * t.size
+    for v, parent in enumerate(_tree_parents(t)[1:], 1):
+        children[parent] |= 1 << v
+    return bruteforce.cutsets(children, reversed(range(t.size))).bit_count()
 
 
 def count_root_subtrees(t: RootedTree) -> int:
@@ -1249,9 +1264,7 @@ def count_root_subtrees(t: RootedTree) -> int:
     doubling over the vertices in preorder: vertex v joins exactly the sets
     that hold its parent.
     """
-    # Each vertex's up row holds its strict ancestors; its parent is the highest.
-    parents = [ancestors.bit_length() - 1 for ancestors in _oracle_poset(t)._up]
-    return bruteforce.count_parent_closed(parents) + 1
+    return bruteforce.count_parent_closed(_tree_parents(t)) + 1
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 import random
 import sys
@@ -30,7 +31,9 @@ from vposets.enumeration import (
     _FLOAT_ORDER_BOUND,
     CENSUS_BOUND,
     SERIES_BOUND,
+    _BLOCK,
     _block_product,
+    _tiles,
     _vposets_of_size,
     _w_deriv_value,
     _w_floats,
@@ -96,9 +99,15 @@ def schoolbook(a, b):
     return out
 
 
+@pytest.fixture(scope="module")
+def reference_to_the_bound():
+    return reference_v_series(SERIES_BOUND)
+
+
 class TestPackedSeries:
     """`v_series` adds the pairs inside complete blocks of 64 indices from
-    packed products; the one-by-one recurrence must give the same series."""
+    one packed product per dyadic tile of block pairs; the one-by-one
+    recurrence must give the same series."""
 
     def test_every_order_to_300(self):
         # Orders 63..65, 127..129, 191..193 and 255..257 straddle block edges.
@@ -108,6 +117,28 @@ class TestPackedSeries:
 
     def test_order_1200(self):
         assert v_series(1200).coeffs == reference_v_series(1200)
+
+    @pytest.mark.parametrize("order", [511, 512, 513, 1023, 1024, 1025, 1999, 2000])
+    def test_orders_at_tile_edges(self, order, reference_to_the_bound):
+        # Orders 512 and 1024 first reach the squares of 4 and 8 blocks, and
+        # the tiles that start at 1984 are cut to 16 or 17 entries at the bound.
+        assert v_series(order).coeffs == reference_to_the_bound[: order + 1]
+
+    def test_tiles_hold_each_block_pair_once_before_it_is_read(self):
+        for order in range(SERIES_BOUND + 1):
+            tiles = _tiles(order)
+            # `v_series` multiplies each tile with its mirror.
+            assert sorted(tiles) == sorted((j, i, s) for i, j, s in tiles), order
+            held = Counter(
+                (i + a, j + b) for i, j, s in tiles for a in range(s) for b in range(s)
+            )
+            top = order // _BLOCK
+            pairs = {(i, j) for i in range(1, top) for j in range(1, top - i + 1)}
+            assert held.keys() == pairs, order
+            assert set(held.values()) <= {1}, order
+            for i, j, s in tiles:
+                # Due when block max(i, j) + s - 1 ends; first read at step (i+j)*_BLOCK.
+                assert (max(i, j) + s) * _BLOCK - 1 < (i + j) * _BLOCK, (order, i, j, s)
 
     def test_digest_at_the_bound(self):
         text = "\n".join(map(str, v_series(SERIES_BOUND).coeffs))

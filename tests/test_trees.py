@@ -16,6 +16,7 @@ from vposets import (
     collision_search,
     contract_root_edge,
     count_antichains_tree,
+    count_cutsets_poset,
     count_cutsets_tree,
     count_maximal_antichains_tree,
     count_root_subtrees,
@@ -308,6 +309,16 @@ class TestCountingOracles:
         assert count_cutsets_tree(RootedTree()) == 1
         assert count_cutsets_tree(parse_tree(FIGURE_TREE_TEXT)) == 47
         assert count_cutsets_tree(path(3)) == 7
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_cutsets_are_the_poset_oracle(self, n):
+        # The tree oracle reads children off the tree's rows; the poset
+        # oracle finds lower covers and its own linear extension, in either
+        # orientation, whose maximal chains are the same.
+        for t in enumerate_rooted_trees(n):
+            count = count_cutsets_tree(t)
+            assert count == count_cutsets_poset(tree_to_poset(t)), t
+            assert count == count_cutsets_poset(tree_to_poset(t, "least")), t
 
     def test_root_subtrees_examples(self):
         assert count_root_subtrees(RootedTree()) == 2
