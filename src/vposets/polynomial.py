@@ -403,7 +403,7 @@ def build_poly(steps: Sequence[int]) -> BivariatePoly:
             stack.append(rows)
     (rows,) = stack
     if rows.__class__ is int:
-        return BivariatePoly.monomial(1, rows, 0)
+        return BivariatePoly._trusted(((rows, 0, (1,)),))
     return _unpack_rows(rows, width // 8)
 
 

@@ -26,25 +26,27 @@ Conventions:
     codes of `polynomial`, walked by one loop, and recognition peels extreme
     elements off the components of the graph with counts of live
     neighbours, so it builds no sub-poset and closes no rows.  Only a
-    component the peel cannot finish is closed, on its own, for the
-    witness scan.
+    component the peel cannot finish is closed, on its own relation lines,
+    for the witness scan.
+  - The greatest element below u, if any, is read off the graph (see
+    `_greatest_below`): it is u's lower neighbour latest in a topological
+    order, when that neighbour's down row with it is u's.  The witness scan
+    and the basic-element axioms ask it; the up rows' dual gives the least
+    element above u.
   - The peel records each element's status as it removes it (see
     `_peel`), so a V-poset's statuses cost nothing more.  On any other
-    poset the basic-element axioms are decided by row sizes, in O(n) row
-    operations: a nonempty down row is a chain exactly when it holds a
-    member whose down row is one smaller and is a chain, and that member is
-    its top; a twin below x is that top when its up row is one larger than
-    x's.  Up rows are the dual.
+    poset the basic-element axioms are decided in O(n) row operations: a
+    nonempty down row is a chain exactly when it has a greatest member
+    whose down row is a chain; a twin below x is that member when its up
+    row is one larger than x's.  Up rows are the dual.
   - The brute-force oracles hand rows and cover rows to the exhaustive
     sweeps of `bruteforce` and read back plain ints.  A poset keeps its
-    certificate, its statuses, the mask of its basic elements, its two
-    row-size tables and the answers of its one antichain sweep when first
-    asked: the antichain count and the subset codes of the maximal
-    antichains, P(1,1) of them, never 2**n.  The size tables serve the
-    extreme elements and the axioms of a poset that is no V-poset.  The
-    basic mask serves the region sets, the basic-free count and the
-    expansion.  All of it stays outside equality, hashing, repr and
-    pickling.
+    certificate, its statuses, the mask of its basic elements and the
+    answers of its one antichain sweep when first asked: the antichain
+    count and the subset codes of the maximal antichains, P(1,1) of them,
+    never 2**n.  The basic mask serves the region sets, the basic-free
+    count and the expansion.  All of it stays outside equality, hashing,
+    repr and pickling.
   - A rooted tree is a V-poset: `tree_to_poset` builds its rows, and each
     tree oracle (`count_*_tree`, `maximal_antichains_tree`,
     `antichain_expansion_tree`, `count_root_subtrees`) runs the poset
@@ -79,7 +81,7 @@ LOWER = "lower"
 OTHER = "other"
 
 # The answers a poset keeps on first use.
-_KEPT = ("_cert", "_status", "_basics", "_by_size", "_facts")
+_KEPT = ("_cert", "_status", "_basics", "_facts")
 
 
 class _CycleError(ValueError):
@@ -94,8 +96,8 @@ class Poset:
     is the order; ``_up`` and ``_down`` are the closed rows.  A poset is
     built with one pair of them and derives the other on first read, in
     `__getattr__`, after which reads cost nothing extra.  ``_cert``,
-    ``_status`` (see `_statuses`), ``_basics`` (see `_basic`), ``_by_size``
-    (see `_size_tables`) and ``_facts`` hold the answers kept on first use."""
+    ``_status`` (see `_statuses`), ``_basics`` (see `_basic`) and
+    ``_facts`` hold the answers kept on first use."""
 
     __slots__ = ("n", "_above", "_below", "_up", "_down") + _KEPT
     __setattr__ = Record.__setattr__
@@ -133,7 +135,8 @@ class Poset:
         # Reached only for an unset slot: the rows of a poset kept as a
         # graph, or the graph of one kept as rows.
         if name in ("_up", "_down"):
-            up, down = _closure(self._above, self._below)
+            order = _topological_order(self._above, self._below)
+            up, down = _closure(self._above, self._below, order)
             object.__setattr__(self, "_up", up)
             object.__setattr__(self, "_down", down)
         elif name in ("_above", "_below"):
@@ -222,15 +225,13 @@ class Poset:
 
     def greatest_element(self) -> int | None:
         """The element with all n - 1 others below it, or None: the one
-        member of the kept down-row size n - 1."""
-        top = _size_tables(self)[0].get(self.n - 1, 0)
-        return top.bit_length() - 1 if top else None
+        maximal element, when there is just one, has an empty up row."""
+        return self._up.index(0) if self._up.count(0) == 1 else None
 
     def least_element(self) -> int | None:
         """The element with all n - 1 others above it, or None: the one
-        member of the kept up-row size n - 1."""
-        bottom = _size_tables(self)[1].get(self.n - 1, 0)
-        return bottom.bit_length() - 1 if bottom else None
+        minimal element, when there is just one, has an empty down row."""
+        return self._down.index(0) if self._down.count(0) == 1 else None
 
     # ------------------------------------------------------------------
     # derived posets
@@ -292,12 +293,12 @@ def _topological_order(
 
 
 def _closure(
-    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]
+    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The closed up and down rows of a relation graph: up rows from the top
-    of a topological order down, down rows from its bottom up.  A pair the
-    row holds already is implied by the others and costs one bit test."""
-    order = _topological_order(above, below)
+    """The closed up and down rows of a relation graph with a topological
+    order of it: up rows from the top of the order down, down rows from its
+    bottom up.  A pair the row holds already is implied by the others and
+    costs one bit test."""
     up, down = [0] * len(above), [0] * len(above)
     for rows, near, walk in ((up, above, reversed(order)), (down, below, order)):
         for u in walk:
@@ -334,27 +335,28 @@ def _cover_rows(p: Poset) -> list[int]:
     return rows
 
 
-def _sizes(rows: Sequence[int], members: int) -> dict[int, int]:
-    """Per row size k, the mask of the members whose row holds k members.
-    Each class's mask is built once, from the list of its members."""
-    classes: dict[int, list[int]] = {}
-    for u, digit in enumerate(bin(members)[:1:-1]):
-        if digit == "1":
-            k = (rows[u] & members).bit_count()
-            if k in classes:
-                classes[k].append(u)
-            else:
-                classes[k] = [u]
-    return {k: _mask(us) for k, us in classes.items()}
+def _greatest_below(
+    rows: Sequence[int], near: Sequence[Sequence[int]], order: Sequence[int]
+) -> list[int]:
+    """Per element u, the greatest member of its closed down row ``rows[u]``,
+    or -1 when the row has none, given the lower neighbours ``near`` of a
+    relation graph and a topological order of it.  Up rows with the upper
+    neighbours and the order reversed give the least member above u.
 
-
-def _size_tables(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
-    """The `_sizes` tables of the down rows and of the up rows over all
-    elements, built on first use and kept on ``p``."""
-    if p._by_size is None:
-        full = (1 << p.n) - 1
-        object.__setattr__(p, "_by_size", (_sizes(p._down, full), _sizes(p._up, full)))
-    return p._by_size
+    A greatest member m is covered by u, so the graph relates them
+    directly, and every other member lies below m, so m is the neighbour
+    latest in the order; that neighbour is the greatest exactly when its
+    row with it is u's row."""
+    place = [0] * len(rows)
+    for i, u in enumerate(order):
+        place[u] = i
+    tops = [-1] * len(rows)
+    for u, row in enumerate(near):
+        if row:
+            m = max(row, key=place.__getitem__)
+            if rows[m] | 1 << m == rows[u]:
+                tops[u] = m
+    return tops
 
 
 def parse_poset(text: str) -> Poset:
@@ -566,56 +568,58 @@ def find_forbidden(p: Poset) -> ForbiddenPattern | None:
     return min(witnesses, key=lambda f: (f.u, f.v, f.x, f.w))
 
 
-def _forbidden_in(p: Poset, live: int) -> ForbiddenPattern | None:
-    # The first quadruple inside ``live`` in (u, v, x, w) index order.  The
-    # x below u with a w below u incomparable to them form ``xs`` (empty: no
-    # quadruple at u); v is the lowest element above one of them that is
-    # incomparable to u, x the lowest of ``xs`` below v, w the lowest one for x.
-    # A u whose live down set has a greatest element m has m's ``xs`` and
-    # up-row union, as m is comparable to everything below u; so each u
-    # takes the root of that descent, and each root's down set is walked once.
-    up, down = p._up, p._down
-    sizes = _sizes(down, live)
-    root: dict[int, int] = {}
-    for k in sorted(sizes):
-        for u in _bits(sizes[k]):
-            m = (down[u] & sizes.get(k - 1, 0)).bit_length() - 1  # the greatest below u, if any
-            root[u] = root[m] if m >= 0 else u
+def _forbidden_in(
+    above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]
+) -> tuple[int, int, int, int, str] | None:
+    """The first quadruple (u, v, w, x, kind) of the order a relation graph
+    generates, in (u, v, x, w) index order, or None.  One Kahn pass orders
+    the graph, and its closure and greatest elements follow that order.
+
+    The x below u with a w below u incomparable to them form ``xs`` (empty:
+    no quadruple at u); v is the lowest element above one of them that is
+    incomparable to u, x the lowest of ``xs`` below v, w the lowest one for
+    x.  A u whose down row has a greatest element m has m's ``xs`` and
+    up-row union, as m is comparable to everything below u; so each u takes
+    the root of that descent, and each root's down row is walked once."""
+    order = _topological_order(above, below)
+    up, down = _closure(above, below, order)
+    greatest = _greatest_below(down, below, order)
+    root = list(range(len(order)))
+    for u in order:
+        if (m := greatest[u]) >= 0:
+            root[u] = root[m]
     walked: dict[int, tuple[int, int]] = {}
-    for u in _bits(live):
-        if (r := root[u]) not in walked:
-            dr = down[r] & live
-            xs = above = 0
+    for u, r in enumerate(root):
+        if r not in walked:
+            dr = down[r]
+            xs = over = 0
             for x in _bits(dr):
                 if dr & ~(up[x] | down[x] | 1 << x):
                     xs |= 1 << x
-                    above |= up[x]
-            walked[r] = xs, above
-        xs, above = walked[r]
-        if xs and (vs := above & live & ~(up[u] | down[u] | 1 << u)):
+                    over |= up[x]
+            walked[r] = xs, over
+        xs, over = walked[r]
+        if xs and (vs := over & ~(up[u] | down[u] | 1 << u)):
             v = next(_bits(vs))
             x = next(_bits(down[v] & xs))
-            w = next(_bits(down[u] & live & ~(up[x] | down[x] | 1 << x)))
-            kind = "bowtie" if p.less(w, v) else "N"
-            return ForbiddenPattern(u=u, v=v, w=w, x=x, kind=kind)
+            w = next(_bits(down[u] & ~(up[x] | down[x] | 1 << x)))
+            return u, v, w, x, "bowtie" if up[w] >> v & 1 else "N"
     return None
 
 
 def _stuck_witness(p: Poset, members: list[int]) -> ForbiddenPattern:
     """The first quadruple of a stuck component, given by its members in
-    ascending order.  The component is closed on its own, relabelled in
-    index order, so the scan's index order is the poset's; a peel leaves
-    no element between two live ones, so its own closure is the poset's
-    order on it."""
+    ascending order.  The component's relation lines are scanned on their
+    own, relabelled in index order, so the scan's index order is the
+    poset's; a peel leaves no element between two live ones, so the order
+    they generate is the poset's order on the component."""
     where = {x: i for i, x in enumerate(members)}
     above = [[where[v] for v in p._above[u] if v in where] for u in members]
-    q = Poset._wrap(len(members), *_closure(above, _lower_neighbours(above)))
-    f = _forbidden_in(q, (1 << q.n) - 1)
-    if f is None:
+    found = _forbidden_in(above, _lower_neighbours(above))
+    if found is None:
         raise RuntimeError("recognisers disagree: no trace and no forbidden pattern")
-    return ForbiddenPattern(
-        u=members[f.u], v=members[f.v], w=members[f.w], x=members[f.x], kind=f.kind
-    )
+    u, v, w, x, kind = found
+    return ForbiddenPattern(u=members[u], v=members[v], w=members[w], x=members[x], kind=kind)
 
 
 def _peel(p: Poset, steps: list[int], status: list[str | None]) -> Iterator[list[int]]:
@@ -918,27 +922,26 @@ def _mask(members: list[int]) -> int:
     return int(digits, 2)
 
 
-def _chain_tops(rows: Sequence[int], sizes: dict[int, int]) -> list[int | None]:
-    """For rows that are all down rows or all up rows, with their `_sizes`
-    table over all elements: per element v, the top member of ``rows[v]``
-    when that row is a nonempty chain, -1 when it is empty, and None when it
-    is not a chain.
+def _chain_tops(
+    rows: Sequence[int], near: Sequence[Sequence[int]], order: Sequence[int]
+) -> list[int | None]:
+    """For down rows with the lower neighbours and a topological order, or
+    up rows with the upper neighbours and the order reversed: per element
+    v, the top member of ``rows[v]`` when that row is a nonempty chain, -1
+    when it is empty, and None when it is not a chain.
 
-    A nonempty row is a chain exactly when one of its members t has a row
-    one smaller, and that row is a chain.  Such a t is the top: its row lies
-    in the rest of the row and is as large, so it is the rest, and no other
-    member can match it, as each would lie below the other.  Taking the
-    elements by ascending row size decides t before v.
+    A nonempty row is a chain exactly when it has a greatest member t (see
+    `_greatest_below`) and t's row, the rest of v's, is a chain.  The order
+    decides t before v.
     """
+    greatest = _greatest_below(rows, near, order)
     tops: list[int | None] = [None] * len(rows)
-    for k in sorted(sizes):
-        smaller = sizes.get(k - 1, 0)
-        for v in _bits(sizes[k]):
-            t = (rows[v] & smaller).bit_length() - 1
-            if k == 0:
-                tops[v] = -1
-            elif t >= 0 and tops[t] is not None:
-                tops[v] = t
+    for v in order:
+        t = greatest[v]
+        if not rows[v]:
+            tops[v] = -1
+        elif t >= 0 and tops[t] is not None:
+            tops[v] = t
     return tops
 
 
@@ -954,15 +957,15 @@ def _statuses(p: Poset) -> tuple[str, ...]:
 
 def _axiom_statuses(p: Poset) -> tuple[str, ...]:
     """The statuses by the basic-element axioms, decided on the closed rows
-    with their kept size tables (see `element_status`)."""
-    up = p._up
-    by_down, by_up = _size_tables(p)
-    below, above = _chain_tops(p._down, by_down), _chain_tops(up, by_up)
+    and the relation graph (see `element_status`)."""
+    up, above, below = p._up, p._above, p._below
+    order = _topological_order(above, below)
+    under, over = _chain_tops(p._down, below, order), _chain_tops(up, above, order[::-1])
     basic = _mask([
         x
-        for x, t in enumerate(below)
+        for x, t in enumerate(under)
         if t is not None
-        and above[x] is not None
+        and over[x] is not None
         and not (t >= 0 and up[t].bit_count() == up[x].bit_count() + 1)
     ])
     return tuple(
@@ -985,39 +988,43 @@ def element_status(p: Poset) -> list[str]:
     On a V-poset the peel of `is_v_poset` records the statuses as it
     removes each element: the greatest element of a one-element component
     is basic, that of a larger one upper, and a least element lower.  On
-    any other poset the basic-element axioms are decided by the kept
-    row-size tables, in O(n) row operations.  B.1 and B.2 ask whether
-    down(x) and up(x) are chains (see `_chain_tops`).  B.3 asks for a twin
-    u < x whose comparabilities agree with those of x elsewhere.  Since
-    down(u) lies in down(x) minus u and up(u) holds up(x) and x, a twin is a
-    member of down(x) with row sizes (|down(x)| - 1, |up(x)| + 1), and the
-    only member of that down size is the top of the chain.  x is upper when
-    a basic element lies below it, and lower when one lies above.  The
-    statuses are kept on ``p``; each call returns a fresh list of them.
+    any other poset the basic-element axioms are decided in O(n) row
+    operations.  B.1 and B.2 ask whether down(x) and up(x) are chains (see
+    `_chain_tops`).  B.3 asks for a twin u < x whose comparabilities agree
+    with those of x elsewhere.  Since down(u) lies in down(x) minus u and
+    up(u) holds up(x) and x, a twin is a member of down(x) with row sizes
+    (|down(x)| - 1, |up(x)| + 1), and the only member of that down size is
+    the top of the chain.  x is upper when a basic element lies below it,
+    and lower when one lies above.  The statuses are kept on ``p``; each
+    call returns a fresh list of them.
     """
     return list(_statuses(p))
 
 
-def _region(p: Poset, a: int) -> list[int] | None:
-    """The members of the region set of ``a``, from its own rows, their
-    members' rows and the basic mask; None for an "other" element.  A lower
-    b below an upper a has no basic element below it, so it shares a's
-    association exactly when the basic elements above it are a's.
-    `antichain_expansion_poset` counts the same members in place."""
+def _region(p: Poset, a: int) -> int | None:
+    """The mask of the region set of ``a``, from its own rows, their
+    members' rows and the basic mask: 0 for a basic element, None for an
+    "other" one.  A lower b below an upper a has no basic element below it,
+    so it shares a's association exactly when the basic elements above it
+    are a's.  Members are ORed in one at a time: k copies of at most n bits
+    for a region of k, no more than building the n closed rows cost."""
     basic = _basic(p)
     up, down = p._up, p._down
     near = up[a] | down[a] | 1 << a  # a and the elements comparable to it
     if basic >> a & 1:
-        return []
+        return 0
+    region = 0
     if down[a] & basic:  # upper
         assoc = near & basic
-        return [
-            b
-            for b in _bits(down[a])
-            if not up[b] & ~near and (down[b] & basic or up[b] & basic != assoc)
-        ]
+        for b in _bits(down[a]):
+            if not up[b] & ~near and (down[b] & basic or up[b] & basic != assoc):
+                region |= 1 << b
+        return region
     if up[a] & basic:  # lower
-        return [b for b in _bits(up[a]) if not down[b] & ~near]
+        for b in _bits(up[a]):
+            if not down[b] & ~near:
+                region |= 1 << b
+        return region
     return None
 
 
@@ -1036,7 +1043,7 @@ def region_set(p: Poset, a: int) -> frozenset[int]:
             f"element {a} is neither basic nor upper nor lower; "
             "its region set is undefined"
         )
-    return frozenset(region)
+    return frozenset(_bits(region))
 
 
 # ----------------------------------------------------------------------
@@ -1079,23 +1086,10 @@ def antichain_expansion_poset(p: Poset) -> BivariatePoly:
     codes = _sweep_facts(p)[1]
     basic = _basic(p)
     # y is the sum of w times a code's bits among the elements of region
-    # size w.  The sizes are counted in place, by the tests of `_region`; on
-    # a V-poset every element that is not basic is upper or lower.
-    up, down = p._up, p._down
+    # size w; on a V-poset every element that is not basic is upper or lower.
     classes: dict[int, int] = {}
     for a in range(p.n):
-        if basic >> a & 1:
-            continue
-        near = up[a] | down[a] | 1 << a
-        if down[a] & basic:  # upper
-            assoc = near & basic
-            w = sum([
-                not up[b] & ~near and (down[b] & basic != 0 or up[b] & basic != assoc)
-                for b in _bits(down[a])
-            ])
-        else:
-            w = sum([not down[b] & ~near for b in _bits(up[a])])
-        if w:
+        if w := _region(p, a).bit_count():
             classes[w] = classes.get(w, 0) | 1 << a
     ys = [0] * len(codes)
     for w, m in classes.items():

@@ -254,7 +254,7 @@ def tree_poly_dc(t: RootedTree) -> BivariatePoly:
         # The coefficients are counts, so this drops only cancelled terms.
         memo[s] = terms = +terms
         work += len(terms)
-    return BivariatePoly(memo[t.encoding])
+    return BivariatePoly._from_terms(memo[t.encoding])
 
 
 # ----------------------------------------------------------------------

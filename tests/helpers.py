@@ -189,9 +189,12 @@ def bit_row_peel(p, steps):
     with the counts of elements taken above and below it, so its greatest
     is the member whose down row holds s - 1 + below."""
     from vposets.polynomial import EMPTY, GREATEST, LEAST
-    from vposets.posets import _size_tables
 
-    by_down, by_up = _size_tables(p)
+    by_down, by_up = {}, {}  # per row size, the mask of the elements with it
+    for u in range(p.n):
+        for table, row in ((by_down, p._down[u]), (by_up, p._up[u])):
+            k = row.bit_count()
+            table[k] = table.get(k, 0) | 1 << u
     todo = [((1 << p.n) - 1, 0, 0, 0)]
     while todo:
         live, low, above, below = todo.pop()

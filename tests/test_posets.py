@@ -60,8 +60,10 @@ from vposets.posets import (
     _bits,
     _element_signatures,
     _forbidden_in,
+    _greatest_below,
     _peel,
     _split,
+    _topological_order,
     _trace,
 )
 from vposets.trees import _tree_steps
@@ -179,7 +181,7 @@ class TestParse:
         "name",
         [
             "n", "_above", "_below", "_up", "_down",
-            "_cert", "_status", "_basics", "_by_size", "_facts",
+            "_cert", "_status", "_basics", "_facts",
         ],
     )
     def test_read_only(self, name):
@@ -392,8 +394,8 @@ class TestLongChain:
 class TestExtremeElements:
     @pytest.mark.parametrize("n", range(6))
     def test_by_definition(self, n):
-        # The extremes read the kept size tables, before recognition and
-        # after it, which builds none.
+        # The extremes read the rows and keep nothing, before recognition
+        # and after it.
         for p in all_labeled_posets(n):
             top = [u for u in range(n) if p.down_mask(u).bit_count() == n - 1]
             bottom = [u for u in range(n) if p.up_mask(u).bit_count() == n - 1]
@@ -487,7 +489,7 @@ class TestIsVPoset:
     @pytest.mark.parametrize("n", range(0, 5))
     def test_recognisers_agree_small(self, n):
         for p in all_labeled_posets(n):
-            assert (_forbidden_in(p, (1 << p.n) - 1) is None) == (decompose(p) is not None)
+            assert (_forbidden_in(p._above, p._below) is None) == (decompose(p) is not None)
 
     def test_wide_antichain(self):
         # The limit is loose for a loaded machine: this takes under a
@@ -546,23 +548,25 @@ class TestKeptAnswers:
         assert is_v_poset(back) == is_v_poset(new)
         assert count_maximal_antichains_no_basic(back) == count_maximal_antichains_no_basic(new)
 
-    @pytest.mark.parametrize("text, stuck", [
+    @pytest.mark.parametrize("text, expected", [
         (FIGURE_POSET_TEXT, []),
-        ("4\n3 1\n4 1\n4 2", [0b1111]),  # N: peeling is stuck on all of it
+        ("4\n3 1\n4 1\n4 2", [0b1111, "down", "up"]),  # N: peeling is stuck on all of it
     ], ids=["figure", "N"])
-    def test_row_sizes_counted_once(self, text, stuck, monkeypatch):
-        # Recognition, the statuses of a V-poset and the polynomial read no
-        # size table.  The extreme elements and the axioms of a poset that
-        # is no V-poset read one pair of full-mask tables, built once; the
-        # witness scan counts anew, on the stuck component's own rows.
+    def test_row_sizes_counted_once(self, text, expected, monkeypatch):
+        # Recognition, the statuses of a V-poset, the extreme elements and
+        # the polynomial ask no greatest element below.  The witness scan
+        # asks once, on the stuck component's own rows, and the axioms of a
+        # poset that is no V-poset once per direction; both answers are kept.
         p, calls = parse_poset(text), []
-        sizes = posets._sizes
+        greatest_below = posets._greatest_below
 
-        def counted(rows, members):
-            calls.append("down" if rows is p._down else "up" if rows is p._up else members)
-            return sizes(rows, members)
+        def counted(rows, near, order):
+            calls.append(
+                "down" if rows is p._down else "up" if rows is p._up else sum(1 << x for x in order)
+            )
+            return greatest_below(rows, near, order)
 
-        monkeypatch.setattr(posets, "_sizes", counted)
+        monkeypatch.setattr(posets, "_greatest_below", counted)
         for _ in range(2):
             for call in (
                 is_v_poset, element_status, Poset.greatest_element, Poset.least_element,
@@ -572,7 +576,7 @@ class TestKeptAnswers:
                     call(p)
                 except NotVPosetError:
                     pass
-        assert calls == stuck + ["down", "up"]
+        assert calls == expected
 
     def test_check_poly_and_status_close_no_rows(self):
         # A parsed V-poset answers from its relation graph; the closed rows
@@ -696,8 +700,8 @@ def strict_orders(draw, max_n=14):
 
 
 class TestStatusByCounting:
-    """`element_status` decides the axioms by row sizes; the reference
-    checks them one by one."""
+    """`element_status` decides the axioms by the greatest element below and
+    the least above each element; the reference checks them one by one."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_all_labeled_posets(self, n):
@@ -800,6 +804,20 @@ class TestPeelStatuses:
                 assert element_status(p) == list(_axiom_statuses(p)) == reference_status(p)
             else:
                 assert p._status is None
+
+
+def forbidden_in_live(p, live):
+    """`_forbidden_in` on the subposet that ``live`` induces, relabelled in
+    index order, with its quadruple mapped back."""
+    members = list(_bits(live))
+    where = {x: i for i, x in enumerate(members)}
+    above = [[where[v] for v in _bits(p.up_mask(u) & live)] for u in members]
+    below = [[where[v] for v in _bits(p.down_mask(u) & live)] for u in members]
+    found = _forbidden_in(above, below)
+    if found is None:
+        return None
+    u, v, w, x, kind = found
+    return ForbiddenPattern(u=members[u], v=members[v], w=members[w], x=members[x], kind=kind)
 
 
 def reference_forbidden(p, live):
@@ -994,6 +1012,40 @@ def fence(m):
     )
 
 
+def reference_greatest(rows):
+    """Per element, the member of its closed row that every other member
+    of the row lies below, or -1, by checking each member."""
+    return [
+        next(
+            (m for m in _bits(row) if all(rows[m] >> b & 1 for b in _bits(row) if b != m)),
+            -1,
+        )
+        for row in rows
+    ]
+
+
+class TestGreatestBelow:
+    """The greatest element below each element, read off the relation graph
+    along a topological order, is the member of its down row above every
+    other member; up rows along the reversed order give the least above."""
+
+    def assert_agrees(self, p):
+        order = _topological_order(p._above, p._below)
+        assert _greatest_below(p._down, p._below, order) == reference_greatest(p._down)
+        assert _greatest_below(p._up, p._above, order[::-1]) == reference_greatest(p._up)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled_posets(self, n):
+        rng = random.Random(n)
+        for p in all_labeled_posets(n):
+            pairs = [(u, v) for u in range(n) for v in _bits(p.up_mask(u))]
+            lines = pairs + [rng.choice(pairs) for _ in range(3)] if pairs else []
+            rng.shuffle(lines)
+            for q in (Poset.from_covers(n, p.covers()), Poset.from_covers(n, lines)):
+                assert q == p
+                self.assert_agrees(q)
+
+
 class TestWitnessScan:
     """For each u the scan collects the x below u that have an incomparable
     w below u, and picks v, x and w as lowest bits; on the full mask, the
@@ -1002,7 +1054,7 @@ class TestWitnessScan:
 
     def assert_same_witness(self, p, live):
         assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
-        assert _forbidden_in(p, live) == reference_forbidden(p, live)
+        assert forbidden_in_live(p, live) == reference_forbidden(p, live)
         trace, stuck = first_peel(p)
         if trace is None:
             assert is_v_poset(p) == reference_forbidden(p, stuck)
@@ -1053,6 +1105,20 @@ class TestWitnessScan:
         assert find_forbidden(p) == reference_forbidden(p, (1 << p.n) - 1)
         assert calls.count("_peel") == 1
         assert calls.count("_stuck_witness") == (1 if certified_first else 2)
+
+    def test_one_record_per_witness(self, monkeypatch):
+        # Each stuck component's scan answers in its own indices, and only
+        # the witness mapped back is made a record.
+        made = []
+        init = ForbiddenPattern.__init__
+        monkeypatch.setattr(
+            ForbiddenPattern, "__init__",
+            lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs),
+        )
+        p = Poset.disjoint_union([BOWTIE_POSET, N_POSET])
+        witness = find_forbidden(p)
+        assert len(made) == 2
+        assert witness == reference_forbidden(p, (1 << p.n) - 1)
 
     def test_caterpillar_beside_an_n(self):
         # The limit is loose for a loaded machine: only the N is scanned,

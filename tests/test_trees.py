@@ -400,7 +400,7 @@ class TestKeptPoset:
         t = parse_tree(FIGURE_TREE_TEXT)
         monkeypatch.setattr(posets, "_peel", refuse)
         monkeypatch.setattr(posets, "_chain_tops", refuse)
-        monkeypatch.setattr(posets, "_sizes", refuse)
+        monkeypatch.setattr(posets, "_greatest_below", refuse)
         assert antichain_expansion_tree(t) == FIGURE_TREE_POLY
         assert count_maximal_antichains_tree(t, leaf_free=True) == FIGURE_TREE_POLY.evaluate(0, 1)
 
